@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet lockvet race race-locks check explore fuzz-smoke obs-smoke deadlock-smoke bench-baseline bench-diff
+.PHONY: all build test vet lockvet race race-locks check explore fuzz-smoke obs-smoke deadlock-smoke
 
 all: vet build lockvet test
 
@@ -74,26 +74,6 @@ obs-smoke: build
 # five philosophers and exit 3), and the disabled-path overhead tests.
 deadlock-smoke: build
 	GO="$(GO)" scripts/deadlock_smoke.sh results/deadlock
-
-# bench-baseline regenerates the committed performance floor under
-# results/baseline (scale/samples chosen to finish in seconds; the
-# matching bench-diff threshold is loose for the same reason).
-bench-baseline: build
-	$(GO) run ./cmd/macrobench -json -json-dir results/baseline \
-		-scale 0.2 -samples 3 -only minibank,bankmt,sessiond,churn
-
-# bench-diff measures the baseline workloads (plus the newer dining and
-# abba workloads, which have no committed baseline and therefore come
-# back as per-workload SKIPs, exercising that path) and compares against
-# the committed baseline. The 2.5 (250%) threshold is deliberately
-# loose: CI machines are noisy and the baseline was recorded elsewhere,
-# so this gate only catches order-of-magnitude protocol regressions
-# (e.g. a biased fast path falling back to inflation), not % drift.
-bench-diff: build
-	mkdir -p results/head
-	$(GO) run ./cmd/macrobench -json -json-dir results/head \
-		-scale 0.2 -samples 3 -only minibank,bankmt,sessiond,churn,dining,abba
-	$(GO) run ./cmd/benchdiff -threshold 2.5 results/baseline results/head
 
 # fuzz-smoke gives each fuzzer a short budget on top of its seed
 # corpus (testdata/fuzz); any new crasher is written back to testdata.

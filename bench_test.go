@@ -11,7 +11,7 @@
 //	                              the paper's "17 instructions" claim
 //	BenchmarkDeflationAblation  — extension: cost of deflating eagerly
 //
-// The cmd/microbench, cmd/macrobench, cmd/lockchar and cmd/tradeoffs
+// The cmd/microbench, cmd/macrobench, cmd/tradeoffs
 // binaries produce the paper-formatted tables; these benches expose the
 // same kernels through the standard Go tooling.
 package thinlock
@@ -246,7 +246,8 @@ func BenchmarkContentionPolicy(b *testing.B) {
 }
 
 // BenchmarkDeflationAblation compares the default keep-inflated policy
-// against the eager-deflation extension on an uncontended fat lock —
+// against the deflation extension (deflate on every final release of an
+// uncontended fat lock, recycling the monitor index) —
 // quantifying why the paper's "stays inflated" discipline is cheap
 // insurance (DESIGN.md §6).
 func BenchmarkDeflationAblation(b *testing.B) {
@@ -255,7 +256,7 @@ func BenchmarkDeflationAblation(b *testing.B) {
 		opts core.Options
 	}{
 		{"KeepInflated", core.Options{}},
-		{"EagerDeflation", core.Options{EnableDeflation: true}},
+		{"EagerDeflation", core.Options{RecycleMonitors: true}},
 	}
 	for _, cfg := range configs {
 		cfg := cfg

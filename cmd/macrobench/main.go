@@ -6,8 +6,11 @@
 //
 // Usage:
 //
-//	macrobench [-scale F] [-samples N] [-only name,name] [-table1] [-fig3] [-predict]
-//	           [-telemetry] [-timeseries] [-v]
+//	macrobench [-scale F] [-samples N] [-only name,name] [-table1] [-fig3] [-space]
+//	           [-predict] [-telemetry] [-timeseries] [-v]
+//
+// -only restricts every mode except -predict (which always compares
+// javalex and jax) to the named workloads; an unknown name is an error.
 //
 // -timeseries records a lockscope contention timeline during the
 // Figure 5 run: the sampler captures windowed rates at the
@@ -61,8 +64,6 @@ func main() {
 	withTimeseries := flag.Bool("timeseries", false, "record a lockscope contention timeline during the Figure 5 run and write per-workload phase timelines to -timeseries-dir")
 	timeseriesInterval := flag.Duration("timeseries-interval", 50*time.Millisecond, "lockscope sampling cadence for -timeseries")
 	timeseriesDir := flag.String("timeseries-dir", "results", "directory for -timeseries timeline JSON files")
-	jsonOut := flag.Bool("json", false, "write machine-readable timings to -json-dir/bench_<workload>.json (compare runs with cmd/benchdiff)")
-	jsonDir := flag.String("json-dir", "results", "directory for -json result files")
 	verbose := flag.Bool("v", false, "print progress")
 	flag.Parse()
 
@@ -71,14 +72,25 @@ func main() {
 		os.Exit(1)
 	}
 
+	selected := workloads.All()
+	if *only != "" {
+		selected = nil
+		for _, name := range strings.Split(*only, ",") {
+			w, ok := workloads.ByName(name)
+			if !ok {
+				fail(fmt.Errorf("unknown workload %q", name))
+			}
+			selected = append(selected, w)
+		}
+	}
+	sizeOf := func(w workloads.Workload) int {
+		return max(int(float64(w.DefaultSize)*(*scale)), 1)
+	}
+
 	if *table1 || *fig3 {
 		var rows []bench.Characterization
-		for _, w := range workloads.All() {
-			size := int(float64(w.DefaultSize) * *scale)
-			if size < 1 {
-				size = 1
-			}
-			c, err := bench.Characterize(w, size)
+		for _, w := range selected {
+			c, err := bench.Characterize(w, sizeOf(w))
 			if err != nil {
 				fail(err)
 			}
@@ -86,6 +98,9 @@ func main() {
 		}
 		if *table1 {
 			fmt.Print(bench.FormatTable1(rows))
+			if *fig3 {
+				fmt.Println()
+			}
 		}
 		if *fig3 {
 			fmt.Print(bench.FormatFigure3(rows))
@@ -96,12 +111,8 @@ func main() {
 	if *space {
 		results := make(map[string][]bench.SpaceRow)
 		var order []string
-		for _, w := range workloads.All() {
-			size := int(float64(w.DefaultSize) * *scale)
-			if size < 1 {
-				size = 1
-			}
-			rows, err := bench.SpaceUsage(w, size)
+		for _, w := range selected {
+			rows, err := bench.SpaceUsage(w, sizeOf(w))
 			if err != nil {
 				fail(err)
 			}
@@ -242,27 +253,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "telemetry:", path)
 		}
 	}
-	if *jsonOut {
-		sizeOf := func(name string) int {
-			w, ok := workloads.ByName(name)
-			if !ok {
-				return 0
-			}
-			size := int(float64(w.DefaultSize) * *scale)
-			if size < 1 {
-				size = 1
-			}
-			return size
-		}
-		paths, err := bench.WriteJSONResults(*jsonDir, rs, *samples, sizeOf)
-		if err != nil {
-			fail(err)
-		}
-		for _, p := range paths {
-			fmt.Fprintln(os.Stderr, "json:", p)
-		}
-	}
-
 	fmt.Print(bench.FormatMacroTable(rs, "Figure 5 raw times"))
 	fmt.Println()
 	fmt.Print(bench.FormatSpeedups(rs, "JDK111", "Figure 5"))

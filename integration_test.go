@@ -38,13 +38,13 @@ func lockerConfigs() []struct {
 			return core.New(core.Options{CPU: arch.PowerPCMP})
 		}},
 		{"ThinLock-deflate", func() lockapi.Locker {
-			return core.New(core.Options{EnableDeflation: true})
+			return core.New(core.Options{RecycleMonitors: true})
 		}},
 		{"ThinLock-queued", func() lockapi.Locker {
 			return core.New(core.Options{QueuedInflation: true})
 		}},
 		{"ThinLock-queued-deflate", func() lockapi.Locker {
-			return core.New(core.Options{QueuedInflation: true, EnableDeflation: true})
+			return core.New(core.Options{QueuedInflation: true, RecycleMonitors: true})
 		}},
 		{"ThinLock-2bit", func() lockapi.Locker {
 			return core.New(core.Options{CountBits: 2})

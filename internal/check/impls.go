@@ -13,8 +13,8 @@ import (
 
 // Implementations returns fresh-instance factories for every lock
 // implementation the checker certifies: the paper's thin locks plus the
-// queued-inflation, deflation, compact (deflation + monitor-index
-// recycling) and narrow-count variants, the biased
+// queued-inflation, compact (deflation + monitor-index recycling) and
+// narrow-count variants, the biased
 // reservation locker (with and without rebiasing), both historical
 // baselines, and the reference oracle itself (checked like any other
 // implementation — an oracle nobody checks is just a second opinion).
@@ -22,7 +22,6 @@ func Implementations() map[string]func() lockapi.Locker {
 	return map[string]func() lockapi.Locker{
 		"ThinLock":        func() lockapi.Locker { return core.NewDefault() },
 		"ThinLock-queued": func() lockapi.Locker { return core.New(core.Options{QueuedInflation: true}) },
-		"ThinLock-defl":   func() lockapi.Locker { return core.New(core.Options{EnableDeflation: true}) },
 		"ThinLock-compact": func() lockapi.Locker {
 			return core.New(core.Options{RecycleMonitors: true})
 		},

@@ -8,7 +8,7 @@ import (
 
 func TestDeflationRestoresThinLock(t *testing.T) {
 	t.Parallel()
-	f := newFixture(t, Options{EnableDeflation: true})
+	f := newFixture(t, Options{RecycleMonitors: true})
 	a, b := f.thread(t), f.thread(t)
 	o := f.heap.New("X")
 	misc := o.Misc()
@@ -38,7 +38,7 @@ func TestDeflationRestoresThinLock(t *testing.T) {
 
 func TestDeflationSkippedWhileNested(t *testing.T) {
 	t.Parallel()
-	f := newFixture(t, Options{EnableDeflation: true})
+	f := newFixture(t, Options{RecycleMonitors: true})
 	a, b := f.thread(t), f.thread(t)
 	o := f.heap.New("X")
 
@@ -72,7 +72,7 @@ func TestDeflationSkippedWhileNested(t *testing.T) {
 
 func TestDeflationWithWaitersIsSkipped(t *testing.T) {
 	t.Parallel()
-	f := newFixture(t, Options{EnableDeflation: true})
+	f := newFixture(t, Options{RecycleMonitors: true})
 	a, b := f.thread(t), f.thread(t)
 	o := f.heap.New("X")
 
@@ -118,7 +118,7 @@ func TestDeflationWithWaitersIsSkipped(t *testing.T) {
 // between thin and fat; mutual exclusion must hold throughout.
 func TestDeflationStress(t *testing.T) {
 	t.Parallel()
-	f := newFixture(t, Options{EnableDeflation: true})
+	f := newFixture(t, Options{RecycleMonitors: true})
 	o := f.heap.New("X")
 	const goroutines, iters = 6, 500
 	var counter int64

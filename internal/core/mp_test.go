@@ -78,7 +78,7 @@ func TestStandardMPQueuedDeflationComposition(t *testing.T) {
 	f := newFixture(t, Options{
 		CPU:             arch.PowerPCMP,
 		QueuedInflation: true,
-		EnableDeflation: true,
+		RecycleMonitors: true,
 		CountBits:       3,
 	})
 	o := f.heap.New("X")

@@ -218,7 +218,7 @@ func TestQueuedWithDeflationCycles(t *testing.T) {
 	t.Parallel()
 	// Queued inflation + eager deflation: locks cycle thin→fat→thin
 	// under contention; mutual exclusion and wakeups must survive.
-	f := newFixture(t, Options{QueuedInflation: true, EnableDeflation: true})
+	f := newFixture(t, Options{QueuedInflation: true, RecycleMonitors: true})
 	o := f.heap.New("X")
 	const goroutines, iters = 6, 300
 	var counter int64

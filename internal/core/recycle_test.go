@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// Tests for the compact-monitor extension (Options.RecycleMonitors): a
-// deflated monitor's index is retired through the table's grace period
+// Tests for the compact half of the deflation extension
+// (Options.RecycleMonitors): a deflated monitor's index is retired through the table's grace period
 // and reused by later inflations, so the table footprint tracks the peak
 // number of simultaneously inflated objects instead of every inflation
 // ever performed.
@@ -26,7 +26,7 @@ func TestRecycleImpliesDeflation(t *testing.T) {
 	// was freed.
 	s := f.l.Stats()
 	if s.Deflations == 0 {
-		t.Fatal("RecycleMonitors did not imply deflation")
+		t.Fatal("RecycleMonitors did not deflate")
 	}
 	if s.MonitorFrees == 0 {
 		t.Fatal("deflation did not free the monitor index")
@@ -93,36 +93,6 @@ func TestRecycleReusesIndexAcrossObjects(t *testing.T) {
 	}
 	if s.LiveMonitors != 0 {
 		t.Fatalf("LiveMonitors = %d, want 0", s.LiveMonitors)
-	}
-}
-
-func TestNoRecycleWithoutOption(t *testing.T) {
-	t.Parallel()
-	// Plain deflation (the pre-existing extension) must keep its
-	// allocate-only table: indices retire but are never reused.
-	f := newFixture(t, Options{EnableDeflation: true})
-	th := f.thread(t)
-	const rounds = 8
-	for i := 0; i < rounds; i++ {
-		o := f.heap.New("X")
-		f.l.Lock(th, o)
-		if _, err := f.l.Wait(th, o, time.Microsecond); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.l.Unlock(th, o); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := f.l.Stats()
-	if s.Deflations != rounds {
-		t.Fatalf("Deflations = %d, want %d", s.Deflations, rounds)
-	}
-	if s.MonitorFrees != 0 || s.MonitorRecycles != 0 {
-		t.Fatalf("frees/recycles = %d/%d without RecycleMonitors, want 0/0",
-			s.MonitorFrees, s.MonitorRecycles)
-	}
-	if s.TableSpan != rounds {
-		t.Fatalf("TableSpan = %d, want %d (monotonic without recycling)", s.TableSpan, rounds)
 	}
 }
 

@@ -80,19 +80,16 @@ type Options struct {
 	// selects for. Ignored by the other variants, which hard-wire a
 	// machine. The default is PowerPCUP.
 	CPU arch.CPU
-	// EnableDeflation turns on the deflation extension (not in the
-	// paper, whose locks stay inflated for the object's lifetime):
-	// a fat lock whose queues are empty is turned back into a thin
-	// lock on final unlock.
-	EnableDeflation bool
-	// RecycleMonitors turns on the compact-monitor extension (after
-	// Dice & Kogan's Compact Java Monitors; implies EnableDeflation):
-	// a deflated monitor's table index is retired through a grace
-	// period and then reused by later inflations, so the monitor
-	// table's footprint tracks the peak number of simultaneously
-	// inflated objects instead of growing monotonically with every
-	// inflation. Readers of possibly-stale monitor indices pin the
-	// table around the header reload (see monitor.Table).
+	// RecycleMonitors turns on the deflation extension (not in the
+	// paper, whose locks stay inflated for the object's lifetime), in
+	// its compact-monitor form after Dice & Kogan's Compact Java
+	// Monitors: a fat lock whose queues are empty is turned back into
+	// a thin lock on final unlock, and its table index is retired
+	// through a grace period and then reused by later inflations, so
+	// the monitor table's footprint tracks the peak number of
+	// simultaneously inflated objects instead of growing monotonically
+	// with every inflation. Readers of possibly-stale monitor indices
+	// pin the table around the header reload (see monitor.Table).
 	RecycleMonitors bool
 	// QueuedInflation turns on the queued-contention extension (the
 	// Tasuki-lock protocol; see queued.go): contenders park on a
@@ -139,7 +136,7 @@ type Stats struct {
 	// FatLocks is the number of monitors ever allocated.
 	FatLocks int
 	// MonitorFrees counts monitor indices returned to the recycler
-	// (always 0 unless monitor recycling is enabled).
+	// (always 0 unless the deflation extension is enabled).
 	MonitorFrees uint64
 	// MonitorRecycles counts inflations that reused a recycled index.
 	MonitorRecycles uint64
@@ -147,7 +144,7 @@ type Stats struct {
 	// object (FatLocks minus MonitorFrees).
 	LiveMonitors int
 	// TableSpan is the size of the monitor index space in use — the
-	// table's memory footprint. With recycling it tracks the peak
+	// table's memory footprint. With deflation it tracks the peak
 	// number of simultaneously inflated objects; without, it equals
 	// FatLocks.
 	TableSpan int
@@ -162,14 +159,13 @@ func (s Stats) Inflations() uint64 {
 // a veneer over the heavy-weight monitor subsystem: uncontended and
 // nested locking never touch a monitor.
 type ThinLocks struct {
-	table     *monitor.Table
-	variant   Variant
-	cpu       arch.CPU
-	deflation bool
-	recycle   bool
-	queued    bool
-	flc       *flcTable
-	mut       Mutations
+	table   *monitor.Table
+	variant Variant
+	cpu     arch.CPU
+	recycle bool // deflation with index recycling (Options.RecycleMonitors)
+	queued  bool
+	flc     *flcTable
+	mut     Mutations
 	// nestedLimit is the XOR-check bound: maxCount << CountShift.
 	nestedLimit uint32
 	// maxCount is the largest encodable count, (1 << CountBits) - 1.
@@ -197,7 +193,6 @@ func New(opts Options) *ThinLocks {
 		table:       monitor.NewTable(),
 		variant:     opts.Variant,
 		cpu:         opts.CPU,
-		deflation:   opts.EnableDeflation || opts.RecycleMonitors,
 		recycle:     opts.RecycleMonitors,
 		queued:      opts.QueuedInflation,
 		mut:         opts.TestMutations,
@@ -360,19 +355,22 @@ func (l *ThinLocks) lockSlowBody(t *threading.Thread, o *object.Object, cpu arch
 
 		case IsInflated(w):
 			lockdep.Blocked(t, o, lockdep.WaitFat)
-			var m *monitor.Monitor
-			if l.recycle {
-				// With index recycling the index in w may already have
-				// been handed to a different object's monitor; re-read
-				// the header under a table pin so the recycler cannot
-				// reuse the index inside our lookup window.
-				if m = l.pinnedFat(hp, t); m == nil {
-					continue // deflated between loads; retry the header
+			if !l.recycle {
+				l.table.Get(FatIndex(w)).Enter(t)
+				if fence {
+					arch.ISync()
 				}
-			} else {
-				m = l.table.Get(FatIndex(w))
+				return
 			}
-			if l.enterFat(m, t) {
+			// With deflation the index in w may already have been
+			// handed to a different object's monitor; re-read the
+			// header under a table pin so the recycler cannot reuse
+			// the index inside our lookup window.
+			m := l.pinnedFat(hp, t)
+			if m == nil {
+				continue // deflated between loads; retry the header
+			}
+			if m.EnterIfActive(t) {
 				if fence {
 					arch.ISync()
 				}
@@ -474,17 +472,6 @@ func (l *ThinLocks) pinnedFat(hp *uint32, t *threading.Thread) *monitor.Monitor 
 	m := l.table.Get(FatIndex(w))
 	l.table.Unpin(token)
 	return m
-}
-
-// enterFat enters a fat lock, honoring the deflation extension: it
-// reports false if the monitor was retired, in which case the caller
-// must re-read the object header.
-func (l *ThinLocks) enterFat(m *monitor.Monitor, t *threading.Thread) bool {
-	if !l.deflation {
-		m.Enter(t)
-		return true
-	}
-	return m.EnterIfActive(t)
 }
 
 // inflate converts the thin lock the calling thread owns into a fat lock
@@ -628,7 +615,7 @@ func (l *ThinLocks) unlockSlow(t *threading.Thread, o *object.Object, fence, use
 		// does not, the retire/exit below fail with the right error —
 		// see pinnedFat.
 		m := l.table.Get(FatIndex(w))
-		if l.deflation && l.retireFat(m, t) {
+		if l.recycle && l.retireFat(m, t) {
 			// Deflation extension: the fat lock was held exactly once
 			// with empty queues; retire it and restore a thin,
 			// unlocked header. Latecomers holding the stale monitor
@@ -641,13 +628,11 @@ func (l *ThinLocks) unlockSlow(t *threading.Thread, o *object.Object, fence, use
 				arch.Sync()
 			}
 			atomic.StoreUint32(hp, w&MiscMask)
-			if l.recycle {
-				// Recycle the index only after the header restore: the
-				// grace stamp taken inside Free must postdate the last
-				// moment a reader could have found the index through
-				// this object.
-				l.freeIndex(t, m)
-			}
+			// Recycle the index only after the header restore: the
+			// grace stamp taken inside Free must postdate the last
+			// moment a reader could have found the index through this
+			// object.
+			l.freeIndex(t, m)
 			return nil
 		}
 		return m.Exit(t)

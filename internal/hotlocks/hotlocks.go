@@ -173,14 +173,18 @@ func (h *HotLocks) hot(t *threading.Thread, w uint32) *monitor.Monitor {
 
 // coldLookup finds or creates the pinned cold entry for o and bumps its
 // frequency. It reserves a hot slot when the entry crosses the
-// threshold; the reservation index is returned (or -1).
+// threshold; the reservation index is returned (or -1). A nil entry
+// means o has no cold entry to use: either create is false, or o was
+// promoted after the caller read its header, in which case the header
+// is already hot (promotion publishes it under h.mu before dropping the
+// entry) and the caller must follow it instead.
 func (h *HotLocks) coldLookup(t *threading.Thread, o *object.Object, create bool) (*coldEntry, int) {
 	h.coldOps.Add(1)
 	telemetry.Inc(t, telemetry.CtrColdOps)
 	h.mu.Lock()
 	e := h.cold[o.ID()]
 	if e == nil {
-		if !create {
+		if !create || o.Header()&hotBit != 0 {
 			h.mu.Unlock()
 			return nil, -1
 		}
@@ -244,24 +248,36 @@ func (h *HotLocks) Lock(t *threading.Thread, o *object.Object) {
 
 func (h *HotLocks) lockBody(t *threading.Thread, o *object.Object) {
 	w := o.Header()
-	if w&hotBit != 0 {
-		lockdep.Blocked(t, o, lockdep.WaitFat)
-		h.hot(t, w).Enter(t)
-		return
+	if w&hotBit == 0 {
+		if e, slot := h.coldLookup(t, o, true); e != nil {
+			h.lockCold(t, o, e, slot, w)
+			return
+		}
+		w = o.Header() // promoted since our first read
 	}
-	e, slot := h.coldLookup(t, o, true)
+	lockdep.Blocked(t, o, lockdep.WaitFat)
+	h.hot(t, w).Enter(t)
+}
+
+// lockCold enters a pinned cold entry's monitor and, if coldLookup
+// reserved a hot slot for it, promotes the object.
+func (h *HotLocks) lockCold(t *threading.Thread, o *object.Object, e *coldEntry, slot int, w uint32) {
 	lockdep.Blocked(t, o, lockdep.WaitFat)
 	e.mon.Enter(t)
 	if slot >= 0 {
 		// Promote: we own the monitor, so no thread is inside a
 		// critical section on this object; threads blocked on the
 		// monitor keep working because the slot aliases the same
-		// monitor structure.
+		// monitor structure. The hot header is published before the
+		// cold entry is dropped, both under h.mu, so a thread that read
+		// the old header and then finds no entry sees the hot header
+		// and follows it to this same monitor rather than creating a
+		// second one.
 		h.mu.Lock()
 		h.slots[slot] = e.mon
+		o.SetHeader(hotWord(slot, w))
 		delete(h.cold, o.ID())
 		h.mu.Unlock()
-		o.SetHeader(hotWord(slot, w))
 		h.promotions.Add(1)
 		telemetry.Inc(t, telemetry.CtrHotPromotions)
 	}

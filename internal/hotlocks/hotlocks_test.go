@@ -1,11 +1,14 @@
 package hotlocks
 
 import (
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"thinlock/internal/object"
+	"thinlock/internal/testutil"
 	"thinlock/internal/threading"
 )
 
@@ -358,4 +361,97 @@ func TestHotWordEncoding(t *testing.T) {
 	if w&object.MiscMask != 0xA5 {
 		t.Errorf("misc = %#x, want 0xA5", w&object.MiscMask)
 	}
+}
+
+// TestPromotionRaceKeepsOneMonitor replays, step by step, the promotion
+// race: a thread reads the object's cold header and then waits for h.mu
+// while the lock's owner promotes the object. When the late thread gets
+// h.mu the cold entry is gone. It must follow the now-hot header to the
+// promoted monitor and block there, not create a second cold monitor and
+// enter the critical section beside the owner.
+func TestPromotionRaceKeepsOneMonitor(t *testing.T) {
+	f := newFixture(Options{Threshold: 2})
+	holder, promoter, late := f.thread(t), f.thread(t), f.thread(t)
+	o := f.heap.New("X")
+
+	f.h.Lock(holder, o) // frequency 1: stays cold
+	f.h.mu.Lock()
+	e := f.h.cold[o.ID()]
+	f.h.mu.Unlock()
+
+	promoted := make(chan struct{})
+	release := make(chan struct{})
+	defer func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	}()
+	go func() {
+		f.h.Lock(promoter, o) // frequency 2: reserves a hot slot
+		close(promoted)
+		<-release
+		if err := f.h.Unlock(promoter, o); err != nil {
+			t.Error(err)
+		}
+	}()
+	testutil.Eventually(t, 0, "promoter queued on the cold monitor", func() bool { return e.mon.EntryQueueLen() == 1 })
+
+	// Hand the monitor to the promoter while holding h.mu, so it parks
+	// at its promotion step; then park the late thread in coldLookup
+	// behind it.
+	f.h.mu.Lock()
+	if err := e.mon.Exit(holder); err != nil {
+		t.Fatal(err)
+	}
+	testutil.Eventually(t, 0, "promoter parked on h.mu", func() bool {
+		return mutexWaiterIn("(*HotLocks).lockBody", "(*HotLocks).coldLookup")
+	})
+	lateAcquired := make(chan struct{})
+	go func() {
+		f.h.Lock(late, o)
+		close(lateAcquired)
+		if err := f.h.Unlock(late, o); err != nil {
+			t.Error(err)
+		}
+	}()
+	testutil.Eventually(t, 0, "late thread parked in coldLookup", func() bool {
+		return mutexWaiterIn("(*HotLocks).coldLookup", "")
+	})
+	f.h.mu.Unlock()
+
+	<-promoted
+	testutil.Eventually(t, 0, "late thread blocked on the hot monitor", func() bool {
+		select {
+		case <-lateAcquired:
+			t.Fatal("late thread acquired the lock while the promoter held it (second monitor created)")
+		default:
+		}
+		return e.mon.EntryQueueLen() == 1
+	})
+	close(release)
+	<-lateAcquired
+	if n := f.h.ColdCount(); n != 0 {
+		t.Errorf("ColdCount = %d after promotion, want 0", n)
+	}
+	if p := f.h.Stats().Promotions; p != 1 {
+		t.Errorf("Promotions = %d, want 1", p)
+	}
+}
+
+// mutexWaiterIn reports whether a goroutine started by
+// TestPromotionRaceKeepsOneMonitor is parked acquiring a sync.Mutex with
+// frame `in`, but not frame `notIn`, on its stack.
+func mutexWaiterIn(in, notIn string) bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "[sync.Mutex.Lock") && strings.Contains(g, in) &&
+			strings.Contains(g, "created by thinlock/internal/hotlocks.TestPromotionRaceKeepsOneMonitor") &&
+			(notIn == "" || !strings.Contains(g, notIn)) {
+			return true
+		}
+	}
+	return false
 }

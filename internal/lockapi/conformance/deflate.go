@@ -13,7 +13,7 @@ import (
 
 // The deflation-race cases below state monitor semantics every
 // implementation must exhibit, but that only *deflating* implementations
-// (EnableDeflation / RecycleMonitors) can get wrong in interesting ways:
+// (core.Options.RecycleMonitors) can get wrong in interesting ways:
 // a monitor deflated back to a thin word races a concurrent enter, a
 // waiter must pin its monitor against deflation, a recycled index must
 // not leak one object's monitor to another, and a recursively held

@@ -11,12 +11,14 @@ import (
 	"thinlock/internal/threading"
 )
 
-// The lock-order graph. Nodes are lock objects (keyed by allocation
-// id); a directed edge A→B means "some thread held A while acquiring
-// B". Kernel lockdep's central trick applies: edges are *ever-observed*
-// facts, never removed, so a cycle proves that the inverse orders both
-// happened at least once — a potential ABBA deadlock — even if the two
-// orders were never in flight simultaneously.
+// The lock-order graph. Nodes are lock objects, matched by identity and
+// hashed and labelled by allocation id (ids restart at 1 in every heap,
+// so two heaps' objects can share one); a directed edge A→B means "some
+// thread held A while acquiring B". Kernel lockdep's central trick
+// applies: edges are *ever-observed* facts, never removed, so a cycle
+// proves that the inverse orders both happened at least once — a
+// potential ABBA deadlock — even if the two orders were never in flight
+// simultaneously.
 //
 // Storage follows lockprof's bounded lock-free shape: nodes live in a
 // sharded open-addressed table of atomic pointers; each node carries a
@@ -64,6 +66,7 @@ func (e *gedge) threads() int {
 
 // gnode is one lock object in the order graph.
 type gnode struct {
+	obj   *object.Object
 	id    uint64
 	class string
 	out   [maxOut]atomic.Pointer[gedge]
@@ -110,23 +113,23 @@ func nodeHash(id uint64) uint64 {
 	return id
 }
 
-// node returns the graph node for object id, inserting one if needed;
-// nil when the probe window is full.
-func (g *graph) node(id uint64, class string) *gnode {
-	h := nodeHash(id)
+// node returns the graph node for o, inserting one if needed; nil when
+// the probe window is full.
+func (g *graph) node(o *object.Object) *gnode {
+	h := nodeHash(o.ID())
 	sh := &g.shards[(h>>60)&(numShards-1)]
 	idx := h & (nodeSlotsPerShard - 1)
 	for i := uint64(0); i < nodeProbe; i++ {
 		slot := &sh.slots[(idx+i)&(nodeSlotsPerShard-1)]
 		n := slot.Load()
 		if n == nil {
-			nn := &gnode{id: id, class: class}
+			nn := &gnode{obj: o, id: o.ID(), class: o.Class()}
 			if slot.CompareAndSwap(nil, nn) {
 				return nn
 			}
 			n = slot.Load()
 		}
-		if n.id == id {
+		if n.obj == o {
 			return n
 		}
 	}
@@ -139,11 +142,11 @@ func (g *graph) node(id uint64, class string) *gnode {
 // became multi-threaded.
 func (g *graph) addEdge(d *Lockdep, from *heldEntry, o *object.Object, acqSite uint32, t *threading.Thread) {
 	fObj := from.obj.Load()
-	if fObj == nil || fObj.ID() == o.ID() {
+	if fObj == nil || fObj == o {
 		return
 	}
-	fn := g.node(fObj.ID(), fObj.Class())
-	tn := g.node(o.ID(), o.Class())
+	fn := g.node(fObj)
+	tn := g.node(o)
 	if fn == nil || tn == nil {
 		return
 	}
@@ -287,12 +290,12 @@ func (r *InversionReport) String() string {
 // report stores a deduplicated InversionReport for the cycle. Caller
 // holds g.mu.
 func (g *graph) report(d *Lockdep, cycle []*gedge) {
-	ids := make([]uint64, len(cycle))
+	nodes := make([]string, len(cycle))
 	for i, e := range cycle {
-		ids[i] = e.from.id
+		nodes[i] = fmt.Sprintf("%p", e.from)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	key := fmt.Sprint(ids)
+	sort.Strings(nodes)
+	key := fmt.Sprint(nodes)
 	n := g.reportLen.Load()
 	for i := uint32(0); i < n; i++ {
 		if r := g.reports[i].Load(); r != nil && r.key == key {
@@ -320,7 +323,7 @@ func (g *graph) report(d *Lockdep, cycle []*gedge) {
 	}
 	g.reports[n].Store(rep)
 	g.reportLen.Store(n + 1)
-	d.ring.record(EvInversion, 0, nil, 0, uint32(rep.Seq))
+	d.ring.record(EvInversion, nil, nil, 0, uint32(rep.Seq))
 }
 
 // size reports the node and edge counts.

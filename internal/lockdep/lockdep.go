@@ -54,9 +54,12 @@ import (
 	"thinlock/internal/threading"
 )
 
-// numSlots is the size of the per-thread state array, indexed by
-// thread index modulo numSlots as in lockprof: past numSlots concurrent
-// threads, slots alias and attribution may mix (all fields are atomics,
+// numSlots is the size of the per-thread state array, indexed by the
+// thread's attach serial modulo numSlots. Unlike the thread index, the
+// serial differs between registries, so threads of two registries that
+// share an index (parallel tests, two runtimes) keep separate held
+// stacks. Two live threads attached a multiple of numSlots attaches
+// apart still alias and attribution may mix (all fields are atomics,
 // so aliasing is benign for memory safety).
 const numSlots = 4096
 
@@ -113,7 +116,6 @@ func (k WaitKind) String() string {
 // worst duplicate or miss an entry, which detection revalidates.
 type heldEntry struct {
 	obj  atomic.Pointer[object.Object]
-	id   atomic.Uint64
 	n    atomic.Uint32 // recursion depth at this entry
 	site atomic.Uint32 // site id of the first acquisition
 }
@@ -165,21 +167,13 @@ func (d *Lockdep) slot(t *threading.Thread) *threadSlot {
 	if t == nil {
 		return &d.slots[0]
 	}
-	return &d.slots[int(t.Index())&(numSlots-1)]
+	return &d.slots[t.Serial()&(numSlots-1)]
 }
 
 func (s *threadSlot) noteThread(t *threading.Thread) {
 	if t != nil && s.thr.Load() != t {
 		s.thr.Store(t)
 	}
-}
-
-// threadIndex returns t's index (0 for nil).
-func threadIndex(t *threading.Thread) uint32 {
-	if t == nil {
-		return 0
-	}
-	return uint32(t.Index())
 }
 
 // Acquired records that t now owns o. Called by the lock
@@ -200,13 +194,13 @@ func (d *Lockdep) Acquired(t *threading.Thread, o *object.Object) {
 		n = maxHeld
 	}
 	for i := uint32(0); i < n; i++ {
-		if s.held[i].id.Load() == o.ID() {
+		if s.held[i].obj.Load() == o {
 			s.held[i].n.Add(1)
 			return
 		}
 	}
 	site := d.captureSite(t)
-	d.ring.record(EvAcquire, threadIndex(t), o, site, 0)
+	d.ring.record(EvAcquire, t, o, site, 0)
 	if n >= maxHeld {
 		s.overflow.Add(1)
 		d.heldOverflows.Add(1)
@@ -214,7 +208,6 @@ func (d *Lockdep) Acquired(t *threading.Thread, o *object.Object) {
 	}
 	e := &s.held[n]
 	e.obj.Store(o)
-	e.id.Store(o.ID())
 	e.n.Store(1)
 	e.site.Store(site)
 	s.heldLen.Store(n + 1)
@@ -233,7 +226,7 @@ func (d *Lockdep) Released(t *threading.Thread, o *object.Object) {
 		n = maxHeld
 	}
 	for i := int(n) - 1; i >= 0; i-- {
-		if s.held[i].id.Load() != o.ID() {
+		if s.held[i].obj.Load() != o {
 			continue
 		}
 		if c := s.held[i].n.Load(); c > 1 {
@@ -243,14 +236,12 @@ func (d *Lockdep) Released(t *threading.Thread, o *object.Object) {
 		last := n - 1
 		if uint32(i) != last {
 			s.held[i].obj.Store(s.held[last].obj.Load())
-			s.held[i].id.Store(s.held[last].id.Load())
 			s.held[i].n.Store(s.held[last].n.Load())
 			s.held[i].site.Store(s.held[last].site.Load())
 		}
 		s.held[last].obj.Store(nil)
-		s.held[last].id.Store(0)
 		s.heldLen.Store(last)
-		d.ring.record(EvRelease, threadIndex(t), o, 0, 0)
+		d.ring.record(EvRelease, t, o, 0, 0)
 		return
 	}
 	// Not on the stack: either the push was dropped on overflow, or
@@ -279,7 +270,7 @@ func (d *Lockdep) Blocked(t *threading.Thread, o *object.Object, kind WaitKind) 
 	s.waitStart.Store(telemetry.Now())
 	s.waitSeq.Add(1)
 	s.waitObj.Store(o)
-	d.ring.record(EvBlocked, threadIndex(t), o, site, uint32(kind))
+	d.ring.record(EvBlocked, t, o, site, uint32(kind))
 }
 
 // Unblocked clears t's wait-for state on paths that do not end in an
@@ -305,7 +296,7 @@ func (d *Lockdep) CondWaitBegin(t *threading.Thread, o *object.Object) {
 		n = maxHeld
 	}
 	for i := uint32(0); i < n; i++ {
-		if s.held[i].id.Load() != o.ID() {
+		if s.held[i].obj.Load() != o {
 			continue
 		}
 		s.condObj.Store(o)
@@ -314,12 +305,10 @@ func (d *Lockdep) CondWaitBegin(t *threading.Thread, o *object.Object) {
 		last := n - 1
 		if i != last {
 			s.held[i].obj.Store(s.held[last].obj.Load())
-			s.held[i].id.Store(s.held[last].id.Load())
 			s.held[i].n.Store(s.held[last].n.Load())
 			s.held[i].site.Store(s.held[last].site.Load())
 		}
 		s.held[last].obj.Store(nil)
-		s.held[last].id.Store(0)
 		s.heldLen.Store(last)
 		break
 	}
@@ -329,7 +318,7 @@ func (d *Lockdep) CondWaitBegin(t *threading.Thread, o *object.Object) {
 	s.waitStart.Store(telemetry.Now())
 	s.waitSeq.Add(1)
 	s.waitObj.Store(o)
-	d.ring.record(EvCondWait, threadIndex(t), o, site, uint32(WaitCond))
+	d.ring.record(EvCondWait, t, o, site, uint32(WaitCond))
 }
 
 // CondWaitEnd records that t's Object.wait on o returned (notified,
@@ -355,11 +344,10 @@ func (d *Lockdep) CondWaitEnd(t *threading.Thread, o *object.Object) {
 	}
 	e := &s.held[n]
 	e.obj.Store(o)
-	e.id.Store(o.ID())
 	e.n.Store(s.condDepth.Load())
 	e.site.Store(s.condSite.Load())
 	s.heldLen.Store(n + 1)
-	d.ring.record(EvCondWake, threadIndex(t), o, s.condSite.Load(), 0)
+	d.ring.record(EvCondWake, t, o, s.condSite.Load(), 0)
 }
 
 // Stats is a snapshot of lockdep's internal counters.

@@ -140,6 +140,57 @@ func TestConsistentOrderIsNotFlagged(t *testing.T) {
 // orders itself — that cannot deadlock and must be suppressed. But the
 // moment a second thread contributes to either edge, the cycle becomes
 // a real hazard and must surface.
+// TestSameIDObjectsFromTwoHeapsAreDistinctNodes: allocation ids restart
+// at 1 in every heap, so objects of two heaps share ids. Locking heap
+// one's #1 then #2 in one thread and heap two's #2 then #1 in another
+// touches four different locks and cannot deadlock.
+func TestSameIDObjectsFromTwoHeapsAreDistinctNodes(t *testing.T) {
+	t.Parallel()
+	f := newFixture(t)
+	t1, t2 := f.thread(t, "alpha"), f.thread(t, "beta")
+	h1, h2 := object.NewHeap(), object.NewHeap()
+	a1, b1 := h1.New("Account"), h1.New("Account")
+	a2, b2 := h2.New("Account"), h2.New("Account")
+	if a1.ID() != a2.ID() || b1.ID() != b2.ID() {
+		t.Fatalf("ids %d/%d and %d/%d: want the heaps to share ids", a1.ID(), a2.ID(), b1.ID(), b2.ID())
+	}
+
+	lockPair(f.d, t1, a1, b1)
+	lockPair(f.d, t2, b2, a2)
+	if got := f.d.Inversions(); len(got) != 0 {
+		t.Fatalf("inversions = %d, want 0 (objects of different heaps conflated):\n%v", len(got), got[0])
+	}
+	if st := f.d.Stats(); st.Nodes != 4 || st.Edges != 2 {
+		t.Errorf("graph has %d nodes and %d edges, want 4 and 2", st.Nodes, st.Edges)
+	}
+}
+
+// TestSameIndexThreadsFromTwoRegistriesKeepSeparateStacks: thread
+// indices restart at 1 in every registry. While one registry's thread
+// holds a, another registry's thread with the same index acquiring b
+// does not hold a, so no a -> b edge may appear.
+func TestSameIndexThreadsFromTwoRegistriesKeepSeparateStacks(t *testing.T) {
+	t.Parallel()
+	f := newFixture(t)
+	t1 := f.thread(t, "alpha")
+	t2, err := threading.NewRegistry().Attach("beta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if t1.Index() != t2.Index() {
+		t.Fatalf("indices %d and %d: want the registries to share one", t1.Index(), t2.Index())
+	}
+	a, b := f.heap.New("A"), f.heap.New("B")
+
+	f.d.Acquired(t1, a)
+	f.d.Acquired(t2, b)
+	f.d.Released(t2, b)
+	f.d.Released(t1, a)
+	if st := f.d.Stats(); st.Edges != 0 {
+		t.Errorf("graph has %d edges, want 0 (two registries' threads shared a held stack)", st.Edges)
+	}
+}
+
 func TestSingleThreadCycleSuppressedUntilSecondThread(t *testing.T) {
 	t.Parallel()
 	f := newFixture(t)

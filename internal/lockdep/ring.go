@@ -1,12 +1,12 @@
 package lockdep
 
 import (
-	"fmt"
 	"sort"
 	"sync/atomic"
 
 	"thinlock/internal/object"
 	"thinlock/internal/telemetry"
+	"thinlock/internal/threading"
 )
 
 // The flight recorder: a fixed ring of recent lock events, written
@@ -70,7 +70,7 @@ type ringSlot struct {
 	seq    atomic.Uint64
 	tns    atomic.Int64
 	kind   atomic.Uint32
-	thread atomic.Uint32
+	thread atomic.Pointer[threading.Thread]
 	obj    atomic.Pointer[object.Object]
 	site   atomic.Uint32
 	aux    atomic.Uint32
@@ -83,7 +83,7 @@ type ring struct {
 }
 
 // record appends one event (lock-free, allocation-free).
-func (r *ring) record(kind EventKind, thread uint32, o *object.Object, site, aux uint32) {
+func (r *ring) record(kind EventKind, thread *threading.Thread, o *object.Object, site, aux uint32) {
 	seq := r.seq.Add(1)
 	s := &r.slots[seq&(RingSize-1)]
 	s.seq.Store(seq)
@@ -120,7 +120,10 @@ func (d *Lockdep) Events() []Event {
 			Seq:    seq,
 			TimeNs: s.tns.Load(),
 			Kind:   kind.String(),
-			Thread: d.threadLabel(uint16(s.thread.Load())),
+			Thread: "-",
+		}
+		if t := s.thread.Load(); t != nil {
+			ev.Thread = threadName(t)
 		}
 		if o := s.obj.Load(); o != nil {
 			ev.Object = o.String()
@@ -138,16 +141,4 @@ func (d *Lockdep) Events() []Event {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
-}
-
-// threadLabel resolves a thread index to "name#index" via the slot the
-// thread last touched, falling back to the bare index.
-func (d *Lockdep) threadLabel(idx uint16) string {
-	if idx == 0 {
-		return "-"
-	}
-	if t := d.slots[int(idx)&(numSlots-1)].thr.Load(); t != nil && t.Index() == idx {
-		return threadName(t)
-	}
-	return fmt.Sprintf("#%d", idx)
 }

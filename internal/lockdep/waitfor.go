@@ -3,6 +3,7 @@ package lockdep
 import (
 	"fmt"
 
+	"thinlock/internal/object"
 	"thinlock/internal/telemetry"
 )
 
@@ -74,11 +75,11 @@ func time_ns(ns int64) string {
 
 // waitEdge is the internal snapshot of one blocked thread.
 type waitEdge struct {
-	slot     int // index into d.slots
-	seq      uint64
-	objID    uint64
-	holder   int // slot index of the holder, -1 if none found
-	node     WaitNode
+	slot   int // index into d.slots
+	seq    uint64
+	obj    *object.Object
+	holder int // slot index of the holder, -1 if none found
+	node   WaitNode
 }
 
 // snapshotWaiters collects every thread currently marked blocked,
@@ -97,7 +98,7 @@ func (d *Lockdep) snapshotWaiters() []waitEdge {
 		e := waitEdge{
 			slot:   i,
 			seq:    s.waitSeq.Load(),
-			objID:  o.ID(),
+			obj:    o,
 			holder: -1,
 		}
 		e.node = WaitNode{
@@ -114,7 +115,7 @@ func (d *Lockdep) snapshotWaiters() []waitEdge {
 			e.node.Thread = fmt.Sprintf("slot#%d", i)
 		}
 		e.node.Holds = d.heldOf(i)
-		if h := d.holderOf(o.ID(), i); h >= 0 {
+		if h := d.holderOf(o, i); h >= 0 {
 			e.holder = h
 			if t := d.slots[h].thr.Load(); t != nil {
 				e.node.Holder = threadName(t)
@@ -148,10 +149,10 @@ func (d *Lockdep) heldOf(i int) []HeldLock {
 	return out
 }
 
-// holderOf scans all held stacks for objID, skipping the waiter's own
+// holderOf scans all held stacks for o, skipping the waiter's own
 // slot (a thread nested-blocking on a lock it owns is not a wait-for
 // edge). Returns the holder's slot index or -1.
-func (d *Lockdep) holderOf(objID uint64, skip int) int {
+func (d *Lockdep) holderOf(o *object.Object, skip int) int {
 	for i := range d.slots {
 		if i == skip {
 			continue
@@ -165,7 +166,7 @@ func (d *Lockdep) holderOf(objID uint64, skip int) int {
 			n = maxHeld
 		}
 		for j := uint32(0); j < n; j++ {
-			if s.held[j].id.Load() == objID {
+			if s.held[j].obj.Load() == o {
 				return i
 			}
 		}
@@ -246,7 +247,7 @@ func (d *Lockdep) revalidate(cyc []*waitEdge) bool {
 	for _, e := range cyc {
 		s := &d.slots[e.slot]
 		o := s.waitObj.Load()
-		if o == nil || o.ID() != e.objID || s.waitSeq.Load() != e.seq {
+		if o == nil || o != e.obj || s.waitSeq.Load() != e.seq {
 			return false
 		}
 	}

@@ -200,7 +200,7 @@ func (w *Watchdog) scan() {
 		dump.Waiters = append(dump.Waiters, edges[i].node)
 	}
 	w.dumps.Add(1)
-	w.d.ring.record(EvStallDump, 0, nil, 0, uint32(len(stalled)))
+	w.d.ring.record(EvStallDump, nil, nil, 0, uint32(len(stalled)))
 	if w.opts.OnStall != nil {
 		w.opts.OnStall(dump)
 	}

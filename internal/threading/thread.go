@@ -48,6 +48,8 @@ type Thread struct {
 	// the paper stores it, so the lock fast path ORs it in directly.
 	shifted uint32
 
+	// serial numbers every Attach in the process, across registries.
+	serial      uint64
 	name        string
 	registry    *Registry
 	parker      Parker
@@ -88,6 +90,11 @@ func (t *Thread) Index() uint16 { return uint16(t.shifted >> IndexShift) }
 // Shifted returns the pre-shifted index, ready to be ORed into a lock
 // word.
 func (t *Thread) Shifted() uint32 { return t.shifted }
+
+// Serial returns the thread's attach serial: unlike the index, it is
+// never reused and is unique across registries, so observers keyed by
+// it do not confuse two threads that share an index.
+func (t *Thread) Serial() uint64 { return t.serial }
 
 // Name returns the name given at Attach time.
 func (t *Thread) Name() string { return t.name }
@@ -178,6 +185,9 @@ func NewRegistry() *Registry {
 	return &Registry{threads: make([]*Thread, 1, 64)}
 }
 
+// attachSerial hands out Thread.Serial values.
+var attachSerial atomic.Uint64
+
 // Attach allocates an index and returns a new Thread for the calling
 // goroutine. The returned Thread must be released with Detach when the
 // logical thread terminates.
@@ -199,6 +209,7 @@ func (r *Registry) Attach(name string) (*Thread, error) {
 
 	t := &Thread{
 		shifted:  uint32(idx) << IndexShift,
+		serial:   attachSerial.Add(1),
 		name:     name,
 		registry: r,
 	}

@@ -128,7 +128,10 @@ func WithCPU(cpu CPU) Option {
 }
 
 // WithDeflation enables the deflation extension (not in the paper):
-// uncontended fat locks are turned back into thin locks on release.
+// uncontended fat locks are turned back into thin locks on release, and
+// the retired monitor's table index is recycled for later inflations
+// after a grace period, so the monitor table stays as small as the peak
+// number of simultaneously inflated objects.
 func WithDeflation() Option {
 	return func(c *Config) { c.deflation = true }
 }
@@ -215,7 +218,7 @@ func New(opts ...Option) *Runtime {
 		rt.thin = core.New(core.Options{
 			Variant:         cfg.variant,
 			CPU:             cfg.cpu,
-			EnableDeflation: cfg.deflation,
+			RecycleMonitors: cfg.deflation,
 			QueuedInflation: cfg.queued,
 			CountBits:       cfg.countBits,
 		})
