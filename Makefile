@@ -32,11 +32,14 @@ race:
 # race-locks runs the two lock-word protocol packages (biased
 # reservation and thin locks) under the race detector at full strength
 # (no -short): the revocation handshake's store/load ordering is exactly
-# what the detector is for. The lockscope package rides along: its
-# lock-free sample ring (concurrent sampler vs. readers) and its
-# disabled/enabled overhead contract are race-sensitive by design.
+# what the detector is for. The bias slots it shares across threads live
+# in internal/threading, so that package runs with biased, both ten
+# times over to vary the interleavings. The lockscope package rides
+# along: its lock-free sample ring (concurrent sampler vs. readers) and
+# its disabled/enabled overhead contract are race-sensitive by design.
 race-locks:
-	$(GO) test -race -count=1 ./internal/biased/... ./internal/core/... ./internal/lockscope/...
+	$(GO) test -race -count=10 ./internal/biased/... ./internal/threading/...
+	$(GO) test -race -count=1 ./internal/core/... ./internal/lockscope/...
 
 # check runs the concurrent differential checker CLI over every lock
 # implementation, and the exhaustive small-scope explorer.

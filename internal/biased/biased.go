@@ -1,18 +1,31 @@
 // Package biased implements lock reservation (biased locking) on the
 // paper's 24-bit lock field — the historically-next design after thin
-// locks, which eliminates even the one compare-and-swap the thin-lock
-// fast path pays on every initial acquisition.
+// locks, which replaces the compare-and-swap the thin-lock fast path
+// pays on every initial acquisition for objects one thread locks
+// repeatedly.
 //
 // An unlocked object's first locker does not take the lock so much as
-// *reserve* the object: it installs a biased word (core.BiasedWord)
-// carrying its thread index and a small class epoch, and records the
-// reservation in one of its per-thread bias slots
-// (threading.BiasSlot). From then on the owner's lock and unlock are a
-// slot lookup, one plain atomic store of the new recursion depth into
-// the slot, and one validating load of the header — no read-modify-
-// write atomics, and the owner never writes the shared lock word at
-// all. The depth store followed by the header load is the owner's half
-// of a Dekker-style handshake with revokers.
+// *reserve* it: it installs a biased word (core.BiasedWord) carrying its
+// thread index and a small class epoch, and records the reservation in
+// one of its per-thread bias slots (threading.BiasSlot). From then on
+// the owner's lock and unlock are a header load that finds the word
+// biased to it, a slot lookup, one atomic store of the new recursion
+// depth into the slot, and one validating load of the header; the owner
+// never writes the shared lock word. The depth store followed by the
+// header load is the owner's half of a Dekker-style handshake with
+// revokers, so it must be sequentially consistent: Go compiles it to
+// XCHG on amd64, a locked instruction just like the CAS it replaces.
+// The saving over a thin lock is therefore not the atomic itself but
+// the shared-word write, and on the benchmark's reacquire workload it
+// does not show (DESIGN.md §7, EXPERIMENTS.md).
+//
+// Lock and Unlock load the header once and dispatch on it. A word
+// biased to the caller takes the reservation path above. An unlocked
+// word the caller will not reserve — bias disabled, the object revoked
+// (FlagBiasDead), or all of the caller's bias slots claimed — takes the
+// paper's one-CAS acquire, and a thin word the caller owns at count 0
+// is released with the paper's plain store, exactly as in
+// internal/core. Everything else goes to the slow path.
 //
 // Revocation. When another thread needs a reserved object it CASes the
 // biased word to a revocation sentinel (owner index 0), which makes it
@@ -29,9 +42,9 @@
 // operation, or the owner's validating load sees the sentinel and
 // reconciles against whatever word the revoker published. A revoked
 // object can never be re-reserved (a sticky flags bit records the
-// revocation), so the fall-back is exactly the paper's protocol: thin
-// words with a CAS acquire, inflating to an internal/monitor fat lock
-// on contention, count overflow, or Wait.
+// revocation), so the fall-back is the paper's protocol: thin words
+// with a CAS acquire, inflating to an internal/monitor fat lock on
+// contention, count overflow, or Wait.
 //
 // Epochs. Each biased word carries a class epoch. When a class of
 // objects churns owners — revocation after revocation — the class's
@@ -73,6 +86,13 @@ const FlagBiasDead uint32 = 1 << 1
 // 7-bit count space below core.BiasBit. The owner self-revokes directly
 // to a fat lock on the acquisition past the cap.
 const maxBiasDepth = core.BiasMaxThinCount + 1
+
+// biasOwnerMask selects the bits that say whether a word is a bias
+// reservation and whose: the shape bit, core.BiasBit and the owner
+// index. A word is reserved by the thread with pre-shifted index s
+// exactly when w&biasOwnerMask == core.BiasBit|s, and is the revocation
+// sentinel when it equals core.BiasBit alone.
+const biasOwnerMask = core.ShapeBit | core.BiasBit | core.TIDMask
 
 // thinNestedLimit is the XOR-check bound for this implementation's thin
 // words (count capped at core.BiasMaxThinCount so core.BiasBit stays
@@ -121,9 +141,9 @@ type Options struct {
 
 // Stats is a snapshot of a biased Locker's internal counters. Biased
 // fast-path acquisitions are deliberately not counted here — an
-// implementation counter would put an atomic add on the path whose
-// whole point is having none; enable internal/telemetry
-// (CtrBiasedAcquires) to count them.
+// implementation counter would put a write to memory every thread
+// shares on the path whose whole point is writing none; enable
+// internal/telemetry (CtrBiasedAcquires) to count them.
 type Stats struct {
 	// BiasInstalls counts reservations installed on unlocked objects.
 	BiasInstalls uint64
@@ -280,10 +300,10 @@ func (l *Locker) classFor(class string) *classBias {
 	return c.(*classBias)
 }
 
-// Lock acquires o's monitor for t. The biased fast path: find the
-// reservation slot, publish the new depth with one plain store, and
-// validate that the reservation still stands. No compare-and-swap, no
-// fence beyond the store itself, and no write to shared memory at all.
+// Lock acquires o's monitor for t, dispatching on one load of the
+// header (see the package comment): a word reserved by t takes the
+// biased path, an unlocked word t will not reserve the paper's one-CAS
+// acquire, and every other word lockSlow.
 func (l *Locker) Lock(t *threading.Thread, o *object.Object) {
 	l.lockBody(t, o)
 	if d := lockdep.Active(); d != nil {
@@ -292,28 +312,52 @@ func (l *Locker) Lock(t *threading.Thread, o *object.Object) {
 }
 
 func (l *Locker) lockBody(t *threading.Thread, o *object.Object) {
-	if s := t.BiasSlotFor(o.ID()); s != nil {
-		if d := s.Depth(); d < maxBiasDepth {
-			s.SetDepth(d + 1) // Dekker publish
-			if atomic.LoadUint32(o.HeaderAddr()) == s.Word() || l.mut.SkipOwnerValidation {
-				if tel := telemetry.Active(); tel != nil {
-					tel.Inc(t, telemetry.CtrBiasedAcquires)
+	if l.mut.SkipOwnerValidation && lockTrustingSlot(t, o) {
+		return
+	}
+	hp := o.HeaderAddr()
+	w := atomic.LoadUint32(hp)
+	switch {
+	case w&biasOwnerMask == core.BiasBit|t.Shifted():
+		// Reserved by this thread: the owner's half of the handshake.
+		if s := t.BiasSlotFor(o.ID()); s != nil {
+			if d := s.Depth(); d < maxBiasDepth {
+				s.SetDepth(d + 1) // Dekker publish
+				if atomic.LoadUint32(hp) == s.Word() {
+					if tel := telemetry.Active(); tel != nil {
+						tel.Inc(t, telemetry.CtrBiasedAcquires)
+					}
+					return
 				}
-				return
+				if l.reconcileLock(t, o, s, d+1) {
+					return
+				}
+				// The reservation was revoked at depth 0 and not granted
+				// to us; acquire conventionally.
 			}
-			if l.reconcileLock(t, o, s, d+1) {
-				return
-			}
-			// The reservation was revoked at depth 0 and not granted to
-			// us; acquire conventionally.
+		}
+	case w&^core.MiscMask == 0 && !l.mayReserve(t, o):
+		// Unlocked, and this thread will not reserve it: the paper's
+		// one-CAS acquire.
+		if arch.CAS(l.cpu, hp, w, w|t.Shifted()) {
+			return
 		}
 	}
 	l.lockSlow(t, o)
 }
 
-// Unlock releases one level of o's monitor. The biased fast path
-// mirrors Lock: one plain store of the decremented depth, one
-// validating load.
+// mayReserve reports whether t could reserve o on finding it unlocked:
+// bias is on, o was never revoked, and t has a free bias slot. The
+// class's bulk-revoke state is left to tryInstallBias, because reading
+// it costs the class lookup this test keeps off the fast path.
+func (l *Locker) mayReserve(t *threading.Thread, o *object.Object) bool {
+	return !l.disableBias && !t.BiasSlotsFull() && o.Flags()&FlagBiasDead == 0
+}
+
+// Unlock releases one level of o's monitor, dispatching on the header
+// like Lock: a thin word t owns at count 0 takes the paper's plain
+// store, a word reserved by t or the revocation sentinel the biased
+// path, and every other word unlockSlow.
 func (l *Locker) Unlock(t *threading.Thread, o *object.Object) error {
 	err := l.unlockBody(t, o)
 	if err == nil {
@@ -325,23 +369,38 @@ func (l *Locker) Unlock(t *threading.Thread, o *object.Object) error {
 }
 
 func (l *Locker) unlockBody(t *threading.Thread, o *object.Object) error {
-	if s := t.BiasSlotFor(o.ID()); s != nil {
-		if d := s.Depth(); d > 0 {
-			s.SetDepth(d - 1) // Dekker publish
-			if atomic.LoadUint32(o.HeaderAddr()) == s.Word() || l.mut.SkipOwnerValidation {
+	if l.mut.SkipOwnerValidation && unlockTrustingSlot(t, o) {
+		return nil
+	}
+	hp := o.HeaderAddr()
+	w := atomic.LoadUint32(hp)
+	x := w ^ t.Shifted()
+	switch {
+	case x < core.CountUnit:
+		// Thin, owned by this thread, count 0: final release.
+		atomic.StoreUint32(hp, x)
+		return nil
+	case x&biasOwnerMask == core.BiasBit || w&biasOwnerMask == core.BiasBit:
+		// Reserved by this thread, or mid-revocation (possibly of our
+		// own held reservation).
+		if s := t.BiasSlotFor(o.ID()); s != nil {
+			if d := s.Depth(); d > 0 {
+				s.SetDepth(d - 1) // Dekker publish
+				if atomic.LoadUint32(hp) == s.Word() {
+					return nil
+				}
+				l.reconcileUnlock(t, o, s, d-1)
 				return nil
 			}
-			l.reconcileUnlock(t, o, s, d-1)
-			return nil
+			if atomic.LoadUint32(hp) == s.Word() {
+				// Reserved by us but not held: reservation alone does
+				// not confer ownership.
+				return ErrIllegalMonitorState
+			}
+			// The unheld reservation is being revoked or transferred:
+			// the slot is stale, and unlockSlow waits out the sentinel.
+			t.ReleaseBiasSlot(s)
 		}
-		if atomic.LoadUint32(o.HeaderAddr()) == s.Word() {
-			// Reserved by us but not held: reservation alone does not
-			// confer ownership.
-			return ErrIllegalMonitorState
-		}
-		// Stale slot from an old bias generation (the reservation was
-		// transferred or revoked while unheld).
-		s.Release()
 	}
 	return l.unlockSlow(t, o)
 }

@@ -1,6 +1,7 @@
 package biased
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -121,59 +122,79 @@ func TestContenderRevokesUnheldReservation(t *testing.T) {
 }
 
 // TestContenderRevokesHeldReservation: revoking a reservation held at
-// depth 2 must surface exactly depth 2 in the conventional word — the
-// owner unwinds with exactly two unlocks and the blocked contender then
-// acquires.
+// depth d must surface exactly depth d in the conventional word — the
+// owner unwinds with exactly d unlocks and the blocked contender then
+// acquires. The owner's last release goes through the thin word and
+// leaves its bias slot stale at depth d, so its later thin locking must
+// not read that slot: two more locks and unlocks must leave the object
+// unlocked.
 func TestContenderRevokesHeldReservation(t *testing.T) {
 	t.Parallel()
-	w := newWorld(t, Options{})
-	a := w.thread(t, "a")
-	o := w.heap.New("obj")
+	for _, depth := range []int{1, 2} {
+		depth := depth
+		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
+			t.Parallel()
+			w := newWorld(t, Options{})
+			a := w.thread(t, "a")
+			o := w.heap.New("obj")
 
-	w.l.Lock(a, o)
-	w.l.Lock(a, o)
-	acquired := make(chan struct{})
-	done, err := w.reg.Go("b", func(b *threading.Thread) {
-		w.l.Lock(b, o)
-		close(acquired)
-		if err := w.l.Unlock(b, o); err != nil {
-			t.Errorf("b unlock: %v", err)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wait until the contender has revoked the bias (the word leaves the
-	// biased state), proving the revocation ran against a *held*
-	// reservation rather than after our releases.
-	for w.l.Biased(o) {
-		time.Sleep(50 * time.Microsecond)
-	}
-	select {
-	case <-acquired:
-		t.Fatal("contender acquired while the reservation was held at depth 2")
-	default:
-	}
-	if err := w.l.Unlock(a, o); err != nil {
-		t.Fatalf("unlock 1: %v", err)
-	}
-	if err := w.l.Unlock(a, o); err != nil {
-		t.Fatalf("unlock 2: %v", err)
-	}
-	select {
-	case <-done:
-	case <-time.After(testutil.DefaultWaitTimeout):
-		t.Fatal("contender never acquired after the owner unwound")
-	}
-	if err := w.l.Unlock(a, o); err != ErrIllegalMonitorState {
-		t.Fatalf("third unlock err = %v, want ErrIllegalMonitorState", err)
-	}
-	s := w.l.Stats()
-	if s.RevocationsContention != 1 {
-		t.Fatalf("RevocationsContention = %d, want 1", s.RevocationsContention)
-	}
-	if uint64(s.FatLocks) != s.Inflations() {
-		t.Fatalf("FatLocks = %d, Inflations = %d: monitor accounting broken", s.FatLocks, s.Inflations())
+			for i := 0; i < depth; i++ {
+				w.l.Lock(a, o)
+			}
+			acquired := make(chan struct{})
+			done, err := w.reg.Go("b", func(b *threading.Thread) {
+				w.l.Lock(b, o)
+				close(acquired)
+				if err := w.l.Unlock(b, o); err != nil {
+					t.Errorf("b unlock: %v", err)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Wait until the contender has published the walked word (a
+			// thin word owned by a), proving the revocation ran against
+			// a *held* reservation rather than after our releases.
+			for w.l.HolderIndex(o) != a.Index() {
+				time.Sleep(50 * time.Microsecond)
+			}
+			select {
+			case <-acquired:
+				t.Fatalf("contender acquired while the reservation was held at depth %d", depth)
+			default:
+			}
+			for i := 0; i < depth; i++ {
+				if err := w.l.Unlock(a, o); err != nil {
+					t.Fatalf("unlock %d: %v", i+1, err)
+				}
+			}
+			select {
+			case <-done:
+			case <-time.After(testutil.DefaultWaitTimeout):
+				t.Fatal("contender never acquired after the owner unwound")
+			}
+			for i := 0; i < 2; i++ {
+				w.l.Lock(a, o)
+			}
+			for i := 0; i < 2; i++ {
+				if err := w.l.Unlock(a, o); err != nil {
+					t.Fatalf("relock unlock %d: %v", i+1, err)
+				}
+			}
+			if hi := w.l.HolderIndex(o); hi != 0 {
+				t.Fatalf("HolderIndex = %d after balanced relocking, want 0 (a release was lost)", hi)
+			}
+			if err := w.l.Unlock(a, o); err != ErrIllegalMonitorState {
+				t.Fatalf("extra unlock err = %v, want ErrIllegalMonitorState", err)
+			}
+			s := w.l.Stats()
+			if s.RevocationsContention != 1 {
+				t.Fatalf("RevocationsContention = %d, want 1", s.RevocationsContention)
+			}
+			if uint64(s.FatLocks) != s.Inflations() {
+				t.Fatalf("FatLocks = %d, Inflations = %d: monitor accounting broken", s.FatLocks, s.Inflations())
+			}
+		})
 	}
 }
 
@@ -408,5 +429,51 @@ func TestTelemetryCountsBiasEvents(t *testing.T) {
 	}
 	if got := tel.Counter(telemetry.CtrBiasRevocationsContention); got != 1 {
 		t.Errorf("bias_revocations_contention = %d, want 1", got)
+	}
+
+	// Objects a thread will not reserve take the conventional fast
+	// path, a thin CAS to lock and a plain store to unlock, without
+	// entering the slow path: a fresh object when all of the thread's
+	// bias slots are claimed, a revoked object (o, revoked by b above),
+	// and any object under DisableBias.
+	c := w.thread(t, "c")
+	claimAllBiasSlots(t, w.l, c, w.heap)
+	off := New(Options{DisableBias: true})
+	for _, tc := range []struct {
+		name string
+		l    *Locker
+		o    *object.Object
+	}{
+		{"fresh", w.l, w.heap.New("obj")},
+		{"revoked", w.l, o},
+		{"DisableBias", off, w.heap.New("obj")},
+	} {
+		before := tel.Counter(telemetry.CtrSlowPathEntries)
+		tc.l.Lock(c, tc.o)
+		if hi := tc.l.HolderIndex(tc.o); hi != c.Index() {
+			t.Errorf("%s: HolderIndex = %d while locked, want %d (a thin word)", tc.name, hi, c.Index())
+		}
+		if err := tc.l.Unlock(c, tc.o); err != nil {
+			t.Fatalf("%s: unlock: %v", tc.name, err)
+		}
+		if got := tel.Counter(telemetry.CtrSlowPathEntries) - before; got != 0 {
+			t.Errorf("%s: slow_path_entries = %d for one lock and unlock, want 0", tc.name, got)
+		}
+	}
+}
+
+// claimAllBiasSlots reserves fresh objects for th until every one of
+// its bias slots is claimed.
+func claimAllBiasSlots(t *testing.T, l *Locker, th *threading.Thread, heap *object.Heap) {
+	t.Helper()
+	for i := 0; i < threading.BiasSlots && !th.BiasSlotsFull(); i++ {
+		o := heap.New("filler")
+		l.Lock(th, o)
+		if err := l.Unlock(th, o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !th.BiasSlotsFull() {
+		t.Fatal("reserving BiasSlots fresh objects left a bias slot free")
 	}
 }

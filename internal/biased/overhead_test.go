@@ -13,8 +13,9 @@ import (
 )
 
 // TestFastPathZeroAllocWhenProfilingDisabled: with telemetry and
-// lockprof inactive, the owner's biased reacquire/release and the
-// revocation paths must not allocate — the hooks have to cost nothing
+// lockprof inactive, the owner's biased reacquire/release, the
+// revocation paths and the thin path for objects the thread does not
+// reserve must not allocate — the hooks have to cost nothing
 // when disabled. Deliberately not parallel: AllocsPerRun reads global
 // allocation counters.
 func TestFastPathZeroAllocWhenProfilingDisabled(t *testing.T) {
@@ -62,6 +63,24 @@ func TestFastPathZeroAllocWhenProfilingDisabled(t *testing.T) {
 	}
 	if s := w.l.Stats(); s.Revocations() == 0 {
 		t.Error("overhead run exercised no revocations — the measurement is vacuous")
+	}
+
+	// A thread with every bias slot claimed locks fresh objects with
+	// the thin CAS, which needs no class lookup and no allocation.
+	claimAllBiasSlots(t, w.l, a, w.heap)
+	fresh := make([]*object.Object, 101)
+	for i := range fresh {
+		fresh[i] = w.heap.New("fresh")
+	}
+	i = 0
+	if avg := testing.AllocsPerRun(100, func() {
+		w.l.Lock(a, fresh[i])
+		if err := w.l.Unlock(a, fresh[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); avg != 0 {
+		t.Errorf("fresh-object lock/unlock with all bias slots claimed allocates %.2f objects/op with profiling disabled", avg)
 	}
 }
 

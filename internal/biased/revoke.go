@@ -132,7 +132,7 @@ func (l *Locker) selfRevokeOverflow(t *threading.Thread, o *object.Object, s *th
 	o.SetFlagBits(FlagBiasDead)
 	m := l.table.Allocate()
 	m.SeedOwner(t, uint32(d)+1)
-	s.Release()
+	t.ReleaseBiasSlot(s)
 	o.SetHeader(core.InflatedWord(m.Index(), w))
 	l.revOverflow.Add(1)
 	l.inflOverflow.Add(1)
@@ -159,7 +159,7 @@ func (l *Locker) waitRevoke(t *threading.Thread, o *object.Object, s *threading.
 			}
 			// Revoked under us: the header now carries our depth
 			// conventionally.
-			s.Release()
+			t.ReleaseBiasSlot(s)
 			return nil
 		}
 		if !o.CASHeader(w, core.BiasRevokingWord(w&core.MiscMask)) {
@@ -169,7 +169,7 @@ func (l *Locker) waitRevoke(t *threading.Thread, o *object.Object, s *threading.
 		o.SetFlagBits(FlagBiasDead)
 		m := l.table.Allocate()
 		m.SeedOwner(t, uint32(d))
-		s.Release()
+		t.ReleaseBiasSlot(s)
 		o.SetHeader(core.InflatedWord(m.Index(), w))
 		l.revWait.Add(1)
 		l.inflWait.Add(1)
@@ -193,7 +193,7 @@ func (l *Locker) waitRevoke(t *threading.Thread, o *object.Object, s *threading.
 // dead in every case.
 func (l *Locker) reconcileLock(t *threading.Thread, o *object.Object, s *threading.BiasSlot, intended uint64) bool {
 	l.awaitRevocation(t, o)
-	defer s.Release()
+	defer t.ReleaseBiasSlot(s)
 	hp := o.HeaderAddr()
 	w := atomic.LoadUint32(hp)
 	shifted := t.Shifted()
@@ -226,7 +226,7 @@ func (l *Locker) reconcileLock(t *threading.Thread, o *object.Object, s *threadi
 // thread demonstrably held the lock through its reservation.
 func (l *Locker) reconcileUnlock(t *threading.Thread, o *object.Object, s *threading.BiasSlot, intended uint64) {
 	l.awaitRevocation(t, o)
-	defer s.Release()
+	defer t.ReleaseBiasSlot(s)
 	hp := o.HeaderAddr()
 	w := atomic.LoadUint32(hp)
 	shifted := t.Shifted()

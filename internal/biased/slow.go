@@ -138,17 +138,14 @@ func (l *Locker) lockSlowBody(t *threading.Thread, o *object.Object) {
 // the reservation, so a revoker that wins the sentinel later always
 // finds consistent slot state.
 func (l *Locker) tryInstallBias(t *threading.Thread, o *object.Object, w uint32) bool {
-	if l.disableBias || o.Flags()&FlagBiasDead != 0 {
+	if !l.mayReserve(t, o) {
 		return false
 	}
 	cls := l.classFor(o.Class())
 	if cls.unbiasable.Load() {
 		return false
 	}
-	s := t.ClaimBiasSlot(o.ID())
-	if s == nil {
-		return false // all slots reserved for other objects
-	}
+	s := t.ClaimBiasSlot(o.ID()) // not nil: mayReserve saw a free slot
 	nw := core.BiasedWord(t.Index(), cls.epoch.Load(), l.epochBits, w&core.MiscMask)
 	s.SetWord(nw)
 	s.SetDepth(1)
@@ -157,7 +154,7 @@ func (l *Locker) tryInstallBias(t *threading.Thread, o *object.Object, w uint32)
 		telemetry.Inc(t, telemetry.CtrBiasInstalls)
 		return true
 	}
-	s.Release()
+	t.ReleaseBiasSlot(s)
 	return false
 }
 

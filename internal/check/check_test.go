@@ -78,17 +78,17 @@ func TestExpected(t *testing.T) {
 		Objects: 2,
 		Threads: [][]Op{
 			{
-				{OpUnlock, 0},     // illegal: nothing held
-				{OpLock, 0},       // ok
-				{OpLock, 0},       // ok (nested)
-				{OpWait, 1},       // illegal: obj 1 not held
-				{OpWait, 0},       // ok
-				{OpNotify, 0},     // ok
-				{OpNotifyAll, 1},  // illegal
-				{OpUnlock, 0},     // ok
-				{OpUnlock, 0},     // ok (final)
-				{OpNotify, 0},     // illegal: released
-				{Kind: OpWork},    // ok
+				{OpUnlock, 0},    // illegal: nothing held
+				{OpLock, 0},      // ok
+				{OpLock, 0},      // ok (nested)
+				{OpWait, 1},      // illegal: obj 1 not held
+				{OpWait, 0},      // ok
+				{OpNotify, 0},    // ok
+				{OpNotifyAll, 1}, // illegal
+				{OpUnlock, 0},    // ok
+				{OpUnlock, 0},    // ok (final)
+				{OpNotify, 0},    // illegal: released
+				{Kind: OpWork},   // ok
 			},
 		},
 	}

@@ -103,7 +103,7 @@ const (
 	// unlocked objects.
 	CtrBiasInstalls
 	// CtrBiasedAcquires counts lock acquisitions served by the biased
-	// owner fast path (no read-modify-write atomics).
+	// owner fast path (no write to the shared lock word).
 	CtrBiasedAcquires
 	// CtrBiasTransfers counts stale-epoch reservations transferred to a
 	// new owner without a full revocation.

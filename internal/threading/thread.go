@@ -72,7 +72,9 @@ type Thread struct {
 
 	// biasSlots holds the thread's lock reservations (see bias.go).
 	// Written only by the owning goroutine; read by revoking threads.
-	biasSlots [BiasSlots]BiasSlot
+	// biasClaimed counts the claimed ones; owner only.
+	biasSlots   [BiasSlots]BiasSlot
+	biasClaimed int
 }
 
 // Interruptible is implemented by blocked states (e.g. a monitor wait
