@@ -37,8 +37,10 @@ race:
 # times over to vary the interleavings. The lockscope package rides
 # along: its lock-free sample ring (concurrent sampler vs. readers) and
 # its disabled/enabled overhead contract are race-sensitive by design.
+# So does internal/lockevent, ten times over: observer registration
+# racing with emits is its one concurrent structure.
 race-locks:
-	$(GO) test -race -count=10 ./internal/biased/... ./internal/threading/...
+	$(GO) test -race -count=10 ./internal/biased/... ./internal/threading/... ./internal/lockevent/...
 	$(GO) test -race -count=1 ./internal/core/... ./internal/lockscope/...
 
 # check runs the concurrent differential checker CLI over every lock
@@ -51,7 +53,8 @@ check: build
 # contended workload under cmd/lockmon with telemetry and the contention
 # profiler enabled, emit the JSON snapshot, the Prometheus snapshot, the
 # Perfetto trace and the pprof contention profile (lockmon self-validates
-# the JSON artifacts), run the trace-format and overhead tests, and then
+# the JSON artifacts), run the trace-format and overhead tests (the
+# lock-event path's disabled-emit test among them), and then
 # smoke the live HTTP server: scripts/obs_smoke_serve.sh starts
 # `lockmon -serve -scope`, curls /metrics, /debug/vars,
 # /debug/lockprof/top (>= 2 contended sites), /debug/pprof/lockcontention
@@ -66,8 +69,8 @@ obs-smoke: build
 		-prom results/obs/snapshot.prom \
 		-trace results/obs/trace.json \
 		-pprof results/obs/lockmon.pb.gz
-	$(GO) test -run 'TestChromeTrace|TestDisabledHooks|TestEnabledSlowPath|TestDisabledProfiler|TestPprofProfile|TestDisabledScope|TestEnabledScope' \
-		./internal/locktrace/ ./internal/telemetry/ ./internal/lockprof/ ./internal/lockscope/
+	$(GO) test -run 'TestChromeTrace|TestDisabledHooks|TestEnabledSlowPath|TestDisabledProfiler|TestPprofProfile|TestDisabledScope|TestEnabledScope|TestDisabledEmit' \
+		./internal/locktrace/ ./internal/telemetry/ ./internal/lockprof/ ./internal/lockscope/ ./internal/lockevent/
 	GO="$(GO)" scripts/obs_smoke_serve.sh results/obs
 
 # deadlock-smoke exercises the lock-order watchdog end to end:

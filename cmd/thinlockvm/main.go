@@ -6,12 +6,9 @@
 // Usage:
 //
 //	thinlockvm [-impl name] [-iters N] [-threads N] [-dis]
-//	thinlockvm [-impl name] [-dis] -src prog.mj
 //
 // -impl accepts any name from bench.StandardImpls (its help text lists
-// them). With -src, the minijava program's main() runs instead of the
-// built-in counter workload; verifier errors and runtime traps cite
-// minijava source lines via the compiler's pc-to-line table.
+// them). To run a minijava program instead, use cmd/thinlockc.
 package main
 
 import (
@@ -23,8 +20,6 @@ import (
 
 	"thinlock/internal/bench"
 	"thinlock/internal/core"
-	"thinlock/internal/lockapi"
-	"thinlock/internal/minijava"
 	"thinlock/internal/object"
 	"thinlock/internal/threading"
 	"thinlock/internal/vm"
@@ -35,7 +30,6 @@ func main() {
 	iters := flag.Int64("iters", 100_000, "synchronized increments per thread")
 	threads := flag.Int("threads", 4, "competing threads")
 	dis := flag.Bool("dis", false, "print the program disassembly")
-	src := flag.String("src", "", "minijava source file: compile and run its main() instead of the counter workload")
 	flag.Parse()
 
 	f, ok := bench.Lookup(bench.StandardImpls(), *impl)
@@ -44,10 +38,6 @@ func main() {
 		os.Exit(1)
 	}
 	locker := f.New()
-
-	if *src != "" {
-		os.Exit(runSource(*src, locker, *dis))
-	}
 
 	// Counter.add: a synchronized method incrementing field 0.
 	prog := vm.NewProgram()
@@ -128,42 +118,4 @@ func main() {
 			s.InflationsWait, s.SpinAcquisitions, s.FatLocks)
 		fmt.Printf("counter object inflated: %v\n", tl.Inflated(obj.Object))
 	}
-}
-
-// runSource compiles and runs a minijava program's main(). Compile
-// errors, verifier rejections, and runtime traps all go to stderr;
-// traps cite minijava lines because the compiler fills Method.Lines.
-func runSource(path string, locker lockapi.Locker, dis bool) int {
-	text, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "thinlockvm:", err)
-		return 1
-	}
-	prog, err := minijava.Compile(string(text))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "thinlockvm: %s: %v\n", path, err)
-		return 1
-	}
-	machine, err := vm.New(prog, locker, object.NewHeap())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "thinlockvm: %s: verifier: %v\n", path, err)
-		return 1
-	}
-	if dis {
-		for _, m := range prog.Methods {
-			fmt.Printf("method %s:\n%s", m.QualifiedName(), vm.Disassemble(m.Code))
-		}
-	}
-	th, err := threading.NewRegistry().Attach("main")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "thinlockvm:", err)
-		return 1
-	}
-	res, err := machine.Run(th, "main")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "thinlockvm: %s: %v\n", path, err)
-		return 1
-	}
-	fmt.Printf("%s: main() = %d\n", path, res.I)
-	return 0
 }

@@ -63,11 +63,9 @@ import (
 
 	"thinlock/internal/arch"
 	"thinlock/internal/core"
-	"thinlock/internal/lockdep"
-	"thinlock/internal/lockprof"
+	"thinlock/internal/lockevent"
 	"thinlock/internal/monitor"
 	"thinlock/internal/object"
-	"thinlock/internal/telemetry"
 	"thinlock/internal/threading"
 )
 
@@ -306,9 +304,7 @@ func (l *Locker) classFor(class string) *classBias {
 // acquire, and every other word lockSlow.
 func (l *Locker) Lock(t *threading.Thread, o *object.Object) {
 	l.lockBody(t, o)
-	if d := lockdep.Active(); d != nil {
-		d.Acquired(t, o)
-	}
+	lockevent.Emit(lockevent.Acquire, t, o)
 }
 
 func (l *Locker) lockBody(t *threading.Thread, o *object.Object) {
@@ -324,9 +320,7 @@ func (l *Locker) lockBody(t *threading.Thread, o *object.Object) {
 			if d := s.Depth(); d < maxBiasDepth {
 				s.SetDepth(d + 1) // Dekker publish
 				if atomic.LoadUint32(hp) == s.Word() {
-					if tel := telemetry.Active(); tel != nil {
-						tel.Inc(t, telemetry.CtrBiasedAcquires)
-					}
+					lockevent.Emit(lockevent.BiasAcquire, t, o)
 					return
 				}
 				if l.reconcileLock(t, o, s, d+1) {
@@ -361,9 +355,7 @@ func (l *Locker) mayReserve(t *threading.Thread, o *object.Object) bool {
 func (l *Locker) Unlock(t *threading.Thread, o *object.Object) error {
 	err := l.unlockBody(t, o)
 	if err == nil {
-		if d := lockdep.Active(); d != nil {
-			d.Released(t, o)
-		}
+		lockevent.Emit(lockevent.Release, t, o)
 	}
 	return err
 }
@@ -409,16 +401,8 @@ func (l *Locker) unlockBody(t *threading.Thread, o *object.Object) error {
 // reservation is self-revoked straight to a fat lock; a thin-held
 // object inflates as in the paper.
 func (l *Locker) Wait(t *threading.Thread, o *object.Object, d time.Duration) (bool, error) {
-	if ld := lockdep.Active(); ld != nil {
-		ld.CondWaitBegin(t, o)
-		ok, err := l.waitBody(t, o, d)
-		ld.CondWaitEnd(t, o)
-		return ok, err
-	}
-	return l.waitBody(t, o, d)
-}
-
-func (l *Locker) waitBody(t *threading.Thread, o *object.Object, d time.Duration) (bool, error) {
+	lockevent.Emit(lockevent.WaitBegin, t, o)
+	defer lockevent.Emit(lockevent.WaitEnd, t, o)
 	if s := t.BiasSlotFor(o.ID()); s != nil && s.Depth() > 0 {
 		if m := l.waitRevoke(t, o, s); m != nil {
 			return m.Wait(t, d)
@@ -438,8 +422,7 @@ func (l *Locker) waitBody(t *threading.Thread, o *object.Object, d time.Duration
 			return false, ErrIllegalMonitorState
 		case w&core.TIDMask == t.Shifted():
 			l.inflWait.Add(1)
-			telemetry.Inc(t, telemetry.CtrInflationsWait)
-			lockprof.Inflation(t, o, lockprof.CauseWait)
+			lockevent.Emit(lockevent.InflateWait, t, o)
 			m := l.inflate(t, o, core.ThinCount(w)+1)
 			return m.Wait(t, d)
 		default:

@@ -4,10 +4,9 @@ import (
 	"sync/atomic"
 
 	"thinlock/internal/core"
-	"thinlock/internal/lockprof"
+	"thinlock/internal/lockevent"
 	"thinlock/internal/monitor"
 	"thinlock/internal/object"
-	"thinlock/internal/telemetry"
 	"thinlock/internal/threading"
 )
 
@@ -59,7 +58,7 @@ func (l *Locker) revoke(t *threading.Thread, o *object.Object, w uint32) bool {
 				ownerT.Parker().Unpark()
 			}
 			l.biasTransfers.Add(1)
-			telemetry.Inc(t, telemetry.CtrBiasTransfers)
+			lockevent.Emit(lockevent.BiasTransfer, t, o)
 			return true
 		}
 	}
@@ -84,8 +83,7 @@ func (l *Locker) revoke(t *threading.Thread, o *object.Object, w uint32) bool {
 		ownerT.Parker().Unpark()
 	}
 	l.revContention.Add(1)
-	telemetry.Inc(t, telemetry.CtrBiasRevocationsContention)
-	lockprof.Revocation(t, o, lockprof.CauseContention)
+	lockevent.Emit(lockevent.RevokeContention, t, o)
 	return false
 }
 
@@ -111,11 +109,11 @@ func (l *Locker) bumpClassRevocation(t *threading.Thread, cls *classBias) {
 	if !l.disableRebias && n%l.rebiasEvery == 0 && n < l.revokeAt {
 		cls.epoch.Add(1)
 		l.bulkRebiases.Add(1)
-		telemetry.Inc(t, telemetry.CtrBulkRebiases)
+		lockevent.Emit(lockevent.BulkRebias, t, nil)
 	}
 	if n >= l.revokeAt && cls.unbiasable.CompareAndSwap(false, true) {
 		l.bulkRevokes.Add(1)
-		telemetry.Inc(t, telemetry.CtrBulkRevokes)
+		lockevent.Emit(lockevent.BulkRevoke, t, nil)
 	}
 }
 
@@ -136,10 +134,8 @@ func (l *Locker) selfRevokeOverflow(t *threading.Thread, o *object.Object, s *th
 	o.SetHeader(core.InflatedWord(m.Index(), w))
 	l.revOverflow.Add(1)
 	l.inflOverflow.Add(1)
-	telemetry.Inc(t, telemetry.CtrBiasRevocationsOverflow)
-	telemetry.Inc(t, telemetry.CtrInflationsOverflow)
-	lockprof.Revocation(t, o, lockprof.CauseOverflow)
-	lockprof.Inflation(t, o, lockprof.CauseOverflow)
+	lockevent.Emit(lockevent.RevokeOverflow, t, o)
+	lockevent.Emit(lockevent.InflateOverflow, t, o)
 	return true
 }
 
@@ -173,10 +169,8 @@ func (l *Locker) waitRevoke(t *threading.Thread, o *object.Object, s *threading.
 		o.SetHeader(core.InflatedWord(m.Index(), w))
 		l.revWait.Add(1)
 		l.inflWait.Add(1)
-		telemetry.Inc(t, telemetry.CtrBiasRevocationsWait)
-		telemetry.Inc(t, telemetry.CtrInflationsWait)
-		lockprof.Revocation(t, o, lockprof.CauseWait)
-		lockprof.Inflation(t, o, lockprof.CauseWait)
+		lockevent.Emit(lockevent.RevokeWait, t, o)
+		lockevent.Emit(lockevent.InflateWait, t, o)
 		return m
 	}
 }

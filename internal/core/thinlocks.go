@@ -5,11 +5,9 @@ import (
 	"time"
 
 	"thinlock/internal/arch"
-	"thinlock/internal/lockdep"
-	"thinlock/internal/lockprof"
+	"thinlock/internal/lockevent"
 	"thinlock/internal/monitor"
 	"thinlock/internal/object"
-	"thinlock/internal/telemetry"
 	"thinlock/internal/threading"
 )
 
@@ -240,14 +238,14 @@ func (l *ThinLocks) Stats() Stats {
 }
 
 // Lock acquires o's monitor for t (§2.3.1, §2.3.3, §2.3.4). The
-// lockdep hook runs after the acquisition so the order graph sees
-// every lock exactly when it is held; disabled it costs one atomic
-// load and a not-taken branch (lockdep needs every acquisition, not a
-// sample — see the lockdep package comment).
+// Acquire event follows the acquisition so an observer sees every lock
+// exactly when it is held; unobserved it costs one atomic load and a
+// not-taken branch (tested before the variant, which only matters to
+// an observer).
 func (l *ThinLocks) Lock(t *threading.Thread, o *object.Object) {
 	l.lockDispatch(t, o)
-	if d := lockdep.Active(); d != nil && l.variant != VariantNOP {
-		d.Acquired(t, o)
+	if lockevent.Wants(lockevent.Acquire) && l.variant != VariantNOP {
+		lockevent.Emit(lockevent.Acquire, t, o)
 	}
 }
 
@@ -310,31 +308,14 @@ func (l *ThinLocks) lockFast(t *threading.Thread, o *object.Object, cpu arch.CPU
 
 // lockSlow handles every case except an initial lock of an unlocked
 // object: nested locking, locking an inflated object, count overflow,
-// and contention (§2.3.3–§2.3.4). The telemetry and lockprof wrappers
-// live here, off the fast path: when both are disabled the cost is two
-// atomic loads and a branch.
+// and contention (§2.3.3–§2.3.4). The slow-path span events live here,
+// off the fast path: unobserved, the cost is two atomic loads and a
+// compare.
 func (l *ThinLocks) lockSlow(t *threading.Thread, o *object.Object, cpu arch.CPU, fence bool) {
-	m := telemetry.Active()
-	p := lockprof.Active()
-	if m == nil && p == nil {
-		l.lockSlowBody(t, o, cpu, fence)
-		return
-	}
-	if m != nil {
-		m.Inc(t, telemetry.CtrSlowPathEntries)
-	}
-	if p != nil {
-		p.SlowPathEnter(t, o)
-	}
-	start := telemetry.Now()
+	lockevent.Emit(lockevent.SlowEnter, t, o)
+	start := lockevent.Start(lockevent.SlowExit)
 	l.lockSlowBody(t, o, cpu, fence)
-	elapsed := telemetry.Now() - start
-	if m != nil {
-		m.Observe(t, telemetry.HistAcquireSlowNs, elapsed)
-	}
-	if p != nil {
-		p.SlowPathExit(t, o, elapsed)
-	}
+	lockevent.End(lockevent.SlowExit, t, o, start)
 }
 
 // lockSlowBody is the slow-path state machine proper.
@@ -354,7 +335,7 @@ func (l *ThinLocks) lockSlowBody(t *threading.Thread, o *object.Object, cpu arch
 			return
 
 		case IsInflated(w):
-			lockdep.Blocked(t, o, lockdep.WaitFat)
+			lockevent.EmitValue(lockevent.Block, t, o, int64(lockevent.WaitFat))
 			if !l.recycle {
 				l.table.Get(FatIndex(w)).Enter(t)
 				if fence {
@@ -385,8 +366,7 @@ func (l *ThinLocks) lockSlowBody(t *threading.Thread, o *object.Object, cpu arch
 			// carrying the full nesting depth into the fat lock.
 			// With the paper's 8-bit field this is the 257th lock.
 			l.inflOverflow.Add(1)
-			telemetry.Inc(t, telemetry.CtrInflationsOverflow)
-			lockprof.Inflation(t, o, lockprof.CauseOverflow)
+			lockevent.Emit(lockevent.InflateOverflow, t, o)
 			locks := l.maxCount + 2
 			if l.mut.OverflowOffByOne {
 				locks-- // seeded bug: one recursion level lost
@@ -404,8 +384,7 @@ func (l *ThinLocks) lockSlowBody(t *threading.Thread, o *object.Object, cpu arch
 				if spun {
 					l.spinAcq.Add(1)
 					l.inflContention.Add(1)
-					telemetry.Inc(t, telemetry.CtrInflationsContention)
-					lockprof.Inflation(t, o, lockprof.CauseContention)
+					lockevent.Emit(lockevent.InflateContention, t, o)
 					l.inflate(t, o, 1)
 				}
 				if fence {
@@ -413,8 +392,7 @@ func (l *ThinLocks) lockSlowBody(t *threading.Thread, o *object.Object, cpu arch
 				}
 				return
 			}
-			telemetry.Inc(t, telemetry.CtrCASFailures)
-			lockprof.CASFailure(t)
+			lockevent.Emit(lockevent.CASFail, t, o)
 
 		default:
 			// Thin-locked by another thread. Our discipline forbids
@@ -423,12 +401,11 @@ func (l *ThinLocks) lockSlowBody(t *threading.Thread, o *object.Object, cpu arch
 			// exponential back-off until the owner releases (§2.3.4).
 			spun = true
 			if l.queued {
-				lockdep.Blocked(t, o, lockdep.WaitQueued)
+				lockevent.EmitValue(lockevent.Block, t, o, int64(lockevent.WaitQueued))
 				l.queueWait(t, o)
 			} else {
-				lockdep.Blocked(t, o, lockdep.WaitSpin)
 				l.spinRounds.Add(1)
-				telemetry.Inc(t, telemetry.CtrSpinRounds)
+				lockevent.EmitValue(lockevent.Spin, t, o, int64(lockevent.WaitSpin))
 				b.Pause()
 			}
 		}
@@ -482,7 +459,7 @@ func (l *ThinLocks) inflate(t *threading.Thread, o *object.Object, locks uint32)
 	m := l.table.Allocate()
 	if m.RecycledIndex() {
 		l.recycles.Add(1)
-		telemetry.Inc(t, telemetry.CtrMonitorRecycles)
+		lockevent.Emit(lockevent.Recycle, t, o)
 	}
 	m.SeedOwner(t, locks)
 	o.SetHeader(InflatedWord(m.Index(), o.Header()))
@@ -498,10 +475,8 @@ func (l *ThinLocks) inflate(t *threading.Thread, o *object.Object, locks uint32)
 // Unlock releases one level of o's monitor (§2.3.2).
 func (l *ThinLocks) Unlock(t *threading.Thread, o *object.Object) error {
 	err := l.unlockDispatch(t, o)
-	if err == nil {
-		if d := lockdep.Active(); d != nil && l.variant != VariantNOP {
-			d.Released(t, o)
-		}
+	if err == nil && lockevent.Wants(lockevent.Release) && l.variant != VariantNOP {
+		lockevent.Emit(lockevent.Release, t, o)
 	}
 	return err
 }
@@ -582,7 +557,7 @@ func unlockFn(l *ThinLocks, t *threading.Thread, o *object.Object) error {
 
 // unlockSlow handles nested thin unlocks, fat unlocks, and errors.
 func (l *ThinLocks) unlockSlow(t *threading.Thread, o *object.Object, fence, useCAS bool) error {
-	lockprof.UnlockSlow(t, o)
+	lockevent.Emit(lockevent.SlowUnlock, t, o)
 	hp := o.HeaderAddr()
 	w := atomic.LoadUint32(hp)
 	x := w ^ t.Shifted()
@@ -622,8 +597,7 @@ func (l *ThinLocks) unlockSlow(t *threading.Thread, o *object.Object, fence, use
 			// index bounce off the retired monitor and re-read the
 			// header.
 			l.deflations.Add(1)
-			telemetry.Inc(t, telemetry.CtrDeflations)
-			lockprof.Deflation(t, o)
+			lockevent.Emit(lockevent.Deflate, t, o)
 			if fence {
 				arch.Sync()
 			}
@@ -661,30 +635,21 @@ func (l *ThinLocks) freeIndex(t *threading.Thread, m *monitor.Monitor) {
 	} else {
 		l.table.Free(m)
 	}
-	telemetry.Inc(t, telemetry.CtrMonitorFrees)
+	lockevent.Emit(lockevent.Free, t, nil)
 }
 
 // Wait implements lockapi.Locker. Waiting requires queues, so a
 // thin-locked object is first inflated at its current nesting depth.
 func (l *ThinLocks) Wait(t *threading.Thread, o *object.Object, d time.Duration) (bool, error) {
-	if ld := lockdep.Active(); ld != nil {
-		ld.CondWaitBegin(t, o)
-		ok, err := l.waitBody(t, o, d)
-		ld.CondWaitEnd(t, o)
-		return ok, err
-	}
-	return l.waitBody(t, o, d)
-}
-
-func (l *ThinLocks) waitBody(t *threading.Thread, o *object.Object, d time.Duration) (bool, error) {
+	lockevent.Emit(lockevent.WaitBegin, t, o)
+	defer lockevent.Emit(lockevent.WaitEnd, t, o)
 	w := o.Header()
 	if IsInflated(w) {
 		return l.table.Get(FatIndex(w)).Wait(t, d)
 	}
 	if w&TIDMask == t.Shifted() {
 		l.inflWait.Add(1)
-		telemetry.Inc(t, telemetry.CtrInflationsWait)
-		lockprof.Inflation(t, o, lockprof.CauseWait)
+		lockevent.Emit(lockevent.InflateWait, t, o)
 		m := l.inflate(t, o, ThinCount(w)+1)
 		return m.Wait(t, d)
 	}

@@ -25,11 +25,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"thinlock/internal/lockdep"
-	"thinlock/internal/lockprof"
+	"thinlock/internal/lockevent"
 	"thinlock/internal/monitor"
 	"thinlock/internal/object"
-	"thinlock/internal/telemetry"
 	"thinlock/internal/threading"
 )
 
@@ -167,7 +165,7 @@ func (h *HotLocks) Slots() int { return len(h.slots) }
 // hot returns the hot monitor for a hot header word.
 func (h *HotLocks) hot(t *threading.Thread, w uint32) *monitor.Monitor {
 	h.hotOps.Add(1)
-	telemetry.Inc(t, telemetry.CtrHotOps)
+	lockevent.Emit(lockevent.HotOp, t, nil)
 	return h.slots[slotOf(w)]
 }
 
@@ -180,7 +178,7 @@ func (h *HotLocks) hot(t *threading.Thread, w uint32) *monitor.Monitor {
 // entry) and the caller must follow it instead.
 func (h *HotLocks) coldLookup(t *threading.Thread, o *object.Object, create bool) (*coldEntry, int) {
 	h.coldOps.Add(1)
-	telemetry.Inc(t, telemetry.CtrColdOps)
+	lockevent.Emit(lockevent.ColdOp, t, o)
 	h.mu.Lock()
 	e := h.cold[o.ID()]
 	if e == nil {
@@ -214,7 +212,7 @@ func (h *HotLocks) coldLookup(t *threading.Thread, o *object.Object, create bool
 // sweepLocked drops quiescent, unpinned cold entries. Caller holds h.mu.
 func (h *HotLocks) sweepLocked() {
 	h.sweeps.Add(1)
-	telemetry.Inc(nil, telemetry.CtrColdSweeps)
+	lockevent.Emit(lockevent.ColdSweep, nil, nil)
 	for id, e := range h.cold {
 		if e.pins == 0 && !e.promoting && e.mon.Quiescent() {
 			delete(h.cold, id)
@@ -230,20 +228,13 @@ func (h *HotLocks) unpin(e *coldEntry) {
 
 // Lock implements lockapi.Locker. Like JDK111, every IBM112 acquisition
 // routes through a monitor (hot slot or cold cache) — there is no
-// header-only fast path — so the whole operation is reported to the
-// contention profiler.
+// header-only fast path — so every one is reported as a slow-path span.
 func (h *HotLocks) Lock(t *threading.Thread, o *object.Object) {
-	if p := lockprof.Active(); p != nil {
-		p.SlowPathEnter(t, o)
-		start := telemetry.Now()
-		h.lockBody(t, o)
-		p.SlowPathExit(t, o, telemetry.Now()-start)
-	} else {
-		h.lockBody(t, o)
-	}
-	if d := lockdep.Active(); d != nil {
-		d.Acquired(t, o)
-	}
+	lockevent.Emit(lockevent.SlowEnter, t, o)
+	start := lockevent.Start(lockevent.SlowExit)
+	h.lockBody(t, o)
+	lockevent.End(lockevent.SlowExit, t, o, start)
+	lockevent.Emit(lockevent.Acquire, t, o)
 }
 
 func (h *HotLocks) lockBody(t *threading.Thread, o *object.Object) {
@@ -255,14 +246,14 @@ func (h *HotLocks) lockBody(t *threading.Thread, o *object.Object) {
 		}
 		w = o.Header() // promoted since our first read
 	}
-	lockdep.Blocked(t, o, lockdep.WaitFat)
+	lockevent.EmitValue(lockevent.Block, t, o, int64(lockevent.WaitFat))
 	h.hot(t, w).Enter(t)
 }
 
 // lockCold enters a pinned cold entry's monitor and, if coldLookup
 // reserved a hot slot for it, promotes the object.
 func (h *HotLocks) lockCold(t *threading.Thread, o *object.Object, e *coldEntry, slot int, w uint32) {
-	lockdep.Blocked(t, o, lockdep.WaitFat)
+	lockevent.EmitValue(lockevent.Block, t, o, int64(lockevent.WaitFat))
 	e.mon.Enter(t)
 	if slot >= 0 {
 		// Promote: we own the monitor, so no thread is inside a
@@ -279,7 +270,7 @@ func (h *HotLocks) lockCold(t *threading.Thread, o *object.Object, e *coldEntry,
 		delete(h.cold, o.ID())
 		h.mu.Unlock()
 		h.promotions.Add(1)
-		telemetry.Inc(t, telemetry.CtrHotPromotions)
+		lockevent.Emit(lockevent.HotPromote, t, o)
 	}
 	h.unpin(e)
 }
@@ -288,15 +279,13 @@ func (h *HotLocks) lockCold(t *threading.Thread, o *object.Object, e *coldEntry,
 func (h *HotLocks) Unlock(t *threading.Thread, o *object.Object) error {
 	err := h.unlockBody(t, o)
 	if err == nil {
-		if d := lockdep.Active(); d != nil {
-			d.Released(t, o)
-		}
+		lockevent.Emit(lockevent.Release, t, o)
 	}
 	return err
 }
 
 func (h *HotLocks) unlockBody(t *threading.Thread, o *object.Object) error {
-	lockprof.UnlockSlow(t, o)
+	lockevent.Emit(lockevent.SlowUnlock, t, o)
 	w := o.Header()
 	if w&hotBit != 0 {
 		return h.hot(t, w).Exit(t)
@@ -317,16 +306,8 @@ func (h *HotLocks) unlockBody(t *threading.Thread, o *object.Object) error {
 
 // Wait implements lockapi.Locker.
 func (h *HotLocks) Wait(t *threading.Thread, o *object.Object, d time.Duration) (bool, error) {
-	if ld := lockdep.Active(); ld != nil {
-		ld.CondWaitBegin(t, o)
-		notified, err := h.waitBody(t, o, d)
-		ld.CondWaitEnd(t, o)
-		return notified, err
-	}
-	return h.waitBody(t, o, d)
-}
-
-func (h *HotLocks) waitBody(t *threading.Thread, o *object.Object, d time.Duration) (bool, error) {
+	lockevent.Emit(lockevent.WaitBegin, t, o)
+	defer lockevent.Emit(lockevent.WaitEnd, t, o)
 	w := o.Header()
 	if w&hotBit != 0 {
 		return h.hot(t, w).Wait(t, d)

@@ -6,8 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"thinlock/internal/lockevent"
 	"thinlock/internal/object"
-	"thinlock/internal/telemetry"
 	"thinlock/internal/threading"
 )
 
@@ -264,7 +264,7 @@ type InversionEdge struct {
 type InversionReport struct {
 	// Seq orders reports by detection time.
 	Seq uint64 `json:"seq"`
-	// DetectedNs is the telemetry.Now timestamp of detection.
+	// DetectedNs is the lockevent.Now timestamp of detection.
 	DetectedNs int64 `json:"detected_ns"`
 	// Cycle lists the edges of the order cycle; the last edge is the
 	// one whose observation closed it.
@@ -308,7 +308,7 @@ func (g *graph) report(d *Lockdep, cycle []*gedge) {
 	}
 	rep := &InversionReport{
 		Seq:        uint64(n) + 1,
-		DetectedNs: telemetry.Now(),
+		DetectedNs: lockevent.Now(),
 		key:        key,
 	}
 	for _, e := range cycle {

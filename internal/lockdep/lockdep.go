@@ -1,6 +1,7 @@
 // Package lockdep is a runtime lock-order watchdog in the spirit of the
-// Linux kernel's lockdep, layered on the same hook discipline as
-// internal/telemetry and internal/lockprof.
+// Linux kernel's lockdep, fed like internal/telemetry and
+// internal/lockprof by internal/lockevent, the lock implementations'
+// one event path.
 //
 // Where telemetry answers "how much" and lockprof answers "where",
 // lockdep answers "can this hang, and if it already has, why": it
@@ -22,10 +23,9 @@
 //     current holders and wait-for edges when any wait exceeds a
 //     threshold, so a hang is diagnosable post mortem.
 //
-// The overhead contract matches telemetry's and lockprof's: the
-// uncontended fast paths carry no lockdep hook at all; with lockdep
-// disabled every hook site is one atomic pointer load, a compare and a
-// not-taken branch, and allocates nothing (enforced by
+// The overhead contract matches telemetry's and lockprof's: with
+// lockdep disabled every emit it would consume is one atomic load, a
+// test and a not-taken branch, and allocates nothing (enforced by
 // overhead_test.go). Enabled, the steady state (known sites, known
 // edges) is allocation-free too; only the first observation of a site
 // or an order edge allocates its record.
@@ -49,8 +49,8 @@ package lockdep
 import (
 	"sync/atomic"
 
+	"thinlock/internal/lockevent"
 	"thinlock/internal/object"
-	"thinlock/internal/telemetry"
 	"thinlock/internal/threading"
 )
 
@@ -69,46 +69,17 @@ const numSlots = 4096
 const maxHeld = 16
 
 // WaitKind classifies why a thread is blocked on an object.
-type WaitKind uint32
+type WaitKind = lockevent.WaitKind
 
+// The wait kinds, as the lock implementations report them.
 const (
-	// WaitNone marks a thread that is not blocked.
-	WaitNone WaitKind = iota
-	// WaitSpin is a thread spinning for a thin lock held by another
-	// thread (§2.3.4 of the paper).
-	WaitSpin
-	// WaitQueued is a thread parked on the flat-lock-contention queue
-	// (the queued-inflation extension).
-	WaitQueued
-	// WaitFat is a thread entering a fat monitor that may be owned.
-	WaitFat
-	// WaitRevocation is a thread waiting out a bias-revocation
-	// handshake.
-	WaitRevocation
-	// WaitCond is a thread in Object.wait (released the lock, waiting
-	// for a notify and then the re-acquisition).
-	WaitCond
+	WaitNone       = lockevent.WaitNone
+	WaitSpin       = lockevent.WaitSpin
+	WaitQueued     = lockevent.WaitQueued
+	WaitFat        = lockevent.WaitFat
+	WaitRevocation = lockevent.WaitRevocation
+	WaitCond       = lockevent.WaitCond
 )
-
-// String returns the report label for the kind.
-func (k WaitKind) String() string {
-	switch k {
-	case WaitNone:
-		return "none"
-	case WaitSpin:
-		return "spin"
-	case WaitQueued:
-		return "queued-park"
-	case WaitFat:
-		return "monitor-enter"
-	case WaitRevocation:
-		return "bias-revocation"
-	case WaitCond:
-		return "cond-wait"
-	default:
-		return "unknown"
-	}
-}
 
 // heldEntry is one held lock on a thread's stack. All fields are
 // atomics because the wait-for detector and the watchdog read other
@@ -159,7 +130,7 @@ type Lockdep struct {
 // New returns an empty Lockdep with the given configuration.
 func New(cfg Config) *Lockdep {
 	_ = cfg
-	return &Lockdep{startNs: telemetry.Now()}
+	return &Lockdep{startNs: lockevent.Now()}
 }
 
 // slot returns the acting thread's state slot (slot 0 for nil).
@@ -176,9 +147,10 @@ func (s *threadSlot) noteThread(t *threading.Thread) {
 	}
 }
 
-// Acquired records that t now owns o. Called by the lock
-// implementations after every successful Lock. A re-acquisition of an
-// already-held object only bumps its recursion count; a first
+// Acquired records that t now owns o: the Acquire event, which the
+// lock implementations emit after every successful Lock. A
+// re-acquisition of an already-held object only bumps its recursion
+// count; a first
 // acquisition captures the call site, pushes a held entry, folds one
 // order edge per other held lock into the graph, and clears any
 // wait-for state the slow path recorded on the way in.
@@ -199,7 +171,7 @@ func (d *Lockdep) Acquired(t *threading.Thread, o *object.Object) {
 			return
 		}
 	}
-	site := d.captureSite(t)
+	site := d.sites.get(lockevent.Capture(t, 0))
 	d.ring.record(EvAcquire, t, o, site, 0)
 	if n >= maxHeld {
 		s.overflow.Add(1)
@@ -252,22 +224,22 @@ func (d *Lockdep) Released(t *threading.Thread, o *object.Object) {
 	}
 }
 
-// Blocked records that t is about to block (or spin) on o. Called from
-// the slow paths; may be called repeatedly while a spin loop retries,
-// in which case the original start time is kept so stall durations are
-// measured from the first report. The wait state is cleared by the
-// Acquired that ends the episode (or by Unblocked on non-acquiring
-// paths).
+// Blocked records that t is about to block (or spin) on o: the Block
+// and Spin events of the slow paths. It may be called repeatedly while
+// a spin loop retries, in which case the original start time is kept
+// so stall durations are measured from the first report. The wait
+// state is cleared by the Acquired that ends the episode (or by
+// Unblocked on non-acquiring paths).
 func (d *Lockdep) Blocked(t *threading.Thread, o *object.Object, kind WaitKind) {
 	s := d.slot(t)
 	if s.waitObj.Load() == o && WaitKind(s.waitKind.Load()) == kind {
 		return
 	}
 	s.noteThread(t)
-	site := d.captureSite(t)
+	site := d.sites.get(lockevent.Capture(t, 0))
 	s.waitSite.Store(site)
 	s.waitKind.Store(uint32(kind))
-	s.waitStart.Store(telemetry.Now())
+	s.waitStart.Store(lockevent.Now())
 	s.waitSeq.Add(1)
 	s.waitObj.Store(o)
 	d.ring.record(EvBlocked, t, o, site, uint32(kind))
@@ -312,10 +284,10 @@ func (d *Lockdep) CondWaitBegin(t *threading.Thread, o *object.Object) {
 		s.heldLen.Store(last)
 		break
 	}
-	site := d.captureSite(t)
+	site := d.sites.get(lockevent.Capture(t, 0))
 	s.waitSite.Store(site)
 	s.waitKind.Store(uint32(WaitCond))
-	s.waitStart.Store(telemetry.Now())
+	s.waitStart.Store(lockevent.Now())
 	s.waitSeq.Add(1)
 	s.waitObj.Store(o)
 	d.ring.record(EvCondWait, t, o, site, uint32(WaitCond))
@@ -386,37 +358,50 @@ func (d *Lockdep) Stats() Stats {
 	}
 }
 
-// active is the globally installed Lockdep the hook helpers feed.
+// LockEvent implements lockevent.Observer.
+func (d *Lockdep) LockEvent(k lockevent.Kind, t *threading.Thread, o *object.Object, v int64) {
+	switch k {
+	case lockevent.Acquire:
+		d.Acquired(t, o)
+	case lockevent.Release:
+		d.Released(t, o)
+	case lockevent.Block, lockevent.Spin:
+		d.Blocked(t, o, WaitKind(v))
+	case lockevent.Unblock:
+		d.Unblocked(t)
+	case lockevent.WaitBegin:
+		d.CondWaitBegin(t, o)
+	case lockevent.WaitEnd:
+		d.CondWaitEnd(t, o)
+	}
+}
+
+// consumes is the set of kinds LockEvent records; Sites makes the
+// interpreter publish its frames.
+var consumes = lockevent.Sites | lockevent.Of(
+	lockevent.Acquire, lockevent.Release, lockevent.Block, lockevent.Spin,
+	lockevent.Unblock, lockevent.WaitBegin, lockevent.WaitEnd)
+
+// active is the globally installed Lockdep.
 var active atomic.Pointer[Lockdep]
 
-// Enable installs d as the global hook target (nil disables) and
-// returns d.
+// Enable installs d as the global lock-event observer (nil disables)
+// and returns d.
 func Enable(d *Lockdep) *Lockdep {
 	active.Store(d)
+	var obs lockevent.Observer // stays nil for a nil d
+	if d != nil {
+		obs = d
+	}
+	lockevent.Install(lockevent.SlotLockdep, obs, consumes)
 	return d
 }
 
-// Disable uninstalls the global hook target.
-func Disable() { active.Store(nil) }
+// Disable uninstalls the global observer.
+func Disable() { Enable(nil) }
 
 // Active returns the installed Lockdep, or nil when disabled.
 func Active() *Lockdep { return active.Load() }
 
 // Enabled reports whether a global Lockdep is installed.
 func Enabled() bool { return active.Load() != nil }
-
-// Blocked records a blocking episode on the installed Lockdep; a no-op
-// (one atomic load, one branch, no allocation) when disabled.
-func Blocked(t *threading.Thread, o *object.Object, kind WaitKind) {
-	if d := active.Load(); d != nil {
-		d.Blocked(t, o, kind)
-	}
-}
-
-// Unblocked clears a blocking episode on the installed Lockdep; no-op
-// when disabled.
-func Unblocked(t *threading.Thread) {
-	if d := active.Load(); d != nil {
-		d.Unblocked(t)
-	}
-}

@@ -6,9 +6,13 @@ import (
 	"testing"
 	"time"
 
+	"thinlock/internal/core"
 	"thinlock/internal/lockdep"
+	"thinlock/internal/lockevent"
+	"thinlock/internal/minijava"
 	"thinlock/internal/object"
 	"thinlock/internal/threading"
+	"thinlock/internal/vm"
 )
 
 // fixture holds a fresh Lockdep (not globally installed — these tests
@@ -459,17 +463,64 @@ func TestGlobalEnableDisable(t *testing.T) {
 	if lockdep.Active() != d || !lockdep.Enabled() {
 		t.Fatal("Enable did not install")
 	}
-	// The package-level wrappers must feed the installed instance.
+	// Lock events must feed the installed instance.
 	f := newFixture(t)
 	th := f.thread(t, "glob")
 	o := f.heap.New("Obj")
-	lockdep.Blocked(th, o, lockdep.WaitSpin)
+	lockevent.EmitValue(lockevent.Spin, th, o, int64(lockdep.WaitSpin))
 	if got := len(d.WaitingThreads()); got != 1 {
-		t.Fatalf("global Blocked not recorded: waiters = %d", got)
+		t.Fatalf("Spin event not recorded: waiters = %d", got)
 	}
-	lockdep.Unblocked(th)
+	lockevent.EmitValue(lockevent.Unblock, th, o, 0)
 	if got := len(d.WaitingThreads()); got != 0 {
-		t.Fatalf("global Unblocked not recorded: waiters = %d", got)
+		t.Fatalf("Unblock event not recorded: waiters = %d", got)
+	}
+}
+
+// TestVMSitesNameEdgesWithoutProfiler: with lockdep the only observer,
+// the interpreter still publishes its frames, so the order edge of two
+// nested synchronized blocks names the MiniJava method and the pcs of
+// its monitorenters. Not parallel: owns the global registration.
+func TestVMSitesNameEdgesWithoutProfiler(t *testing.T) {
+	prog, err := minijava.Compile(`
+class Guard {
+    field x;
+}
+func nest(a: Guard, b: Guard) {
+    synchronized (a) {
+        synchronized (b) {
+            return 1;
+        }
+    }
+    return 0;
+}
+func main() {
+    var a = new Guard;
+    var b = new Guard;
+    return nest(a, b);
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	machine, err := vm.New(prog, core.NewDefault(), object.NewHeap())
+	if err != nil {
+		t.Fatal(err)
+	}
+	th, err := threading.NewRegistry().Attach("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := lockdep.Enable(lockdep.New(lockdep.Config{}))
+	defer lockdep.Disable()
+	if _, err := machine.Run(th, "main"); err != nil {
+		t.Fatal(err)
+	}
+	edges := d.GraphJSON().Edges
+	if len(edges) != 1 {
+		t.Fatalf("edges = %+v, want one", edges)
+	}
+	if e := edges[0]; e.HoldSite != "nest @3" || e.AcquireSite != "nest @7" {
+		t.Errorf("edge sites = %q -> %q, want nest @3 -> nest @7", e.HoldSite, e.AcquireSite)
 	}
 }
 

@@ -4,8 +4,8 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"thinlock/internal/lockevent"
 	"thinlock/internal/object"
-	"thinlock/internal/telemetry"
 	"thinlock/internal/threading"
 )
 
@@ -87,7 +87,7 @@ func (r *ring) record(kind EventKind, thread *threading.Thread, o *object.Object
 	seq := r.seq.Add(1)
 	s := &r.slots[seq&(RingSize-1)]
 	s.seq.Store(seq)
-	s.tns.Store(telemetry.Now())
+	s.tns.Store(lockevent.Now())
 	s.kind.Store(uint32(kind))
 	s.thread.Store(thread)
 	s.obj.Store(o)

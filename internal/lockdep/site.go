@@ -2,25 +2,15 @@ package lockdep
 
 import (
 	"fmt"
-	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 
-	"thinlock/internal/threading"
+	"thinlock/internal/lockevent"
 )
 
-// Lock sites are captured with the same two encodings as lockprof (a VM
-// method+pc published in the thread, or a Go caller PC chain), but this
-// package keeps its own copy of the machinery: lockprof's debug server
-// imports lockdep to export its reports, so lockdep cannot import
-// lockprof back. Sites are interned into a bounded table and referred
-// to everywhere else by a small integer id, so held entries, wait
-// states, graph edges and ring events can store a site in one atomic
-// word.
-
-// maxStackDepth is how many Go caller PCs a site key retains.
-const maxStackDepth = 8
+// Sites are interned into a bounded table and referred to everywhere
+// else by a small integer id, so held entries, wait states, graph edges
+// and ring events can store a site in one atomic word.
 
 // maxSites bounds the number of distinct sites; past it, captures
 // resolve to site id 0 ("site table full") and a drop is counted.
@@ -29,41 +19,10 @@ const maxSites = 2048
 // siteProbe is the linear probe window before an insert gives up.
 const siteProbe = 64
 
-// siteKey identifies one acquisition or blocking site. Comparable, so
-// records deduplicate with ==.
-type siteKey struct {
-	vmMethod string
-	vmPC     int32
-	pcs      [maxStackDepth]uintptr
-	depth    uint8
-}
-
-// hash returns a 64-bit FNV-1a hash of the key.
-func (k siteKey) hash() uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xFF
-			h *= prime
-			v >>= 8
-		}
-	}
-	for i := 0; i < len(k.vmMethod); i++ {
-		h ^= uint64(k.vmMethod[i])
-		h *= prime
-	}
-	mix(uint64(uint32(k.vmPC)))
-	for i := uint8(0); i < k.depth; i++ {
-		mix(uint64(k.pcs[i]))
-	}
-	return h
-}
-
 // siteRec is one interned site. The label is symbolized lazily, off the
 // hook paths.
 type siteRec struct {
-	key  siteKey
+	key  lockevent.Site
 	id   uint32
 	once sync.Once
 	lbl  string
@@ -71,11 +30,17 @@ type siteRec struct {
 
 // label resolves and caches the human-readable site label.
 func (r *siteRec) label() string {
-	r.once.Do(func() { r.lbl = r.key.label() })
+	r.once.Do(func() {
+		if r.key.IsVM() {
+			r.lbl = fmt.Sprintf("%s @%d", r.key.VMMethod, r.key.VMPC)
+		} else {
+			r.lbl = lockevent.Label(r.key.Frames())
+		}
+	})
 	return r.lbl
 }
 
-// siteTable interns siteKeys into small ids: a single open-addressed
+// siteTable interns sites into small ids: a single open-addressed
 // array of atomic pointers, CAS-inserted, never resized. A record's id
 // is its slot index plus one, so id→record lookup is a direct index.
 type siteTable struct {
@@ -85,8 +50,8 @@ type siteTable struct {
 
 // get returns the id for k, interning it if new; 0 when the probe
 // window around its hash is full.
-func (tb *siteTable) get(k siteKey) uint32 {
-	h := k.hash()
+func (tb *siteTable) get(k lockevent.Site) uint32 {
+	h := k.Hash()
 	idx := h & (maxSites - 1)
 	for i := uint64(0); i < siteProbe; i++ {
 		slot := (idx + i) & (maxSites - 1)
@@ -114,24 +79,6 @@ func (tb *siteTable) byID(id uint32) *siteRec {
 	return tb.slots[id-1].Load()
 }
 
-// captureSite resolves the acting thread's current lock site to an
-// interned id: the published VM frame if there is one, otherwise the
-// Go caller PC chain. Allocation-free for known sites (the PC buffer
-// lives in the key, on the stack).
-func (d *Lockdep) captureSite(t *threading.Thread) uint32 {
-	var k siteKey
-	if t != nil {
-		if method, pc, ok := t.Frame(); ok && method != "" {
-			k.vmMethod, k.vmPC = method, pc
-		}
-	}
-	if k.vmMethod == "" {
-		n := runtime.Callers(3, k.pcs[:])
-		k.depth = uint8(n)
-	}
-	return d.sites.get(k)
-}
-
 // SiteLabel returns the display label for a site id ("?" for 0).
 func (d *Lockdep) SiteLabel(id uint32) string {
 	r := d.sites.byID(id)
@@ -139,80 +86,4 @@ func (d *Lockdep) SiteLabel(id uint32) string {
 		return "?"
 	}
 	return r.label()
-}
-
-// internalFramePrefixes name the lock-machinery packages whose frames
-// are skipped when choosing a site's display label, so the label lands
-// on the workload frame that requested the lock.
-var internalFramePrefixes = []string{
-	"thinlock/internal/lockdep",
-	"thinlock/internal/lockprof",
-	"thinlock/internal/core",
-	"thinlock/internal/biased",
-	"thinlock/internal/monitor",
-	"thinlock/internal/monitorcache",
-	"thinlock/internal/hotlocks",
-	"thinlock/internal/lockapi",
-	"thinlock/internal/jcl.(*Context).synchronized",
-	"thinlock/internal/locktrace",
-	"thinlock/internal/arch",
-	"runtime",
-}
-
-func isInternalFrame(fn string) bool {
-	for _, p := range internalFramePrefixes {
-		if strings.HasPrefix(fn, p+".") || fn == p {
-			return true
-		}
-	}
-	return false
-}
-
-// label symbolizes the key and picks the display name: VM sites yield
-// "Class.method @pc"; Go sites yield the first frame that is not lock
-// machinery, or the leaf frame as a fallback.
-func (k siteKey) label() string {
-	if k.vmMethod != "" {
-		return fmt.Sprintf("%s @%d", k.vmMethod, k.vmPC)
-	}
-	frames := runtime.CallersFrames(k.pcs[:k.depth])
-	var fallback string
-	for {
-		f, more := frames.Next()
-		if f.Function != "" {
-			if fallback == "" {
-				fallback = frameLabel(f.Function, f.File, f.Line)
-			}
-			if !isInternalFrame(f.Function) {
-				return frameLabel(f.Function, f.File, f.Line)
-			}
-		}
-		if !more {
-			break
-		}
-	}
-	if fallback != "" {
-		return fallback
-	}
-	return "(unknown site)"
-}
-
-func frameLabel(fn, file string, line int) string {
-	return fmt.Sprintf("%s (%s:%d)", fn, shortFile(file), line)
-}
-
-// shortFile trims a file path to its last two components.
-func shortFile(path string) string {
-	short := path
-	slashes := 0
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			slashes++
-			if slashes == 2 {
-				short = path[i+1:]
-				break
-			}
-		}
-	}
-	return short
 }

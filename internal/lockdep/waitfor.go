@@ -3,8 +3,8 @@ package lockdep
 import (
 	"fmt"
 
+	"thinlock/internal/lockevent"
 	"thinlock/internal/object"
-	"thinlock/internal/telemetry"
 )
 
 // The live wait-for graph. Unlike the order graph (ever-observed
@@ -86,7 +86,7 @@ type waitEdge struct {
 // resolving the holder of each blocked-on object by scanning the held
 // stacks. On-demand cost only (reports, watchdog scans).
 func (d *Lockdep) snapshotWaiters() []waitEdge {
-	now := telemetry.Now()
+	now := lockevent.Now()
 	var out []waitEdge
 	for i := range d.slots {
 		s := &d.slots[i]

@@ -7,7 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"thinlock/internal/telemetry"
+	"thinlock/internal/lockevent"
 )
 
 // The stall watchdog. A background ticker scans the wait-for state; any
@@ -36,7 +36,7 @@ type WatchdogOptions struct {
 // StallDump is one watchdog report: everything needed to diagnose the
 // stall post mortem.
 type StallDump struct {
-	// WhenNs is the telemetry.Now timestamp of the dump.
+	// WhenNs is the lockevent.Now timestamp of the dump.
 	WhenNs int64 `json:"when_ns"`
 	// Threshold is the stall threshold that was exceeded.
 	Threshold time.Duration `json:"threshold_ns"`
@@ -188,7 +188,7 @@ func (w *Watchdog) scan() {
 		w.lastDump[e.slot].Store(e.seq)
 	}
 	dump := StallDump{
-		WhenNs:     telemetry.Now(),
+		WhenNs:     lockevent.Now(),
 		Threshold:  w.opts.Threshold,
 		Stalled:    stalled,
 		Waiters:    make([]WaitNode, 0, len(edges)),

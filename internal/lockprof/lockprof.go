@@ -1,5 +1,6 @@
 // Package lockprof is a sampled, site-attributed lock contention
-// profiler layered on the same hook discipline as internal/telemetry.
+// profiler, fed like internal/telemetry by internal/lockevent, the lock
+// implementations' one event path.
 //
 // Where telemetry answers "how much" (global counters and histograms),
 // lockprof answers "where" and "which": every sampled slow-path
@@ -15,13 +16,13 @@
 //
 // The overhead contract matches telemetry's:
 //
-//   - the uncontended lock/unlock fast path carries no lockprof hook at
-//     all; with the profiler disabled every hook site is one atomic
-//     pointer load, a compare and a not-taken branch, and allocates
-//     nothing (enforced by overhead_test.go);
-//   - hooks live only on slow paths. Stack capture — the expensive part
-//     — happens only on sampled slow-path entries, rate-limited by a
-//     per-thread counter (Config.SampleEvery);
+//   - the profiler consumes no event of the uncontended lock/unlock
+//     fast path; with it disabled every emit is one atomic load, a
+//     test and a not-taken branch, and allocates nothing (enforced by
+//     overhead_test.go);
+//   - it consumes only slow-path events. Stack capture — the expensive
+//     part — happens only on sampled slow-path entries, rate-limited by
+//     a per-thread counter (Config.SampleEvery);
 //   - all bookkeeping is lock-free: records live in fixed-size sharded
 //     tables of atomic pointers (see table.go), so a hook can never
 //     block behind another thread's bookkeeping, and the profiler's
@@ -31,6 +32,7 @@ package lockprof
 import (
 	"sync/atomic"
 
+	"thinlock/internal/lockevent"
 	"thinlock/internal/object"
 	"thinlock/internal/telemetry"
 	"thinlock/internal/threading"
@@ -81,7 +83,7 @@ type threadSlot struct {
 // use.
 type Profiler struct {
 	sampleEvery uint32
-	startNs     int64 // telemetry.Now at creation, for profile duration
+	startNs     int64 // lockevent.Now at creation, for profile duration
 
 	sites siteTable
 	objs  objTable
@@ -96,7 +98,7 @@ func New(cfg Config) *Profiler {
 	}
 	return &Profiler{
 		sampleEvery: uint32(se),
-		startNs:     telemetry.Now(),
+		startNs:     lockevent.Now(),
 	}
 }
 
@@ -123,16 +125,7 @@ func (p *Profiler) SlowPathEnter(t *threading.Thread, o *object.Object) {
 	if n := s.tick.Add(1); p.sampleEvery > 1 && n%p.sampleEvery != 0 {
 		return
 	}
-	var k SiteKey
-	if t != nil {
-		if method, pc, ok := t.Frame(); ok {
-			k.VMMethod, k.VMPC = method, pc
-		}
-	}
-	if !k.IsVM() {
-		captureGoSite(&k, 1)
-	}
-	site := p.sites.get(k)
+	site := p.sites.get(lockevent.Capture(t, 0))
 	obj := p.objs.get(o.ID(), o.Class())
 	if site != nil {
 		site.SlowEntries.Add(1)
@@ -168,7 +161,7 @@ func (p *Profiler) SlowPathExit(t *threading.Thread, o *object.Object, delayNs i
 	}
 	s.heldSite.Store(site)
 	s.heldObj.Store(obj)
-	s.acqNs.Store(telemetry.Now())
+	s.acqNs.Store(lockevent.Now())
 	s.heldID.Store(o.ID())
 }
 
@@ -196,6 +189,16 @@ func (p *Profiler) Park(t *threading.Thread, ns int64) {
 	}
 }
 
+// siteOf returns the in-flight sampled site, or captures the site of
+// an unsampled event (inflations, revocations and deflations are rare
+// and recorded unconditionally).
+func (p *Profiler) siteOf(t *threading.Thread) *SiteRecord {
+	if site := p.slot(t).site.Load(); site != nil {
+		return site
+	}
+	return p.sites.get(lockevent.Capture(t, 1))
+}
+
 // Inflation records an inflation of o with the given cause. Inflations
 // are rare and are the paper's key distributional event, so they are
 // recorded unconditionally (not sampled): if no sampled site is in
@@ -204,20 +207,7 @@ func (p *Profiler) Inflation(t *threading.Thread, o *object.Object, cause Inflat
 	if cause >= NumCauses {
 		return
 	}
-	site := p.slot(t).site.Load()
-	if site == nil {
-		var k SiteKey
-		if t != nil {
-			if method, pc, ok := t.Frame(); ok {
-				k.VMMethod, k.VMPC = method, pc
-			}
-		}
-		if !k.IsVM() {
-			captureGoSite(&k, 1)
-		}
-		site = p.sites.get(k)
-	}
-	if site != nil {
+	if site := p.siteOf(t); site != nil {
 		site.Inflations[cause].Add(1)
 	}
 	if obj := p.objs.get(o.ID(), o.Class()); obj != nil {
@@ -235,20 +225,7 @@ func (p *Profiler) Revocation(t *threading.Thread, o *object.Object, cause Infla
 	if cause >= NumCauses {
 		return
 	}
-	site := p.slot(t).site.Load()
-	if site == nil {
-		var k SiteKey
-		if t != nil {
-			if method, pc, ok := t.Frame(); ok {
-				k.VMMethod, k.VMPC = method, pc
-			}
-		}
-		if !k.IsVM() {
-			captureGoSite(&k, 1)
-		}
-		site = p.sites.get(k)
-	}
-	if site != nil {
+	if site := p.siteOf(t); site != nil {
 		site.Revocations[cause].Add(1)
 	}
 	if obj := p.objs.get(o.ID(), o.Class()); obj != nil {
@@ -262,20 +239,7 @@ func (p *Profiler) Revocation(t *threading.Thread, o *object.Object, cause Infla
 // unconditionally; the acting thread is the releasing owner, so the
 // captured site is where the lock went quiescent.
 func (p *Profiler) Deflation(t *threading.Thread, o *object.Object) {
-	site := p.slot(t).site.Load()
-	if site == nil {
-		var k SiteKey
-		if t != nil {
-			if method, pc, ok := t.Frame(); ok {
-				k.VMMethod, k.VMPC = method, pc
-			}
-		}
-		if !k.IsVM() {
-			captureGoSite(&k, 1)
-		}
-		site = p.sites.get(k)
-	}
-	if site != nil {
+	if site := p.siteOf(t); site != nil {
 		site.Deflations.Add(1)
 	}
 	if obj := p.objs.get(o.ID(), o.Class()); obj != nil {
@@ -296,7 +260,7 @@ func (p *Profiler) UnlockSlow(t *threading.Thread, o *object.Object) {
 		return
 	}
 	s.heldID.Store(0)
-	ns := telemetry.Now() - s.acqNs.Load()
+	ns := lockevent.Now() - s.acqNs.Load()
 	if ns < 0 {
 		ns = 0
 	}
@@ -308,7 +272,9 @@ func (p *Profiler) UnlockSlow(t *threading.Thread, o *object.Object) {
 	}
 	// The measured hold also feeds the global hold-time distribution, so
 	// windowed hold percentiles (lockscope) exist without per-site math.
-	telemetry.Observe(t, telemetry.HistHoldNs, ns)
+	if m := telemetry.Active(); m != nil {
+		m.Observe(t, telemetry.HistHoldNs, ns)
+	}
 }
 
 // Drops reports how many events the bounded tables discarded.
@@ -316,72 +282,53 @@ func (p *Profiler) Drops() (sites, objects uint64) {
 	return p.sites.drops.Load(), p.objs.drops.Load()
 }
 
-// active is the globally installed Profiler the hook helpers feed.
-var active atomic.Pointer[Profiler]
-
-// Enable installs p as the global hook target (nil disables) and
-// returns p.
-func Enable(p *Profiler) *Profiler {
-	active.Store(p)
-	return p
-}
-
-// Disable uninstalls the global hook target.
-func Disable() { active.Store(nil) }
-
-// Active returns the installed Profiler, or nil when disabled. Slow
-// paths that fire several hooks load it once.
-func Active() *Profiler { return active.Load() }
-
-// Enabled reports whether a global Profiler is installed.
-//
-//lockvet:noalloc
-func Enabled() bool { return active.Load() != nil }
-
-// CASFailure records a CAS retry on the installed Profiler; a no-op
-// (one atomic load, one branch, no allocation) when disabled.
-func CASFailure(t *threading.Thread) {
-	if p := active.Load(); p != nil {
+// LockEvent implements lockevent.Observer.
+func (p *Profiler) LockEvent(k lockevent.Kind, t *threading.Thread, o *object.Object, v int64) {
+	switch k {
+	case lockevent.SlowEnter:
+		p.SlowPathEnter(t, o)
+	case lockevent.SlowExit:
+		p.SlowPathExit(t, o, v)
+	case lockevent.CASFail:
 		p.CASFailure(t)
-	}
-}
-
-// Inflation records an inflation on the installed Profiler; no-op when
-// disabled.
-func Inflation(t *threading.Thread, o *object.Object, cause InflationCause) {
-	if p := active.Load(); p != nil {
-		p.Inflation(t, o, cause)
-	}
-}
-
-// Revocation records a bias revocation on the installed Profiler;
-// no-op when disabled.
-func Revocation(t *threading.Thread, o *object.Object, cause InflationCause) {
-	if p := active.Load(); p != nil {
-		p.Revocation(t, o, cause)
-	}
-}
-
-// Deflation records a deflation on the installed Profiler; no-op when
-// disabled.
-func Deflation(t *threading.Thread, o *object.Object) {
-	if p := active.Load(); p != nil {
+	case lockevent.Unpark:
+		p.Park(t, v)
+	case lockevent.InflateContention, lockevent.InflateOverflow, lockevent.InflateWait:
+		p.Inflation(t, o, InflationCause(k-lockevent.InflateContention))
+	case lockevent.RevokeContention, lockevent.RevokeOverflow, lockevent.RevokeWait:
+		p.Revocation(t, o, InflationCause(k-lockevent.RevokeContention))
+	case lockevent.Deflate:
 		p.Deflation(t, o)
-	}
-}
-
-// Park records parked time on the installed Profiler; no-op when
-// disabled.
-func Park(t *threading.Thread, ns int64) {
-	if p := active.Load(); p != nil {
-		p.Park(t, ns)
-	}
-}
-
-// UnlockSlow records a slow-path unlock on the installed Profiler;
-// no-op when disabled.
-func UnlockSlow(t *threading.Thread, o *object.Object) {
-	if p := active.Load(); p != nil {
+	case lockevent.SlowUnlock:
 		p.UnlockSlow(t, o)
 	}
 }
+
+// consumes is the set of kinds LockEvent records; Sites makes the
+// interpreter publish its frames.
+var consumes = lockevent.Sites | lockevent.Of(
+	lockevent.SlowEnter, lockevent.SlowExit, lockevent.CASFail, lockevent.Unpark,
+	lockevent.InflateContention, lockevent.InflateOverflow, lockevent.InflateWait,
+	lockevent.RevokeContention, lockevent.RevokeOverflow, lockevent.RevokeWait,
+	lockevent.Deflate, lockevent.SlowUnlock)
+
+// active is the globally installed Profiler.
+var active atomic.Pointer[Profiler]
+
+// Enable installs p as the global lock-event observer (nil disables)
+// and returns p.
+func Enable(p *Profiler) *Profiler {
+	active.Store(p)
+	var obs lockevent.Observer // stays nil for a nil p
+	if p != nil {
+		obs = p
+	}
+	lockevent.Install(lockevent.SlotProfiler, obs, consumes)
+	return p
+}
+
+// Disable uninstalls the global observer.
+func Disable() { Enable(nil) }
+
+// Active returns the installed Profiler, or nil when disabled.
+func Active() *Profiler { return active.Load() }

@@ -8,7 +8,9 @@ import (
 	"testing"
 	"unicode/utf8"
 
+	"thinlock/internal/biased"
 	"thinlock/internal/core"
+	"thinlock/internal/lockapi"
 	"thinlock/internal/lockprof"
 	"thinlock/internal/object"
 	"thinlock/internal/telemetry"
@@ -25,34 +27,41 @@ func newProfiledFixture(t testing.TB) (*lockprof.Profiler, *lockFixture) {
 	return p, newLockFixture(t)
 }
 
+// TestNestedSlowPathIsAttributed runs over ThinLock and Biased (with
+// reservation off, so nesting takes Biased's own slow path): either
+// way the label must skip the implementation's frames.
 func TestNestedSlowPathIsAttributed(t *testing.T) {
-	p, f := newProfiledFixture(t)
-	for i := 0; i < 10; i++ {
-		f.l.Lock(f.th, f.o)
-		f.l.Lock(f.th, f.o) // nested: slow path, sampled
-		f.l.Unlock(f.th, f.o)
-		f.l.Unlock(f.th, f.o)
-	}
-	snap := p.Snapshot()
-	if len(snap.Sites) == 0 {
-		t.Fatal("no sites recorded")
-	}
-	site := snap.Sites[0]
-	if site.SlowEntries != 10 {
-		t.Errorf("slow entries = %d, want 10", site.SlowEntries)
-	}
-	if site.Kind != "go" {
-		t.Errorf("kind = %q, want go", site.Kind)
-	}
-	// The display label must land on this test, not lock machinery.
-	if !strings.Contains(site.Label, "lockprof_test") && !strings.Contains(site.Label, "TestNestedSlowPath") {
-		t.Errorf("label %q does not name the workload frame", site.Label)
-	}
-	if len(snap.Objects) != 1 || snap.Objects[0].SlowEntries != 10 {
-		t.Fatalf("objects = %+v, want one with 10 slow entries", snap.Objects)
-	}
-	if snap.Objects[0].Class != "Object" {
-		t.Errorf("object class = %q, want Object", snap.Objects[0].Class)
+	for _, l := range []lockapi.Locker{core.NewDefault(), biased.New(biased.Options{DisableBias: true})} {
+		t.Run(l.Name(), func(t *testing.T) {
+			p, f := newProfiledFixture(t)
+			for i := 0; i < 10; i++ {
+				l.Lock(f.th, f.o)
+				l.Lock(f.th, f.o) // nested: slow path, sampled
+				l.Unlock(f.th, f.o)
+				l.Unlock(f.th, f.o)
+			}
+			snap := p.Snapshot()
+			if len(snap.Sites) == 0 {
+				t.Fatal("no sites recorded")
+			}
+			site := snap.Sites[0]
+			if site.SlowEntries != 10 {
+				t.Errorf("slow entries = %d, want 10", site.SlowEntries)
+			}
+			if site.Kind != "go" {
+				t.Errorf("kind = %q, want go", site.Kind)
+			}
+			// The display label must land on this test, not lock machinery.
+			if !strings.Contains(site.Label, "lockprof_test") && !strings.Contains(site.Label, "TestNestedSlowPath") {
+				t.Errorf("label %q does not name the workload frame", site.Label)
+			}
+			if len(snap.Objects) != 1 || snap.Objects[0].SlowEntries != 10 {
+				t.Fatalf("objects = %+v, want one with 10 slow entries", snap.Objects)
+			}
+			if snap.Objects[0].Class != "Object" {
+				t.Errorf("object class = %q, want Object", snap.Objects[0].Class)
+			}
+		})
 	}
 }
 

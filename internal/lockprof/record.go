@@ -1,6 +1,10 @@
 package lockprof
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"thinlock/internal/lockevent"
+)
 
 // InflationCause classifies why a thin lock inflated, mirroring the
 // three inflation counters of internal/telemetry (and of the paper's
@@ -39,7 +43,7 @@ func (c InflationCause) String() string {
 // published once into the site table and then only ever added to.
 type SiteRecord struct {
 	// Key identifies the site.
-	Key SiteKey
+	Key lockevent.Site
 
 	// SlowEntries counts sampled slow-path acquisitions at this site.
 	SlowEntries atomic.Uint64

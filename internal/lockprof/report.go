@@ -6,6 +6,7 @@ import (
 	"io"
 	"sort"
 
+	"thinlock/internal/lockevent"
 	"thinlock/internal/telemetry"
 )
 
@@ -17,7 +18,7 @@ type SiteStat struct {
 	// Kind is "vm" or "go".
 	Kind string `json:"kind"`
 	// Frames is the symbolized stack, leaf first.
-	Frames []Frame `json:"frames"`
+	Frames []lockevent.Frame `json:"frames"`
 
 	SlowEntries uint64            `json:"slow_entries"`
 	CASFailures uint64            `json:"cas_failures"`
@@ -27,8 +28,6 @@ type SiteStat struct {
 	ParkNs      uint64            `json:"park_ns"`
 	DelayNs     uint64            `json:"delay_ns"`
 	HoldNs      uint64            `json:"hold_ns"`
-
-	key SiteKey
 }
 
 // InflationTotal sums the per-cause inflation counts.
@@ -84,14 +83,14 @@ type Snapshot struct {
 func (p *Profiler) Snapshot() *Snapshot {
 	snap := &Snapshot{
 		SampleEvery: int(p.sampleEvery),
-		DurationNs:  telemetry.Now() - p.startNs,
+		DurationNs:  lockevent.Now() - p.startNs,
 	}
 	snap.SiteDrops, snap.ObjectDrops = p.Drops()
 
 	for _, r := range p.sites.snapshot() {
-		frames := r.Key.symbolize()
+		frames := r.Key.Frames()
 		st := SiteStat{
-			Label:       label(frames),
+			Label:       lockevent.Label(frames),
 			Kind:        "go",
 			Frames:      frames,
 			SlowEntries: r.SlowEntries.Load(),
@@ -100,7 +99,6 @@ func (p *Profiler) Snapshot() *Snapshot {
 			ParkNs:      r.ParkNs.Load(),
 			DelayNs:     r.DelayNs.Load(),
 			HoldNs:      r.HoldNs.Load(),
-			key:         r.Key,
 		}
 		if r.Key.IsVM() {
 			st.Kind = "vm"
@@ -188,7 +186,6 @@ func mergeSitesByLabel(sites []SiteStat) []SiteStat {
 		dst := &out[i]
 		if st.SlowEntries > dst.SlowEntries {
 			dst.Frames = st.Frames
-			dst.key = st.key
 		}
 		dst.SlowEntries += st.SlowEntries
 		dst.CASFailures += st.CASFailures

@@ -1,6 +1,10 @@
 package lockprof
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"thinlock/internal/lockevent"
+)
 
 // The profiler's per-site and per-object tables are fixed-size,
 // open-addressed hash tables of atomic record pointers, split into
@@ -29,7 +33,7 @@ type siteShard struct {
 	slots [siteSlotsPerShard]atomic.Pointer[SiteRecord]
 }
 
-// siteTable maps SiteKeys to records.
+// siteTable maps sites to records.
 type siteTable struct {
 	shards [numShards]siteShard
 	drops  atomic.Uint64
@@ -38,8 +42,8 @@ type siteTable struct {
 // get returns the record for k, inserting a fresh one if needed.
 // Returns nil (and counts a drop) when the shard's probe window is
 // full. Safe for concurrent use; the insert allocates once per site.
-func (tb *siteTable) get(k SiteKey) *SiteRecord {
-	h := k.hash()
+func (tb *siteTable) get(k lockevent.Site) *SiteRecord {
+	h := k.Hash()
 	sh := &tb.shards[(h>>60)&(numShards-1)]
 	idx := h & (siteSlotsPerShard - 1)
 	for i := uint64(0); i < maxProbe; i++ {

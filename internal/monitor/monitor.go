@@ -25,8 +25,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"thinlock/internal/lockprof"
-	"thinlock/internal/telemetry"
+	"thinlock/internal/lockevent"
 	"thinlock/internal/threading"
 )
 
@@ -142,7 +141,7 @@ func (m *Monitor) Retire(t *threading.Thread) bool {
 	m.owner = nil
 	m.count = 0
 	m.retired = true
-	telemetry.Inc(t, telemetry.CtrMonitorRetirements)
+	lockevent.Emit(lockevent.Retire, t, nil)
 	return true
 }
 
@@ -160,7 +159,7 @@ func (m *Monitor) RetireDroppingQueue(t *threading.Thread) bool {
 	m.owner = nil
 	m.count = 0
 	m.retired = true
-	telemetry.Inc(t, telemetry.CtrMonitorRetirements)
+	lockevent.Emit(lockevent.Retire, t, nil)
 	return true
 }
 
@@ -201,25 +200,10 @@ func (m *Monitor) enterWithCount(t *threading.Thread, c uint32) bool {
 	m.contended.Add(1)
 	depth := len(m.entry)
 	m.latch.Unlock()
-	tm := telemetry.Active()
-	p := lockprof.Active()
-	if tm == nil && p == nil {
-		<-n.granted // direct handoff: owner/count already set for us
-		return true
-	}
-	if tm != nil {
-		tm.Inc(t, telemetry.CtrMonitorContendedEntries)
-		tm.Observe(t, telemetry.HistEntryQueueDepth, int64(depth))
-	}
-	start := telemetry.Now()
+	lockevent.EmitValue(lockevent.Enqueue, t, nil, int64(depth))
+	start := lockevent.Start(lockevent.Unpark)
 	<-n.granted // direct handoff: owner/count already set for us
-	stalled := telemetry.Now() - start
-	if tm != nil {
-		tm.Observe(t, telemetry.HistMonitorStallNs, stalled)
-	}
-	if p != nil {
-		p.Park(t, stalled)
-	}
+	lockevent.End(lockevent.Unpark, t, nil, start)
 	return true
 }
 
@@ -291,7 +275,7 @@ func (m *Monitor) handoffLocked() {
 	m.owner = n.t
 	m.count = n.reentry
 	n.state = stateGranted
-	telemetry.Inc(n.t, telemetry.CtrMonitorHandoffs)
+	lockevent.Emit(lockevent.Handoff, n.t, nil)
 	n.granted <- struct{}{}
 }
 
@@ -316,7 +300,7 @@ func (m *Monitor) Wait(t *threading.Thread, d time.Duration) (notified bool, err
 		return false, threading.ErrInterrupted
 	}
 	m.waitCount.Add(1)
-	telemetry.Inc(t, telemetry.CtrWaits)
+	lockevent.Emit(lockevent.MonitorWait, t, nil)
 	n := &node{
 		t:       t,
 		granted: make(chan struct{}, 1),
@@ -337,7 +321,7 @@ func (m *Monitor) Wait(t *threading.Thread, d time.Duration) (notified bool, err
 		case <-n.granted:
 			notified = true
 		case <-timer.C:
-			telemetry.Inc(t, telemetry.CtrWaitTimerWakeups)
+			lockevent.Emit(lockevent.WaitTimeout, t, nil)
 		case <-n.intr:
 			interrupted = true
 		}
@@ -415,7 +399,7 @@ func (m *Monitor) Notify(t *threading.Thread) error {
 		return ErrIllegalMonitorState
 	}
 	m.notifies.Add(1)
-	telemetry.Inc(t, telemetry.CtrNotifies)
+	lockevent.Emit(lockevent.Notify, t, nil)
 	m.notifyOneLocked()
 	return nil
 }
@@ -428,7 +412,7 @@ func (m *Monitor) NotifyAll(t *threading.Thread) error {
 		return ErrIllegalMonitorState
 	}
 	m.notifies.Add(1)
-	telemetry.Inc(t, telemetry.CtrNotifies)
+	lockevent.Emit(lockevent.Notify, t, nil)
 	for len(m.waits) > 0 {
 		m.notifyOneLocked()
 	}

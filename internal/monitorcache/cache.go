@@ -23,11 +23,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"thinlock/internal/lockdep"
-	"thinlock/internal/lockprof"
+	"thinlock/internal/lockevent"
 	"thinlock/internal/monitor"
 	"thinlock/internal/object"
-	"thinlock/internal/telemetry"
 	"thinlock/internal/threading"
 )
 
@@ -131,12 +129,12 @@ func (c *Cache) PoolSize() int {
 // eventually call unpin.
 func (c *Cache) lookup(t *threading.Thread, o *object.Object) *entry {
 	c.lookups.Add(1)
-	telemetry.Inc(t, telemetry.CtrCacheLookups)
+	lockevent.Emit(lockevent.CacheLookup, t, o)
 	c.mu.Lock()
 	e, ok := c.table[o.ID()]
 	if !ok {
 		c.misses.Add(1)
-		telemetry.Inc(t, telemetry.CtrCacheMisses)
+		lockevent.Emit(lockevent.CacheMiss, t, o)
 		e = c.takeFreeLocked()
 		e.objID = o.ID()
 		c.table[o.ID()] = e
@@ -150,7 +148,7 @@ func (c *Cache) lookup(t *threading.Thread, o *object.Object) *entry {
 // object has no monitor bound (it cannot be locked).
 func (c *Cache) lookupExisting(t *threading.Thread, o *object.Object) *entry {
 	c.lookups.Add(1)
-	telemetry.Inc(t, telemetry.CtrCacheLookups)
+	lockevent.Emit(lockevent.CacheLookup, t, o)
 	c.mu.Lock()
 	e := c.table[o.ID()]
 	if e != nil {
@@ -184,7 +182,7 @@ func (c *Cache) takeFreeLocked() *entry {
 // blames for JDK111's MultiSync slowdown. Caller holds c.mu.
 func (c *Cache) sweepLocked() {
 	c.sweeps.Add(1)
-	telemetry.Inc(nil, telemetry.CtrCacheSweeps)
+	lockevent.Emit(lockevent.CacheSweep, nil, nil)
 	for id, e := range c.table {
 		if e.pins == 0 && e.mon.Quiescent() {
 			delete(c.table, id)
@@ -203,27 +201,17 @@ func (c *Cache) unpin(e *entry) {
 }
 
 // Lock implements lockapi.Locker. Every JDK111 acquisition is a slow
-// path — there is no fast path to protect — so the whole operation is
-// reported to the contention profiler.
+// path — there is no fast path to protect — so every one is reported
+// as a slow-path span.
 func (c *Cache) Lock(t *threading.Thread, o *object.Object) {
-	if p := lockprof.Active(); p != nil {
-		p.SlowPathEnter(t, o)
-		start := telemetry.Now()
-		c.lockBody(t, o)
-		p.SlowPathExit(t, o, telemetry.Now()-start)
-	} else {
-		c.lockBody(t, o)
-	}
-	if d := lockdep.Active(); d != nil {
-		d.Acquired(t, o)
-	}
-}
-
-func (c *Cache) lockBody(t *threading.Thread, o *object.Object) {
+	lockevent.Emit(lockevent.SlowEnter, t, o)
+	start := lockevent.Start(lockevent.SlowExit)
 	e := c.lookup(t, o)
-	lockdep.Blocked(t, o, lockdep.WaitFat)
+	lockevent.EmitValue(lockevent.Block, t, o, int64(lockevent.WaitFat))
 	e.mon.Enter(t)
 	c.unpin(e)
+	lockevent.End(lockevent.SlowExit, t, o, start)
+	lockevent.Emit(lockevent.Acquire, t, o)
 }
 
 // Unlock implements lockapi.Locker. Like monitorenter, monitorexit must
@@ -231,15 +219,13 @@ func (c *Cache) lockBody(t *threading.Thread, o *object.Object) {
 func (c *Cache) Unlock(t *threading.Thread, o *object.Object) error {
 	err := c.unlockBody(t, o)
 	if err == nil {
-		if d := lockdep.Active(); d != nil {
-			d.Released(t, o)
-		}
+		lockevent.Emit(lockevent.Release, t, o)
 	}
 	return err
 }
 
 func (c *Cache) unlockBody(t *threading.Thread, o *object.Object) error {
-	lockprof.UnlockSlow(t, o)
+	lockevent.Emit(lockevent.SlowUnlock, t, o)
 	e := c.lookupExisting(t, o)
 	if e == nil {
 		return ErrIllegalMonitorState
@@ -252,16 +238,8 @@ func (c *Cache) unlockBody(t *threading.Thread, o *object.Object) error {
 // Wait implements lockapi.Locker. The pin spans the whole wait so the
 // sweep never recycles a monitor with a waiter in flight.
 func (c *Cache) Wait(t *threading.Thread, o *object.Object, d time.Duration) (bool, error) {
-	if ld := lockdep.Active(); ld != nil {
-		ld.CondWaitBegin(t, o)
-		notified, err := c.waitBody(t, o, d)
-		ld.CondWaitEnd(t, o)
-		return notified, err
-	}
-	return c.waitBody(t, o, d)
-}
-
-func (c *Cache) waitBody(t *threading.Thread, o *object.Object, d time.Duration) (bool, error) {
+	lockevent.Emit(lockevent.WaitBegin, t, o)
+	defer lockevent.Emit(lockevent.WaitEnd, t, o)
 	e := c.lookupExisting(t, o)
 	if e == nil {
 		return false, ErrIllegalMonitorState

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"thinlock/internal/core"
+	"thinlock/internal/lockevent"
 	"thinlock/internal/object"
 	"thinlock/internal/telemetry"
 	"thinlock/internal/threading"
@@ -170,13 +171,14 @@ func BenchmarkNestedLockUnlock(b *testing.B) {
 	})
 }
 
-// BenchmarkHookDispatch isolates one disabled vs enabled hook call.
+// BenchmarkHookDispatch isolates one disabled vs enabled emit of a
+// counted event.
 func BenchmarkHookDispatch(b *testing.B) {
 	b.Run("Disabled", func(b *testing.B) {
 		telemetry.Disable()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			telemetry.Inc(nil, telemetry.CtrSlowPathEntries)
+			lockevent.Emit(lockevent.SlowEnter, nil, nil)
 		}
 	})
 	b.Run("Enabled", func(b *testing.B) {
@@ -184,7 +186,7 @@ func BenchmarkHookDispatch(b *testing.B) {
 		defer telemetry.Disable()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			telemetry.Inc(nil, telemetry.CtrSlowPathEntries)
+			lockevent.Emit(lockevent.SlowEnter, nil, nil)
 		}
 	})
 }

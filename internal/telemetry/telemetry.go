@@ -13,12 +13,17 @@
 //   - recording a counter is one atomic add into a shard selected by the
 //     acting thread's index, so concurrent threads do not share cache
 //     lines on the hot counters;
-//   - every hook site is guarded by a single atomic pointer load
-//     (Active/Enabled); with telemetry disabled a hook compiles to a
-//     load, a compare and a not-taken branch, and allocates nothing;
-//   - hooks live only on slow paths (lock slow path, monitor queueing,
-//     cache lookups) plus the VM's monitorenter/monitorexit dispatch —
-//     the paper's 17-instruction thin-lock fast path is untouched.
+//   - the counters are fed by internal/lockevent, the lock
+//     implementations' one event path: Enable installs the Telemetry as
+//     an observer of the counted kinds and the timed spans. It does not
+//     consume acquire and release, so with only telemetry enabled the
+//     uncontended thin-lock cycle calls no observer, and disabled it
+//     costs every emit one load and a not-taken branch, allocating
+//     nothing;
+//   - the counted events come from slow paths (lock slow path, monitor
+//     queueing, cache lookups) plus the VM's monitorenter/monitorexit
+//     dispatch and the biased owner's reacquire — the paper's
+//     17-instruction thin-lock fast path emits nothing telemetry counts.
 //
 // The overhead contract is enforced by the benchmarks and allocation
 // tests in overhead_test.go.
@@ -27,109 +32,56 @@ package telemetry
 import (
 	"math/bits"
 	"sync/atomic"
-	"time"
 
+	"thinlock/internal/lockevent"
+	"thinlock/internal/object"
 	"thinlock/internal/threading"
 )
 
-// Counter enumerates the runtime counters. The order defines the layout
-// of a shard and of Snapshot arrays; names are given by Name.
+// Counter enumerates the runtime counters: one per counted
+// lockevent kind, at the kind's own index, so an event needs no mapping
+// to find its counter. Each counts the events of its kind; see the kind
+// for what the event is. Names are given by Name.
 type Counter uint8
 
 const (
-	// CtrSlowPathEntries counts thin-lock acquisitions that left the
-	// inlined fast path (nested locks, inflated locks, contention).
-	CtrSlowPathEntries Counter = iota
-	// CtrCASFailures counts compare-and-swap attempts on the lock word
-	// that lost a race and had to retry.
-	CtrCASFailures
-	// CtrInflationsContention counts inflations caused by contention for
-	// a thin lock.
-	CtrInflationsContention
-	// CtrInflationsOverflow counts inflations caused by nested-count
-	// overflow.
-	CtrInflationsOverflow
-	// CtrInflationsWait counts inflations caused by waiting on a
-	// thin-locked object.
-	CtrInflationsWait
-	// CtrDeflations counts fat locks turned back into thin locks.
-	CtrDeflations
-	// CtrSpinRounds counts individual back-off pauses while spinning on
-	// a thin lock held by another thread.
-	CtrSpinRounds
-	// CtrQueuedParks counts contenders parked on a flat-lock-contention
-	// queue (queued-inflation extension).
-	CtrQueuedParks
-	// CtrFLCWakeups counts owner-side contention-queue wakeups.
-	CtrFLCWakeups
-	// CtrMonitorContendedEntries counts monitor entries that had to join
-	// the entry queue.
-	CtrMonitorContendedEntries
-	// CtrMonitorHandoffs counts direct ownership handoffs from an
-	// exiting owner to the head of the entry queue.
-	CtrMonitorHandoffs
-	// CtrMonitorRetirements counts monitors retired by the deflation
-	// extension.
-	CtrMonitorRetirements
-	// CtrWaits counts monitor Wait calls.
-	CtrWaits
-	// CtrWaitTimerWakeups counts waits whose wakeup came from the timer
-	// rather than a notification.
-	CtrWaitTimerWakeups
-	// CtrNotifies counts Notify and NotifyAll calls.
-	CtrNotifies
-	// CtrVMMonitorEnter counts monitorenter opcodes executed by the
-	// bytecode interpreter.
-	CtrVMMonitorEnter
-	// CtrVMMonitorExit counts monitorexit opcodes executed by the
-	// bytecode interpreter.
-	CtrVMMonitorExit
-	// CtrCacheLookups counts JDK111 monitor-cache consultations.
-	CtrCacheLookups
-	// CtrCacheMisses counts JDK111 lookups that had to bind a monitor.
-	CtrCacheMisses
-	// CtrCacheSweeps counts JDK111 free-list refill sweeps.
-	CtrCacheSweeps
-	// CtrHotOps counts IBM112 operations served through a hot slot.
-	CtrHotOps
-	// CtrColdOps counts IBM112 operations that went through the cold
-	// cache.
-	CtrColdOps
-	// CtrHotPromotions counts IBM112 objects promoted to hot slots.
-	CtrHotPromotions
-	// CtrColdSweeps counts IBM112 cold-cache cleanup scans.
-	CtrColdSweeps
-	// CtrBiasInstalls counts bias reservations installed on previously
-	// unlocked objects.
-	CtrBiasInstalls
-	// CtrBiasedAcquires counts lock acquisitions served by the biased
-	// owner fast path (no write to the shared lock word).
-	CtrBiasedAcquires
-	// CtrBiasTransfers counts stale-epoch reservations transferred to a
-	// new owner without a full revocation.
-	CtrBiasTransfers
-	// CtrBiasRevocationsContention counts revocations forced by a second
-	// thread contending for a biased object.
-	CtrBiasRevocationsContention
-	// CtrBiasRevocationsWait counts owner self-revocations forced by
-	// Wait on a biased object.
-	CtrBiasRevocationsWait
-	// CtrBiasRevocationsOverflow counts owner self-revocations forced by
-	// recursion past the biased depth limit.
-	CtrBiasRevocationsOverflow
-	// CtrBulkRebiases counts class-epoch bumps (bulk rebias heuristic).
-	CtrBulkRebiases
-	// CtrBulkRevokes counts classes declared unbiasable (bulk revoke).
-	CtrBulkRevokes
-	// CtrMonitorFrees counts monitor indices returned to the table's
-	// recycler after deflation (compact-monitor extension).
-	CtrMonitorFrees
-	// CtrMonitorRecycles counts inflations served with a recycled
-	// monitor index instead of extending the table.
-	CtrMonitorRecycles
+	CtrSlowPathEntries           = Counter(lockevent.SlowEnter)
+	CtrCASFailures               = Counter(lockevent.CASFail)
+	CtrInflationsContention      = Counter(lockevent.InflateContention)
+	CtrInflationsOverflow        = Counter(lockevent.InflateOverflow)
+	CtrInflationsWait            = Counter(lockevent.InflateWait)
+	CtrDeflations                = Counter(lockevent.Deflate)
+	CtrSpinRounds                = Counter(lockevent.Spin)
+	CtrQueuedParks               = Counter(lockevent.QueuedPark)
+	CtrFLCWakeups                = Counter(lockevent.QueueWake)
+	CtrMonitorContendedEntries   = Counter(lockevent.Enqueue)
+	CtrMonitorHandoffs           = Counter(lockevent.Handoff)
+	CtrMonitorRetirements        = Counter(lockevent.Retire)
+	CtrWaits                     = Counter(lockevent.MonitorWait)
+	CtrWaitTimerWakeups          = Counter(lockevent.WaitTimeout)
+	CtrNotifies                  = Counter(lockevent.Notify)
+	CtrVMMonitorEnter            = Counter(lockevent.VMEnter)
+	CtrVMMonitorExit             = Counter(lockevent.VMExit)
+	CtrCacheLookups              = Counter(lockevent.CacheLookup)
+	CtrCacheMisses               = Counter(lockevent.CacheMiss)
+	CtrCacheSweeps               = Counter(lockevent.CacheSweep)
+	CtrHotOps                    = Counter(lockevent.HotOp)
+	CtrColdOps                   = Counter(lockevent.ColdOp)
+	CtrHotPromotions             = Counter(lockevent.HotPromote)
+	CtrColdSweeps                = Counter(lockevent.ColdSweep)
+	CtrBiasInstalls              = Counter(lockevent.BiasInstall)
+	CtrBiasedAcquires            = Counter(lockevent.BiasAcquire)
+	CtrBiasTransfers             = Counter(lockevent.BiasTransfer)
+	CtrBiasRevocationsContention = Counter(lockevent.RevokeContention)
+	CtrBiasRevocationsOverflow   = Counter(lockevent.RevokeOverflow)
+	CtrBiasRevocationsWait       = Counter(lockevent.RevokeWait)
+	CtrBulkRebiases              = Counter(lockevent.BulkRebias)
+	CtrBulkRevokes               = Counter(lockevent.BulkRevoke)
+	CtrMonitorFrees              = Counter(lockevent.Free)
+	CtrMonitorRecycles           = Counter(lockevent.Recycle)
 
 	// NumCounters is the number of defined counters.
-	NumCounters
+	NumCounters = Counter(lockevent.NumCounted)
 )
 
 // counterNames are the stable metric names (snake_case, used as JSON
@@ -352,25 +304,48 @@ func (m *Telemetry) Counter(c Counter) uint64 {
 	return n
 }
 
-// active is the globally installed Telemetry the hook helpers feed.
+// LockEvent implements lockevent.Observer: a counted kind adds one to
+// the counter at its index, and the timed kinds feed their histograms.
+//
+//lockvet:noalloc
+func (m *Telemetry) LockEvent(k lockevent.Kind, t *threading.Thread, _ *object.Object, v int64) {
+	if k < lockevent.NumCounted {
+		m.Inc(t, Counter(k))
+	}
+	switch k {
+	case lockevent.Enqueue:
+		m.Observe(t, HistEntryQueueDepth, v)
+	case lockevent.SlowExit:
+		m.Observe(t, HistAcquireSlowNs, v)
+	case lockevent.Unpark:
+		m.Observe(t, HistMonitorStallNs, v)
+	case lockevent.Unblock:
+		m.Observe(t, HistBiasHandshakeNs, v)
+	}
+}
+
+// consumes is the set of kinds LockEvent records.
+var consumes = lockevent.Counted | lockevent.Of(lockevent.SlowExit, lockevent.Unpark, lockevent.Unblock)
+
+// active is the globally installed Telemetry.
 var active atomic.Pointer[Telemetry]
 
-// base anchors Now; time.Since on a monotonic base compiles to a
-// nanotime read and a subtraction, with no allocation.
-var base = time.Now()
-
-// Enable installs m as the global hook target (nil disables) and
-// returns m.
+// Enable installs m as the global lock-event observer (nil disables)
+// and returns m.
 func Enable(m *Telemetry) *Telemetry {
 	active.Store(m)
+	var obs lockevent.Observer // stays nil for a nil m
+	if m != nil {
+		obs = m
+	}
+	lockevent.Install(lockevent.SlotTelemetry, obs, consumes)
 	return m
 }
 
-// Disable uninstalls the global hook target.
-func Disable() { active.Store(nil) }
+// Disable uninstalls the global observer.
+func Disable() { Enable(nil) }
 
-// Active returns the installed Telemetry, or nil when disabled. Hook
-// sites that need several recordings (or a timestamp) load it once.
+// Active returns the installed Telemetry, or nil when disabled.
 //
 //lockvet:noalloc
 func Active() *Telemetry { return active.Load() }
@@ -380,37 +355,9 @@ func Active() *Telemetry { return active.Load() }
 //lockvet:noalloc
 func Enabled() bool { return active.Load() != nil }
 
-// Inc records 1 to c on the installed Telemetry; a no-op (one atomic
-// load, one branch, no allocation) when disabled.
-//
-//lockvet:noalloc
-func Inc(t *threading.Thread, c Counter) {
-	if m := active.Load(); m != nil {
-		m.Inc(t, c)
-	}
-}
-
-// Add records n to c on the installed Telemetry; no-op when disabled.
-//
-//lockvet:noalloc
-func Add(t *threading.Thread, c Counter, n uint64) {
-	if m := active.Load(); m != nil {
-		m.Add(t, c, n)
-	}
-}
-
-// Observe records v into h on the installed Telemetry; no-op when
-// disabled.
-//
-//lockvet:noalloc
-func Observe(t *threading.Thread, h Histo, v int64) {
-	if m := active.Load(); m != nil {
-		m.Observe(t, h, v)
-	}
-}
-
 // Now returns monotonic nanoseconds since process start, suitable for
-// latency observations. It does not allocate.
+// latency observations: the clock of internal/lockevent's spans. It
+// does not allocate.
 //
 //lockvet:noalloc
-func Now() int64 { return int64(time.Since(base)) }
+func Now() int64 { return lockevent.Now() }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"thinlock/internal/lockevent"
 	"thinlock/internal/telemetry"
 	"thinlock/internal/threading"
 )
@@ -368,37 +369,38 @@ func TestConcurrentRecordingAndSnapshot(t *testing.T) {
 	}
 }
 
-// TestGlobalEnableDisable exercises the package-level hook funnel. Not
-// parallel: it owns the global registration (parallel tests in this
-// package only start after sequential ones finish).
+// TestGlobalEnableDisable exercises the registration with the
+// lock-event path. Not parallel: it owns the global registration
+// (parallel tests in this package only start after sequential ones
+// finish).
 func TestGlobalEnableDisable(t *testing.T) {
 	if telemetry.Enabled() {
 		t.Fatal("telemetry unexpectedly enabled at test start")
 	}
-	// Disabled: all hooks are no-ops.
-	telemetry.Inc(nil, telemetry.CtrWaits)
-	telemetry.Add(nil, telemetry.CtrWaits, 3)
-	telemetry.Observe(nil, telemetry.HistMonitorStallNs, 1)
+	// Disabled: all emits are no-ops.
+	lockevent.Emit(lockevent.MonitorWait, nil, nil)
+	lockevent.EmitValue(lockevent.Unpark, nil, nil, 1)
 
 	m := telemetry.Enable(telemetry.New())
 	defer telemetry.Disable()
 	if !telemetry.Enabled() || telemetry.Active() != m {
 		t.Fatal("Enable did not install the instance")
 	}
-	telemetry.Inc(nil, telemetry.CtrWaits)
-	telemetry.Add(nil, telemetry.CtrWaits, 2)
-	telemetry.Observe(nil, telemetry.HistMonitorStallNs, 64)
+	for i := 0; i < 3; i++ {
+		lockevent.Emit(lockevent.MonitorWait, nil, nil)
+	}
+	lockevent.EmitValue(lockevent.Unpark, nil, nil, 64)
 	if got := m.Counter(telemetry.CtrWaits); got != 3 {
-		t.Errorf("enabled hooks recorded %d, want 3", got)
+		t.Errorf("enabled emits recorded %d, want 3", got)
 	}
 	if got := m.Snapshot().Histograms["monitor_stall_ns"].Count; got != 1 {
-		t.Errorf("enabled Observe recorded %d, want 1", got)
+		t.Errorf("enabled Unpark recorded %d, want 1", got)
 	}
 
 	telemetry.Disable()
-	telemetry.Inc(nil, telemetry.CtrWaits)
+	lockevent.Emit(lockevent.MonitorWait, nil, nil)
 	if got := m.Counter(telemetry.CtrWaits); got != 3 {
-		t.Errorf("disabled hook still recorded: %d", got)
+		t.Errorf("disabled emit still recorded: %d", got)
 	}
 	if telemetry.Enabled() {
 		t.Error("Disable did not uninstall")

@@ -4,9 +4,8 @@ import (
 	"fmt"
 
 	"thinlock/internal/lockapi"
-	"thinlock/internal/lockprof"
+	"thinlock/internal/lockevent"
 	"thinlock/internal/object"
-	"thinlock/internal/telemetry"
 	"thinlock/internal/threading"
 )
 
@@ -299,7 +298,7 @@ func (v *VM) exec(t *threading.Thread, m *Method, args []Value, steps *int64) (r
 				throwf("%s: synchronized call on nil receiver", m.QualifiedName())
 			}
 		}
-		if lockprof.Enabled() {
+		if lockevent.SiteFrames() {
 			// Attribute the prologue acquisition to the method with the
 			// sentinel pc -1 (there is no monitorenter bytecode for a
 			// synchronized method's entry).
@@ -449,8 +448,8 @@ func (v *VM) exec(t *threading.Thread, m *Method, args []Value, steps *int64) (r
 			if ref.Ref == nil {
 				throwf("monitorenter on nil reference%s", m.at(pc-1))
 			}
-			telemetry.Inc(t, telemetry.CtrVMMonitorEnter)
-			if lockprof.Enabled() {
+			lockevent.Emit(lockevent.VMEnter, t, ref.Ref.Object)
+			if lockevent.SiteFrames() {
 				// Publish the bytecode site (pc was already advanced past
 				// this instruction) so a slow-path acquisition is
 				// attributed to "Class.method@pc" instead of interpreter
@@ -466,7 +465,7 @@ func (v *VM) exec(t *threading.Thread, m *Method, args []Value, steps *int64) (r
 			if ref.Ref == nil {
 				throwf("monitorexit on nil reference%s", m.at(pc-1))
 			}
-			telemetry.Inc(t, telemetry.CtrVMMonitorExit)
+			lockevent.Emit(lockevent.VMExit, t, ref.Ref.Object)
 			if err := v.locker.Unlock(t, ref.Ref.Object); err != nil {
 				throwf("illegal monitor state at monitorexit%s: %v", m.at(pc-1), err)
 			}
