@@ -38,9 +38,12 @@ race:
 # along: its lock-free sample ring (concurrent sampler vs. readers) and
 # its disabled/enabled overhead contract are race-sensitive by design.
 # So does internal/lockevent, ten times over: observer registration
-# racing with emits is its one concurrent structure.
+# racing with emits is its one concurrent structure. internal/monitor
+# runs ten times over too: its entry spin, which polls the monitor
+# between back-off pauses before it queues, races exits, handoffs and
+# retirements.
 race-locks:
-	$(GO) test -race -count=10 ./internal/biased/... ./internal/threading/... ./internal/lockevent/...
+	$(GO) test -race -count=10 ./internal/biased/... ./internal/threading/... ./internal/lockevent/... ./internal/monitor/...
 	$(GO) test -race -count=1 ./internal/core/... ./internal/lockscope/...
 
 # check runs the concurrent differential checker CLI over every lock

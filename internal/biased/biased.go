@@ -172,7 +172,9 @@ type Stats struct {
 	// SpinAcquisitions counts slow-path acquisitions that spun for a
 	// thin lock held by another thread.
 	SpinAcquisitions uint64
-	// SpinRounds counts individual back-off pauses across all spins.
+	// SpinRounds counts individual back-off pauses across all spins
+	// for a thin or revoking lock word, not the fat monitor's entry
+	// spins (those reach telemetry only, as in core).
 	SpinRounds uint64
 	// FatLocks is the number of monitors ever allocated.
 	FatLocks int

@@ -202,7 +202,7 @@ func (l *Locker) reconcileLock(t *threading.Thread, o *object.Object, s *threadi
 		m := l.table.Get(core.FatIndex(w))
 		if m.Owner() == t {
 			if uint64(m.Count())+1 == intended {
-				m.Enter(t)
+				m.Enter(t, o)
 			}
 			return true
 		}

@@ -41,7 +41,7 @@ func (l *Locker) lockSlowBody(t *threading.Thread, o *object.Object) {
 
 		case core.IsInflated(w):
 			lockevent.EmitValue(lockevent.Block, t, o, int64(lockevent.WaitFat))
-			l.table.Get(core.FatIndex(w)).Enter(t)
+			l.table.Get(core.FatIndex(w)).Enter(t, o)
 			return
 
 		case core.IsBiasRevoking(w):

@@ -172,6 +172,26 @@ func TestMinimizeShrinksToEssentialOp(t *testing.T) {
 	}
 }
 
+// TestMinimizeDropsThreadsInChunkPass: a schedule-dependent failure may
+// not reproduce when the first pass drops a whole thread, yet reproduce
+// when the chunk pass empties it. The chunk pass then drops threads
+// under its own loop and must not index past the shrunk thread list.
+func TestMinimizeDropsThreadsInChunkPass(t *testing.T) {
+	t.Parallel()
+	p := Program{
+		Objects: 1,
+		Threads: [][]Op{{{OpLock, 0}}, {{OpLock, 0}}, {{OpLock, 0}}},
+	}
+	calls := 0
+	flaky := func(Program) bool {
+		calls++
+		return calls > len(p.Threads) // the first pass's drops never reproduce
+	}
+	if min := Minimize(p, flaky); min.NumOps() != 0 {
+		t.Fatalf("Minimize left %d ops, want 0:\n%s", min.NumOps(), min)
+	}
+}
+
 // TestCheckHistory pins the trace-invariant checker on synthetic event
 // sequences: over-release, wait at depth zero, and a clean balanced run.
 func TestCheckHistory(t *testing.T) {

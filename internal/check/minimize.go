@@ -34,8 +34,9 @@ func Minimize(p Program, stillFails func(Program) bool) Program {
 			}
 		}
 
-		// Pass 2: drop chunks of ops, halving the chunk size.
-		for ti := range best.Threads {
+		// Pass 2: drop chunks of ops, halving the chunk size. A thread
+		// emptied here is dropped, so the bound is re-read every turn.
+		for ti := 0; ti < len(best.Threads); ti++ {
 			for size := len(best.Threads[ti]); size >= 1; size /= 2 {
 				for at := 0; at+size <= len(best.Threads[ti]); {
 					cand := best.clone()

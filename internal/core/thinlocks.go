@@ -121,7 +121,10 @@ type Stats struct {
 	// SpinAcquisitions counts slow-path acquisitions that had to spin
 	// for a thin lock held by another thread.
 	SpinAcquisitions uint64
-	// SpinRounds counts individual back-off pauses across all spins.
+	// SpinRounds counts individual back-off pauses across all spins
+	// for a thin lock word. A contender's spin rounds on a fat monitor
+	// are not counted here; they reach telemetry's spin_rounds as Spin
+	// events with WaitFat.
 	SpinRounds uint64
 	// Deflations counts fat locks turned back into thin locks (always 0
 	// unless the deflation extension is enabled).
@@ -275,12 +278,16 @@ func (l *ThinLocks) lockDispatch(t *threading.Thread, o *object.Object) {
 	}
 }
 
-// lockInline is the leanest fast path: load, mask, compare-and-swap.
-// This is the paper's 17-instruction common case.
+// lockInline is the leanest fast path: load, compare with the unlocked
+// image, compare-and-swap. This is the paper's 17-instruction common
+// case. The compare comes before the CAS, as in the paper's PowerPC
+// sequence (lwarx; cmpw; bne; stwcx.), which stores nothing when the
+// compare fails: a nested lock or an inflated header goes to the slow
+// path without a locked write to the header's cache line.
 func (l *ThinLocks) lockInline(t *threading.Thread, o *object.Object) {
 	hp := o.HeaderAddr()
-	old := atomic.LoadUint32(hp) & MiscMask
-	if atomic.CompareAndSwapUint32(hp, old, old|t.Shifted()) {
+	w := atomic.LoadUint32(hp)
+	if w&^MiscMask == 0 && atomic.CompareAndSwapUint32(hp, w, w|t.Shifted()) {
 		return
 	}
 	l.lockSlow(t, o, arch.PowerPCUP, false)
@@ -293,11 +300,12 @@ func lockFn(l *ThinLocks, t *threading.Thread, o *object.Object) {
 	l.lockInline(t, o)
 }
 
-// lockFast is the machine-parameterized fast path.
+// lockFast is the machine-parameterized fast path, with lockInline's
+// header compare before the CAS.
 func (l *ThinLocks) lockFast(t *threading.Thread, o *object.Object, cpu arch.CPU, fence bool) {
 	hp := o.HeaderAddr()
-	old := atomic.LoadUint32(hp) & MiscMask
-	if arch.CAS(cpu, hp, old, old|t.Shifted()) {
+	w := atomic.LoadUint32(hp)
+	if w&^MiscMask == 0 && arch.CAS(cpu, hp, w, w|t.Shifted()) {
 		if fence {
 			arch.ISync()
 		}
@@ -337,7 +345,7 @@ func (l *ThinLocks) lockSlowBody(t *threading.Thread, o *object.Object, cpu arch
 		case IsInflated(w):
 			lockevent.EmitValue(lockevent.Block, t, o, int64(lockevent.WaitFat))
 			if !l.recycle {
-				l.table.Get(FatIndex(w)).Enter(t)
+				l.table.Get(FatIndex(w)).Enter(t, o)
 				if fence {
 					arch.ISync()
 				}
@@ -351,7 +359,7 @@ func (l *ThinLocks) lockSlowBody(t *threading.Thread, o *object.Object, cpu arch
 			if m == nil {
 				continue // deflated between loads; retry the header
 			}
-			if m.EnterIfActive(t) {
+			if m.EnterIfActive(t, o) {
 				if fence {
 					arch.ISync()
 				}
@@ -423,10 +431,11 @@ func (l *ThinLocks) lockSlowBody(t *threading.Thread, o *object.Object, cpu arch
 //
 // Exit/Wait/Notify need no pin: they are owner-validated. If the caller
 // owns the fat lock the index binding cannot change (only the owner can
-// retire it), and if it does not, any monitor the stale index resolves
-// to is one the caller cannot own (a fresh monitor's owner is seeded as
-// its inflater and changes only by queue handoff), so the operation
-// fails with ErrIllegalMonitorState exactly as it must.
+// retire it). If it does not, any monitor the stale index resolves to
+// was allocated after the caller read the header, so it can be owned
+// only by a thread that inflated or entered it after that read; the
+// caller is inside this operation and did neither. The operation fails
+// with ErrIllegalMonitorState exactly as it must.
 func (l *ThinLocks) pinnedFat(hp *uint32, t *threading.Thread) *monitor.Monitor {
 	if l.mut.DeflateEpochSkip {
 		// Seeded bug: dereference the possibly-stale index with no pin

@@ -247,14 +247,14 @@ func (h *HotLocks) lockBody(t *threading.Thread, o *object.Object) {
 		w = o.Header() // promoted since our first read
 	}
 	lockevent.EmitValue(lockevent.Block, t, o, int64(lockevent.WaitFat))
-	h.hot(t, w).Enter(t)
+	h.hot(t, w).Enter(t, o)
 }
 
 // lockCold enters a pinned cold entry's monitor and, if coldLookup
 // reserved a hot slot for it, promotes the object.
 func (h *HotLocks) lockCold(t *threading.Thread, o *object.Object, e *coldEntry, slot int, w uint32) {
 	lockevent.EmitValue(lockevent.Block, t, o, int64(lockevent.WaitFat))
-	e.mon.Enter(t)
+	e.mon.Enter(t, o)
 	if slot >= 0 {
 		// Promote: we own the monitor, so no thread is inside a
 		// critical section on this object; threads blocked on the

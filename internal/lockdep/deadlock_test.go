@@ -1,12 +1,12 @@
 package lockdep_test
 
-// End-to-end deadlock diagnosis through the real lock implementation:
-// five philosophers on queued-inflation thin locks (contenders park on
-// channels instead of burning CPU), all grabbing their left fork and
-// then reaching for the right one. The wait-for detector must name the
-// full cycle, and the watchdog must dump it. The philosopher goroutines
-// stay parked for the life of the test binary — that is what a deadlock
-// is — so this test leaks exactly numPhilosophers goroutines by design.
+// End-to-end deadlock diagnosis through the real lock implementation.
+// The dining test runs five philosophers on queued-inflation thin locks
+// (contenders park on channels instead of burning CPU), all grabbing
+// their left fork and then reaching for the right one. The wait-for
+// detector must name the full cycle, and the watchdog must dump it. The
+// deadlocked goroutines stay parked for the life of the test binary —
+// that is what a deadlock is — so these tests leak them by design.
 
 import (
 	"fmt"
@@ -123,6 +123,77 @@ func TestDiningPhilosophersDeadlockIsDiagnosed(t *testing.T) {
 		if !strings.Contains(text.String(), want) {
 			t.Errorf("dump text missing %q", want)
 		}
+	}
+}
+
+// Three threads each hold one object that a timed wait inflated
+// beforehand, then each reaches for the next one's: the deadlock forms
+// among fat monitors, where each blocked thread spins on the monitor
+// and then parks in its entry queue. Every report along the way must
+// name the object, so the detector finds the 3-thread cycle. The three
+// threads stay parked for the life of the test binary.
+// Not parallel: owns the global lockdep registration.
+func TestInflatedObjectsDeadlockIsDiagnosed(t *testing.T) {
+	const n = 3
+	d := lockdep.Enable(lockdep.New(lockdep.Config{}))
+	defer lockdep.Disable()
+
+	l := core.New(core.Options{})
+	heap := object.NewHeap()
+	reg := threading.NewRegistry()
+	setup, err := reg.Attach("setup")
+	if err != nil {
+		t.Fatal(err)
+	}
+	objs := make([]*object.Object, n)
+	for i := range objs {
+		objs[i] = heap.New("Cell")
+		l.Lock(setup, objs[i])
+		if _, err := l.Wait(setup, objs[i], time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Unlock(setup, objs[i]); err != nil {
+			t.Fatal(err)
+		}
+		if !l.Inflated(objs[i]) {
+			t.Fatalf("object %d not inflated by its timed wait", i)
+		}
+	}
+
+	firstHeld := make(chan struct{}, n)
+	proceed := make(chan struct{})
+	for i := 0; i < n; i++ {
+		i := i
+		if _, err := reg.Go(fmt.Sprintf("cell-%d", i), func(th *threading.Thread) {
+			l.Lock(th, objs[i])
+			firstHeld <- struct{}{}
+			<-proceed
+			l.Lock(th, objs[(i+1)%n]) // never returns
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		<-firstHeld
+	}
+	close(proceed)
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		for _, c := range d.DetectWaitCycles() {
+			if len(c.Threads) != n {
+				continue
+			}
+			s := c.String()
+			if strings.Count(s, "holds Cell#") != n || !strings.Contains(s, "monitor-enter") {
+				t.Errorf("cycle does not show the held cells and the monitor wait:\n%s", s)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("deadlock never detected; waiters: %+v", d.WaitingThreads())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

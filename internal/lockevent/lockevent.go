@@ -53,8 +53,9 @@ const (
 	// Deflate is a quiescent fat lock turned back into a thin lock on
 	// its final unlock.
 	Deflate
-	// Spin is one back-off round waiting for a lock word another thread
-	// owns; the value is the WaitKind.
+	// Spin is one back-off round waiting for a lock word or a fat
+	// monitor another thread owns; the value is the WaitKind (WaitFat
+	// for a monitor's entry spin).
 	Spin
 	// QueuedPark is a contender parking on the flat-lock-contention
 	// queue (the queued-inflation extension).

@@ -12,10 +12,20 @@
 // locks, not the number minus one as in a thin lock — Figure 2), a FIFO
 // entry queue and a wait set. Blocked threads park on per-node channels.
 //
-// Monitor entry uses direct handoff: when the owner exits, ownership is
-// transferred to the head of the entry queue before that thread resumes,
-// which keeps the queue FIFO-fair and makes the ownership invariant easy
-// to state (owner == nil implies the entry queue is empty).
+// Entry spins, then queues. A thread that finds the monitor owned
+// re-checks it under the latch between arch.Backoff pauses, for a fixed
+// number of rounds (spinRounds), and only then joins the entry queue
+// and parks. The paper keeps a contended object inflated (§2.3.4), so
+// every later contention for it meets a monitor; when holds are short,
+// spinning first saves the park, the handoff and the queue node.
+// Queued threads are served by direct handoff: when the owner exits,
+// ownership is transferred to the head of the entry queue before that
+// thread resumes, which keeps the queue FIFO-fair.
+//
+// The two compose through one invariant: owner == nil implies the entry
+// queue is empty. A spinner takes the monitor only when it finds the
+// owner nil, so it can never overtake a queued thread; it competes only
+// with other arrivals.
 package monitor
 
 import (
@@ -25,7 +35,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"thinlock/internal/arch"
 	"thinlock/internal/lockevent"
+	"thinlock/internal/object"
 	"thinlock/internal/threading"
 )
 
@@ -100,31 +112,25 @@ func (m *Monitor) String() string {
 }
 
 // Enter acquires the monitor for t, blocking until it is available.
-// Re-entry by the owner increments the lock count. Entering a retired
-// monitor is a caller bug (only the deflation extension retires monitors,
-// and it enters through EnterIfActive).
-func (m *Monitor) Enter(t *threading.Thread) {
-	if !m.enterWithCount(t, 1) {
+// Re-entry by the owner increments the lock count. o is the object the
+// monitor guards: the spin rounds report it, so an observer knows what
+// t waits for. Entering a retired monitor is a caller bug (only the
+// deflation extension retires monitors, and it enters through
+// EnterIfActive).
+func (m *Monitor) Enter(t *threading.Thread, o *object.Object) {
+	if !m.enter(t, o) {
 		panic("monitor: Enter on retired monitor")
 	}
 }
 
-// EnterIfActive is like Enter but fails fast, without acquiring, when the
-// monitor has been retired by the deflation extension. A false return
-// means the caller must retry from the object header, which no longer
-// points at this monitor.
-func (m *Monitor) EnterIfActive(t *threading.Thread) bool {
-	m.latch.Lock()
-	if m.retired {
-		m.latch.Unlock()
-		return false
-	}
-	m.latch.Unlock()
-	// Between the check and the enter the monitor cannot become retired
-	// while we block: Retire requires ownership with empty queues, and
-	// our queue node prevents that. It can, however, retire before we
-	// queue; enterWithCount re-checks under one latch acquisition.
-	return m.enterWithCount(t, 1)
+// EnterIfActive is like Enter but fails, without acquiring, when the
+// monitor has been retired by the deflation extension, whether before
+// the call or while t spins. A false return means the caller must retry
+// from the object header, which no longer points at this monitor. Once
+// t is queued the monitor cannot retire under it: Retire requires empty
+// queues.
+func (m *Monitor) EnterIfActive(t *threading.Thread, o *object.Object) bool {
+	return m.enter(t, o)
 }
 
 // Retire deflates the monitor: if t owns it exactly once and both queues
@@ -174,28 +180,47 @@ func (m *Monitor) Retired() bool {
 	return m.retired
 }
 
-// enterWithCount acquires the monitor and, when the acquisition is an
-// initial one (not a recursive re-entry), sets the lock count to c. Wait
-// re-acquisition uses c to restore its saved recursion depth in one step.
-// It returns false without acquiring if the monitor is retired.
-func (m *Monitor) enterWithCount(t *threading.Thread, c uint32) bool {
+// spinRounds is how many arch.Backoff pauses a contender spends
+// re-checking an owned monitor before it joins the entry queue. The
+// first eight pauses are Backoff's busy spins and scheduler yields; the
+// rest are its short sleeps. EXPERIMENTS.md has the sweep that chose it.
+const spinRounds = 12
+
+// enter acquires the monitor for t, or re-enters it, and returns true;
+// it returns false without acquiring if the monitor is retired.
+//
+// A contender first spins: it polls the monitor under the latch between
+// back-off pauses, emitting one Spin event on o per pause, and takes the
+// monitor if it finds the owner nil (which implies an empty entry
+// queue). Only when the rounds run out does it queue and park.
+func (m *Monitor) enter(t *threading.Thread, o *object.Object) bool {
+	var b arch.Backoff
 	m.latch.Lock()
-	if m.retired {
+	for {
+		if m.retired {
+			m.latch.Unlock()
+			return false
+		}
+		switch {
+		case m.owner == nil:
+			m.owner = t
+			m.count = 1
+			m.latch.Unlock()
+			return true
+		case m.owner == t:
+			m.count++
+			m.latch.Unlock()
+			return true
+		}
+		if b.Rounds() == spinRounds {
+			break
+		}
 		m.latch.Unlock()
-		return false
+		lockevent.EmitValue(lockevent.Spin, t, o, int64(lockevent.WaitFat))
+		b.Pause()
+		m.latch.Lock()
 	}
-	switch {
-	case m.owner == nil:
-		m.owner = t
-		m.count = c
-		m.latch.Unlock()
-		return true
-	case m.owner == t:
-		m.count += c
-		m.latch.Unlock()
-		return true
-	}
-	n := &node{t: t, granted: make(chan struct{}, 1), reentry: c, state: stateEntryQueue}
+	n := &node{t: t, granted: make(chan struct{}, 1), reentry: 1, state: stateEntryQueue}
 	m.entry = append(m.entry, n)
 	m.contended.Add(1)
 	depth := len(m.entry)

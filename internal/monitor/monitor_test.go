@@ -28,7 +28,7 @@ func TestEnterExitBasic(t *testing.T) {
 	t.Parallel()
 	ths := newThreads(t, 1)
 	m := New()
-	m.Enter(ths[0])
+	m.Enter(ths[0], nil)
 	if m.Owner() != ths[0] {
 		t.Fatalf("owner = %v, want %v", m.Owner(), ths[0])
 	}
@@ -48,7 +48,7 @@ func TestRecursiveEnter(t *testing.T) {
 	ths := newThreads(t, 1)
 	m := New()
 	for i := 1; i <= 5; i++ {
-		m.Enter(ths[0])
+		m.Enter(ths[0], nil)
 		if m.Count() != uint32(i) {
 			t.Fatalf("count = %d after %d enters", m.Count(), i)
 		}
@@ -73,7 +73,7 @@ func TestExitWithoutOwnership(t *testing.T) {
 	if err := m.Exit(ths[0]); err != ErrIllegalMonitorState {
 		t.Fatalf("exit of unowned monitor: err = %v", err)
 	}
-	m.Enter(ths[0])
+	m.Enter(ths[0], nil)
 	if err := m.Exit(ths[1]); err != ErrIllegalMonitorState {
 		t.Fatalf("exit by non-owner: err = %v", err)
 	}
@@ -104,10 +104,10 @@ func TestContendedEnterBlocksAndHandsOff(t *testing.T) {
 	t.Parallel()
 	ths := newThreads(t, 2)
 	m := New()
-	m.Enter(ths[0])
+	m.Enter(ths[0], nil)
 	entered := make(chan struct{})
 	go func() {
-		m.Enter(ths[1])
+		m.Enter(ths[1], nil)
 		close(entered)
 	}()
 	// Give the second thread time to queue.
@@ -137,7 +137,7 @@ func TestHandoffIsFIFO(t *testing.T) {
 	t.Parallel()
 	ths := newThreads(t, 4)
 	m := New()
-	m.Enter(ths[0])
+	m.Enter(ths[0], nil)
 	var order []int
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -146,7 +146,7 @@ func TestHandoffIsFIFO(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			m.Enter(ths[i])
+			m.Enter(ths[i], nil)
 			mu.Lock()
 			order = append(order, i)
 			mu.Unlock()
@@ -181,7 +181,7 @@ func TestMutualExclusion(t *testing.T) {
 		go func(th *threading.Thread) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				m.Enter(th)
+				m.Enter(th, nil)
 				n := atomic.AddInt32(&inside, 1)
 				if n > 1 {
 					atomic.StoreInt32(&maxInside, n)
@@ -225,7 +225,7 @@ func TestSeedOwnerPanicsWhenInUse(t *testing.T) {
 	t.Parallel()
 	ths := newThreads(t, 2)
 	m := New()
-	m.Enter(ths[0])
+	m.Enter(ths[0], nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("SeedOwner on owned monitor did not panic")
@@ -267,7 +267,7 @@ func TestWaitNotify(t *testing.T) {
 	m := New()
 	woke := make(chan bool, 1)
 	go func() {
-		m.Enter(ths[0])
+		m.Enter(ths[0], nil)
 		notified, err := m.Wait(ths[0], 0)
 		if err != nil {
 			t.Error(err)
@@ -278,7 +278,7 @@ func TestWaitNotify(t *testing.T) {
 		}
 	}()
 	waitFor(t, func() bool { return m.WaitSetLen() == 1 })
-	m.Enter(ths[1])
+	m.Enter(ths[1], nil)
 	if err := m.Notify(ths[1]); err != nil {
 		t.Fatal(err)
 	}
@@ -307,9 +307,9 @@ func TestWaitReleasesFullRecursionAndRestoresIt(t *testing.T) {
 	m := New()
 	depthRestored := make(chan uint32, 1)
 	go func() {
-		m.Enter(ths[0])
-		m.Enter(ths[0])
-		m.Enter(ths[0]) // depth 3
+		m.Enter(ths[0], nil)
+		m.Enter(ths[0], nil)
+		m.Enter(ths[0], nil) // depth 3
 		if _, err := m.Wait(ths[0], 0); err != nil {
 			t.Error(err)
 		}
@@ -322,7 +322,7 @@ func TestWaitReleasesFullRecursionAndRestoresIt(t *testing.T) {
 	}()
 	waitFor(t, func() bool { return m.WaitSetLen() == 1 })
 	// The wait must have fully released: we can enter immediately.
-	m.Enter(ths[1])
+	m.Enter(ths[1], nil)
 	if err := m.Notify(ths[1]); err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestWaitTimeout(t *testing.T) {
 	t.Parallel()
 	ths := newThreads(t, 1)
 	m := New()
-	m.Enter(ths[0])
+	m.Enter(ths[0], nil)
 	start := time.Now()
 	notified, err := m.Wait(ths[0], 30*time.Millisecond)
 	if err != nil {
@@ -371,7 +371,7 @@ func TestWaitTimeoutRecontends(t *testing.T) {
 	m := New()
 	resumed := make(chan struct{})
 	go func() {
-		m.Enter(ths[0])
+		m.Enter(ths[0], nil)
 		if _, err := m.Wait(ths[0], 250*time.Millisecond); err != nil {
 			t.Error(err)
 		}
@@ -381,7 +381,7 @@ func TestWaitTimeoutRecontends(t *testing.T) {
 		}
 	}()
 	waitFor(t, func() bool { return m.WaitSetLen() == 1 })
-	m.Enter(ths[1]) // hold the lock across the waiter's timeout
+	m.Enter(ths[1], nil) // hold the lock across the waiter's timeout
 	// The timed-out waiter must land in the entry queue, not resume.
 	waitFor(t, func() bool { return m.EntryQueueLen() == 1 })
 	select {
@@ -410,7 +410,7 @@ func TestNotifyWakesExactlyOne(t *testing.T) {
 		wg.Add(1)
 		go func(th *threading.Thread) {
 			defer wg.Done()
-			m.Enter(th)
+			m.Enter(th, nil)
 			if _, err := m.Wait(th, 0); err != nil {
 				t.Error(err)
 			}
@@ -423,7 +423,7 @@ func TestNotifyWakesExactlyOne(t *testing.T) {
 	waitFor(t, func() bool { return m.WaitSetLen() == waiters })
 
 	notifier := ths[waiters]
-	m.Enter(notifier)
+	m.Enter(notifier, nil)
 	if err := m.Notify(notifier); err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +437,7 @@ func TestNotifyWakesExactlyOne(t *testing.T) {
 	}
 
 	// Clean up: wake the rest.
-	m.Enter(notifier)
+	m.Enter(notifier, nil)
 	if err := m.NotifyAll(notifier); err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestNotifyAllWakesAll(t *testing.T) {
 		wg.Add(1)
 		go func(th *threading.Thread) {
 			defer wg.Done()
-			m.Enter(th)
+			m.Enter(th, nil)
 			notified, err := m.Wait(th, 0)
 			if err != nil {
 				t.Error(err)
@@ -474,7 +474,7 @@ func TestNotifyAllWakesAll(t *testing.T) {
 		}(ths[i])
 	}
 	waitFor(t, func() bool { return m.WaitSetLen() == waiters })
-	m.Enter(ths[waiters])
+	m.Enter(ths[waiters], nil)
 	if err := m.NotifyAll(ths[waiters]); err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +491,7 @@ func TestNotifyWithEmptyWaitSetIsNoop(t *testing.T) {
 	t.Parallel()
 	ths := newThreads(t, 1)
 	m := New()
-	m.Enter(ths[0])
+	m.Enter(ths[0], nil)
 	if err := m.Notify(ths[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +509,7 @@ func TestWaitInterrupted(t *testing.T) {
 	m := New()
 	errCh := make(chan error, 1)
 	go func() {
-		m.Enter(ths[0])
+		m.Enter(ths[0], nil)
 		_, err := m.Wait(ths[0], 0)
 		errCh <- err
 		if e := m.Exit(ths[0]); e != nil {
@@ -535,7 +535,7 @@ func TestWaitWithPendingInterrupt(t *testing.T) {
 	t.Parallel()
 	ths := newThreads(t, 1)
 	m := New()
-	m.Enter(ths[0])
+	m.Enter(ths[0], nil)
 	ths[0].Interrupt()
 	if _, err := m.Wait(ths[0], 0); err != threading.ErrInterrupted {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
@@ -556,7 +556,7 @@ func TestQuiescent(t *testing.T) {
 	if !m.Quiescent() {
 		t.Fatal("fresh monitor not quiescent")
 	}
-	m.Enter(ths[0])
+	m.Enter(ths[0], nil)
 	if m.Quiescent() {
 		t.Fatal("owned monitor reported quiescent")
 	}
@@ -572,14 +572,14 @@ func TestStatsCounters(t *testing.T) {
 	t.Parallel()
 	ths := newThreads(t, 2)
 	m := New()
-	m.Enter(ths[0])
+	m.Enter(ths[0], nil)
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		if err := m.Exit(ths[0]); err != nil {
 			t.Error(err)
 		}
 	}()
-	m.Enter(ths[1]) // contended
+	m.Enter(ths[1], nil) // contended
 	if err := m.Notify(ths[1]); err != nil {
 		t.Fatal(err)
 	}
@@ -613,7 +613,7 @@ func BenchmarkUncontendedEnterExit(b *testing.B) {
 	m := New()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Enter(th)
+		m.Enter(th, nil)
 		if err := m.Exit(th); err != nil {
 			b.Fatal(err)
 		}
@@ -624,10 +624,10 @@ func BenchmarkRecursiveEnterExit(b *testing.B) {
 	r := threading.NewRegistry()
 	th, _ := r.Attach("b")
 	m := New()
-	m.Enter(th)
+	m.Enter(th, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Enter(th)
+		m.Enter(th, nil)
 		if err := m.Exit(th); err != nil {
 			b.Fatal(err)
 		}

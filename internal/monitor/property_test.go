@@ -21,7 +21,7 @@ func TestPropertyEntryQueueIsFIFO(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		m.Enter(holder)
+		m.Enter(holder, nil)
 
 		order := make([]int, 0, n)
 		var mu sync.Mutex
@@ -34,7 +34,7 @@ func TestPropertyEntryQueueIsFIFO(t *testing.T) {
 			wg.Add(1)
 			go func(i int, th *threading.Thread) {
 				defer wg.Done()
-				m.Enter(th)
+				m.Enter(th, nil)
 				mu.Lock()
 				order = append(order, i)
 				mu.Unlock()
@@ -82,7 +82,7 @@ func TestPropertyBalancedRandomRecursion(t *testing.T) {
 		for _, d := range depths {
 			depth := int(d%20) + 1
 			for i := 0; i < depth; i++ {
-				m.Enter(th)
+				m.Enter(th, nil)
 				if m.Count() != uint32(i+1) {
 					return false
 				}

@@ -20,8 +20,8 @@ func TestRetireLifecycle(t *testing.T) {
 	if m.Retire(ths[0]) {
 		t.Fatal("retired an unowned monitor")
 	}
-	m.Enter(ths[0])
-	m.Enter(ths[0])
+	m.Enter(ths[0], nil)
+	m.Enter(ths[0], nil)
 	if m.Retire(ths[0]) {
 		t.Fatal("retired at depth 2")
 	}
@@ -42,7 +42,7 @@ func TestRetireLifecycle(t *testing.T) {
 	}
 
 	// A retired monitor rejects all entry forms.
-	if m.EnterIfActive(ths[1]) {
+	if m.EnterIfActive(ths[1], nil) {
 		t.Fatal("EnterIfActive succeeded on retired monitor")
 	}
 	if m.TryEnter(ths[1]) {
@@ -53,17 +53,17 @@ func TestRetireLifecycle(t *testing.T) {
 			t.Fatal("Enter on retired monitor did not panic")
 		}
 	}()
-	m.Enter(ths[1])
+	m.Enter(ths[1], nil)
 }
 
 func TestRetireRefusedWithQueuedThreads(t *testing.T) {
 	t.Parallel()
 	ths := newThreads(t, 2)
 	m := New()
-	m.Enter(ths[0])
+	m.Enter(ths[0], nil)
 	entered := make(chan struct{})
 	go func() {
-		if !m.EnterIfActive(ths[1]) {
+		if !m.EnterIfActive(ths[1], nil) {
 			t.Error("EnterIfActive failed on active monitor")
 		}
 		close(entered)
@@ -90,7 +90,7 @@ func TestRetireRefusedWithWaiters(t *testing.T) {
 	ths := newThreads(t, 2)
 	m := New()
 	go func() {
-		m.Enter(ths[0])
+		m.Enter(ths[0], nil)
 		if _, err := m.Wait(ths[0], 0); err != nil {
 			t.Error(err)
 		}
@@ -99,7 +99,7 @@ func TestRetireRefusedWithWaiters(t *testing.T) {
 		}
 	}()
 	waitFor(t, func() bool { return m.WaitSetLen() == 1 })
-	m.Enter(ths[1])
+	m.Enter(ths[1], nil)
 	if m.Retire(ths[1]) {
 		t.Fatal("retired with a waiter in the wait set")
 	}
@@ -116,10 +116,10 @@ func TestEnterIfActiveBehavesLikeEnterWhenActive(t *testing.T) {
 	t.Parallel()
 	ths := newThreads(t, 1)
 	m := New()
-	if !m.EnterIfActive(ths[0]) {
+	if !m.EnterIfActive(ths[0], nil) {
 		t.Fatal("EnterIfActive on fresh monitor failed")
 	}
-	if !m.EnterIfActive(ths[0]) {
+	if !m.EnterIfActive(ths[0], nil) {
 		t.Fatal("recursive EnterIfActive failed")
 	}
 	if m.Count() != 2 {
@@ -136,7 +136,7 @@ func TestMonitorString(t *testing.T) {
 	t.Parallel()
 	ths := newThreads(t, 1)
 	m := New()
-	m.Enter(ths[0])
+	m.Enter(ths[0], nil)
 	s := m.String()
 	for _, want := range []string{"monitor(", "count=1", "entry=0", "wait=0"} {
 		if !strings.Contains(s, want) {

@@ -30,7 +30,7 @@ func TestTimedWaitNotifyRaceStorm(t *testing.T) {
 		go func(th *threading.Thread, i int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				m.Enter(th)
+				m.Enter(th, nil)
 				// Mix of timeouts near the notify cadence to force the
 				// timeout-vs-notify race in both directions.
 				d := time.Duration(1+(i+r)%3) * time.Millisecond
@@ -57,7 +57,7 @@ func TestTimedWaitNotifyRaceStorm(t *testing.T) {
 				return
 			default:
 			}
-			m.Enter(notifier)
+			m.Enter(notifier, nil)
 			if err := m.Notify(notifier); err != nil {
 				t.Error(err)
 			}
@@ -96,7 +96,7 @@ func TestMonitorAsCyclicBarrier(t *testing.T) {
 	var generation int
 
 	await := func(th *threading.Thread) {
-		m.Enter(th)
+		m.Enter(th, nil)
 		gen := generation
 		count++
 		if count == parties {
@@ -169,7 +169,7 @@ func TestManyMonitorsConcurrently(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				k := (seed*13 + i*7) % monitors
-				ms[k].Enter(th)
+				ms[k].Enter(th, nil)
 				counters[k]++
 				if err := ms[k].Exit(th); err != nil {
 					t.Error(err)

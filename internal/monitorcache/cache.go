@@ -208,7 +208,7 @@ func (c *Cache) Lock(t *threading.Thread, o *object.Object) {
 	start := lockevent.Start(lockevent.SlowExit)
 	e := c.lookup(t, o)
 	lockevent.EmitValue(lockevent.Block, t, o, int64(lockevent.WaitFat))
-	e.mon.Enter(t)
+	e.mon.Enter(t, o)
 	c.unpin(e)
 	lockevent.End(lockevent.SlowExit, t, o, start)
 	lockevent.Emit(lockevent.Acquire, t, o)
