@@ -41,9 +41,11 @@ race:
 # racing with emits is its one concurrent structure. internal/monitor
 # runs ten times over too: its entry spin, which polls the monitor
 # between back-off pauses before it queues, races exits, handoffs and
-# retirements.
+# retirements. So does internal/vm: concurrent Runs on one VM hand its
+# frame stack between them through one atomic pointer, and a Run that
+# finds it taken builds its own.
 race-locks:
-	$(GO) test -race -count=10 ./internal/biased/... ./internal/threading/... ./internal/lockevent/... ./internal/monitor/...
+	$(GO) test -race -count=10 ./internal/biased/... ./internal/threading/... ./internal/lockevent/... ./internal/monitor/... ./internal/vm/...
 	$(GO) test -race -count=1 ./internal/core/... ./internal/lockscope/...
 
 # check runs the concurrent differential checker CLI over every lock

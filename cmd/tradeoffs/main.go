@@ -39,7 +39,8 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("Contention policy on the §2.3.4 pathological case\n")
-		fmt.Printf("(%d rounds, %d contenders, %v hold per round):\n", rounds, contenders, hold)
+		fmt.Printf("(%d rounds, %d contenders, %v hold per round;\n", rounds, contenders, hold)
+		fmt.Printf(" wall clock, then process user+system CPU time):\n")
 		fmt.Println(" ", spin)
 		fmt.Println(" ", queued)
 		fmt.Println("Queued inflation (Tasuki extension) replaces busy back-off with precise parks.")

@@ -16,9 +16,12 @@
 //     and the whole-machine serialization of the kernel path.
 //
 // On the Go side, sync/atomic's CompareAndSwapUint32 is the expensive
-// fenced read-modify-write and atomic Load/Store compile to plain moves on
-// x86, so the paper's central cost asymmetry (CAS much more expensive than
-// load/store) is preserved without any artificial delays.
+// fenced read-modify-write (LOCK CMPXCHG on amd64) and an atomic Load is a
+// plain MOV. An atomic Store is not: Go's atomics are sequentially
+// consistent, and amd64 implements the store with XCHG, a locked
+// instruction. The thin unlock's store therefore costs more here than the
+// paper's plain store did, and the CAS-versus-store asymmetry the paper
+// measures is narrower on amd64 than on its PowerPC machines.
 package arch
 
 import (

@@ -23,8 +23,11 @@ import (
 
 // ContentionPolicyResult reports one policy's behaviour.
 type ContentionPolicyResult struct {
-	Policy     string
-	Elapsed    time.Duration
+	Policy  string
+	Elapsed time.Duration
+	// CPU is the process's user plus system CPU time over the run.
+	// Elapsed alone cannot tell a spinning wait from a parked one.
+	CPU        time.Duration
 	SpinRounds uint64
 	Parks      uint64
 	Rounds     int
@@ -32,8 +35,8 @@ type ContentionPolicyResult struct {
 
 // String renders the result for reports.
 func (r ContentionPolicyResult) String() string {
-	return fmt.Sprintf("%-7s %12v  spin-pauses=%-9d parks=%d",
-		r.Policy, r.Elapsed.Round(time.Microsecond), r.SpinRounds, r.Parks)
+	return fmt.Sprintf("%-7s %12v  cpu=%-12v spin-pauses=%-9d parks=%d",
+		r.Policy, r.Elapsed.Round(time.Microsecond), r.CPU.Round(time.Microsecond), r.SpinRounds, r.Parks)
 }
 
 // RunContentionPolicy measures one policy (queued=false is the paper's
@@ -53,7 +56,7 @@ func RunContentionPolicy(queued bool, rounds, contenders int, holdTime time.Dura
 		}
 	}
 
-	start := time.Now()
+	start, cpu := time.Now(), processCPU()
 	for r := 0; r < rounds; r++ {
 		o := heap.New("X")
 		l.Lock(owner, o)
@@ -75,7 +78,7 @@ func RunContentionPolicy(queued bool, rounds, contenders int, holdTime time.Dura
 		}
 		wg.Wait()
 	}
-	elapsed := time.Since(start)
+	elapsed, cpu := time.Since(start), processCPU()-cpu
 
 	s := l.Stats()
 	name := "spin"
@@ -85,6 +88,7 @@ func RunContentionPolicy(queued bool, rounds, contenders int, holdTime time.Dura
 	return ContentionPolicyResult{
 		Policy:     name,
 		Elapsed:    elapsed,
+		CPU:        cpu,
 		SpinRounds: s.SpinRounds,
 		Parks:      s.QueuedParks,
 		Rounds:     rounds,

@@ -51,7 +51,9 @@ func TestContentionPolicyComparison(t *testing.T) {
 	if spin.SpinRounds == 0 || queued.Parks == 0 {
 		t.Errorf("comparison lacks signal: spin=%+v queued=%+v", spin, queued)
 	}
-	if !strings.Contains(spin.String(), "spin-pauses=") {
-		t.Errorf("String() = %q", spin.String())
+	for _, want := range []string{"cpu=", "spin-pauses="} {
+		if !strings.Contains(spin.String(), want) {
+			t.Errorf("String() = %q, want %q in it", spin.String(), want)
+		}
 	}
 }

@@ -23,14 +23,18 @@ import (
 //	            re-read the lock word — still thin-locked by another
 //	            thread? then park on the object's contention queue;
 //	            otherwise retry immediately.
-//	owner:      release the thin lock with the usual plain store, then
+//	owner:      release the thin lock with the usual unlock store, then
 //	            load the flags word; if flc is set, wake the queue.
 //
 // Both sides' operations are sequentially consistent atomics, so the
 // classic Dekker argument applies: if the contender parked, the owner's
 // release either preceded the contender's re-read (contender would have
 // seen the lock free) or the owner's flag load follows the contender's
-// flag store (owner wakes the queue). No wakeup can be lost.
+// flag store (owner wakes the queue). No wakeup can be lost. The
+// argument needs the owner's release to be a sequentially consistent
+// store (atomic.StoreUint32, XCHG on amd64). A release store would let
+// the owner's later flags load pass it, and both sides could then miss
+// each other.
 //
 // The woken contenders race to acquire the thin lock; the winner inflates
 // it under the locality-of-contention principle, and the losers find the

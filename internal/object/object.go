@@ -56,9 +56,12 @@ func (o *Object) String() string {
 // on the lock word.
 func (o *Object) Header() uint32 { return atomic.LoadUint32(&o.header) }
 
-// SetHeader stores the header word with a plain store. Per the paper's
-// locking discipline it must only be called by the thread that owns the
-// object's lock (or during allocation).
+// SetHeader stores the header word. Per the paper's locking discipline
+// it must only be called by the thread that owns the object's lock, and
+// the paper needed no more than a plain store for it. Go's
+// atomic.StoreUint32 is sequentially consistent, though, and amd64
+// implements it with XCHG, a locked instruction: it costs more than the
+// plain MOV it stands for.
 func (o *Object) SetHeader(w uint32) { atomic.StoreUint32(&o.header, w) }
 
 // CASHeader atomically replaces the header word if it equals old,
@@ -112,7 +115,6 @@ func NewHeap() *Heap { return &Heap{} }
 // real VM would store hash or GC bits there.
 func (h *Heap) New(class string) *Object {
 	id := h.allocated.Add(1)
-	o := &Object{id: id, class: class}
 	// Mix the id so consecutive allocations get differing misc bits,
 	// and force the result nonzero: constant-zero misc bits would hide
 	// a whole family of lock-word encoding bugs.
@@ -120,8 +122,10 @@ func (h *Heap) New(class string) *Object {
 	if misc == 0 {
 		misc = 0xA5
 	}
-	o.SetHeader(misc)
-	return o
+	// No other goroutine can see the object yet, so the header is set
+	// in the literal rather than with SetHeader's locked store.
+	//lockvet:ignore initializing an unpublished object cannot race
+	return &Object{header: misc, id: id, class: class}
 }
 
 // Allocated reports how many objects this heap has created.

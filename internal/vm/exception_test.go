@@ -60,6 +60,29 @@ func TestThrowPropagatesToCaller(t *testing.T) {
 			Name: "catcher", Flags: FlagStatic | FlagReturnsValue,
 			Code: code, Handlers: handlers,
 		})
+		// voidThrower (index 2): a void method that throws 7.
+		p.AddMethod(&Method{
+			Name: "voidThrower", Flags: FlagStatic,
+			Code: NewAsm().Iconst(7).Throw().MustBuild(),
+		})
+		// swallower: its only operand-stack use is the handler's pop of
+		// the thrown value, which its frame must still have a slot for.
+		code, handlers, err = NewAsm().
+			Label("start").
+			Invoke(2).
+			Label("end").
+			Return().
+			Label("handler").
+			Pop().Return().
+			Protect("start", "end", "handler").
+			BuildWithHandlers()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.AddMethod(&Method{
+			Name: "swallower", Flags: FlagStatic,
+			Code: code, Handlers: handlers,
+		})
 	})
 	res, err := v.Run(th, "catcher")
 	if err != nil {
@@ -67,6 +90,9 @@ func TestThrowPropagatesToCaller(t *testing.T) {
 	}
 	if res.I != 107 {
 		t.Fatalf("result = %d, want 107", res.I)
+	}
+	if _, err := v.Run(th, "swallower"); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -114,6 +140,86 @@ func TestThrowReleasesSynchronizedMethodMonitor(t *testing.T) {
 	if err := l.Unlock(th, o.Object); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDeepThrowReleasesEverySynchronizedFrame throws at the bottom of
+// 501 synchronized frames, each holding a different object's monitor,
+// which sit on 502 plain frames; the frame stack grows several times on
+// the way down. A handler above the synchronized frames catches the
+// value, and every frame it unwinds must release its monitor.
+func TestDeepThrowReleasesEverySynchronizedFrame(t *testing.T) {
+	t.Parallel()
+	const depth = 500
+	v, th := newVM(t, func(p *Program) {
+		node := &Class{Name: "Node", NumFields: 1} // field 0: next
+		p.AddClass(node)
+		// Node.walk(this, n), index 0: synchronized; throws 7 at n == 0,
+		// else returns next.walk(n-1).
+		p.AddMethod(&Method{
+			Name: "walk", Class: node, Flags: FlagSync | FlagReturnsValue,
+			NumArgs: 2, MaxLocals: 2,
+			Code: NewAsm().
+				Iload(1).IfNE("deeper").
+				Iconst(7).Throw().
+				Label("deeper").
+				Aload(0).GetField(0).
+				Iload(1).Iconst(-1).Iadd().
+				Invoke(0).IReturn().
+				MustBuild(),
+		})
+		// catchAt(head, n), index 1: returns head.walk(n), or the thrown
+		// value + 100.
+		code, handlers, err := NewAsm().
+			Label("start").
+			Aload(0).Iload(1).Invoke(0).IReturn().
+			Label("end").
+			Label("handler").
+			Iconst(100).Iadd().IReturn().
+			Protect("start", "end", "handler").
+			BuildWithHandlers()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.AddMethod(&Method{
+			Name: "catchAt", Flags: FlagStatic | FlagReturnsValue,
+			NumArgs: 2, MaxLocals: 2, Code: code, Handlers: handlers,
+		})
+		// descend(head, d, n), index 2: d plain frames, then catchAt.
+		p.AddMethod(&Method{
+			Name: "descend", Flags: FlagStatic | FlagReturnsValue,
+			NumArgs: 3, MaxLocals: 3,
+			Code: NewAsm().
+				Iload(1).IfNE("deeper").
+				Aload(0).Iload(2).Invoke(1).IReturn().
+				Label("deeper").
+				Aload(0).Iload(1).Iconst(-1).Iadd().Iload(2).Invoke(2).IReturn().
+				MustBuild(),
+		})
+	})
+	nodes := make([]*Obj, depth+1)
+	for i := len(nodes) - 1; i >= 0; i-- {
+		o, err := v.NewInstance("Node")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i+1 < len(nodes) {
+			o.Fields[0] = RefValue(nodes[i+1])
+		}
+		nodes[i] = o
+	}
+	res, err := v.Run(th, "descend", RefValue(nodes[0]), IntValue(depth), IntValue(depth))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.I != 107 {
+		t.Fatalf("result = %d, want 107 (caught 7 + 100)", res.I)
+	}
+	for i, o := range nodes {
+		if !core.IsUnlocked(o.Header()) {
+			t.Fatalf("node %d still locked after the throw unwound its frame: %#x", i, o.Header())
+		}
+	}
+	requireFrameStackCleared(t, v)
 }
 
 // TestHandlerReleasesMonitorEnterExitPair mimics what a Java compiler

@@ -511,6 +511,10 @@ func verifyCore(p *Program, m *Method, skipSL bool, facts *MethodMonitorFacts) (
 		// rethrows).
 		if in.Op == OpThrow || (in.Op == OpInvoke && may[in.A]) {
 			if h := firstHandler(pc); h >= 0 {
+				// The handler starts with the thrown value on the
+				// stack, so its frame needs that slot even where the
+				// handler's first instruction pops it.
+				maxDepth = max(maxDepth, 1)
 				hs := &absState{
 					stack:  []absVal{unknownVal()},
 					mons:   entryMons,

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"thinlock/internal/lockapi"
 	"thinlock/internal/lockevent"
@@ -182,6 +183,37 @@ type VM struct {
 	heap      *object.Heap
 	stepLimit int64
 	skipSL    bool
+	// frames is the frame stack a Run borrows; nil while one is out.
+	frames atomic.Pointer[frameStack]
+}
+
+// frameStack holds the interpreter frames of one Run, as a JVM thread
+// stack does. A frame is its method's locals followed by its operand
+// stack, and a callee's frame starts at its caller's top NumArgs operand
+// slots, so the arguments become the callee's first locals in place.
+type frameStack struct {
+	buf  []Value
+	used int // buf[:used] may hold values the Run wrote
+}
+
+// frame hands out the n slots at base. When they do not fit it replaces
+// the buffer with a larger one, and frames already handed out keep using
+// the old one. No live frame extends past base except by the arguments
+// it passes, which exec copies across when the buffers differ.
+func (s *frameStack) frame(base, n int) []Value {
+	end := base + n
+	if end > len(s.buf) {
+		s.buf = make([]Value, max(2*len(s.buf), end))
+	}
+	s.used = max(s.used, end)
+	return s.buf[base:end:end]
+}
+
+// release clears the slots the Run used, so a frame stack parked in the
+// VM keeps no dead object reachable.
+func (s *frameStack) release() {
+	clear(s.buf[:s.used])
+	s.used = 0
 }
 
 // Option configures a VM at construction time.
@@ -256,7 +288,18 @@ func (v *VM) Run(t *threading.Thread, methodName string, args ...Value) (res Val
 	if m == nil {
 		return Value{}, fmt.Errorf("vm: unknown method %q", methodName)
 	}
+	if len(args) != m.NumArgs {
+		return Value{}, fmt.Errorf("vm: %s: got %d args, want %d", methodName, len(args), m.NumArgs)
+	}
+	// Borrow the VM's frame stack; a concurrent Run finds none and
+	// builds its own.
+	fs := v.frames.Swap(nil)
+	if fs == nil {
+		fs = new(frameStack)
+	}
 	defer func() {
+		fs.release()
+		v.frames.Store(fs)
 		if r := recover(); r != nil {
 			if e, ok := r.(execError); ok {
 				err = fmt.Errorf("vm: %s: %w", methodName, e.err)
@@ -266,24 +309,29 @@ func (v *VM) Run(t *threading.Thread, methodName string, args ...Value) (res Val
 		}
 	}()
 	var steps int64
-	res, threw := v.exec(t, m, args, &steps)
+	res, threw := v.exec(t, fs, m, 0, args, &steps)
 	if threw {
 		return Value{}, fmt.Errorf("vm: %s: uncaught exception %d", methodName, res.I)
 	}
 	return res, nil
 }
 
-// exec interprets one method activation. Callee activations recurse.
-// threw reports abrupt completion; the returned Value is then the thrown
-// exception value. A synchronized method's monitor is released on both
-// normal and abrupt completion, as required by the JVM specification.
-func (v *VM) exec(t *threading.Thread, m *Method, args []Value, steps *int64) (result Value, threw bool) {
-	if len(args) != m.NumArgs {
-		throwf("%s: got %d args, want %d", m.QualifiedName(), len(args), m.NumArgs)
+// exec interprets one method activation, whose frame starts at base on
+// fs. Callee activations recurse. threw reports abrupt completion; the
+// returned Value is then the thrown exception value. A synchronized
+// method's monitor is released on both normal and abrupt completion, as
+// required by the JVM specification.
+func (v *VM) exec(t *threading.Thread, fs *frameStack, m *Method, base int, args []Value, steps *int64) (result Value, threw bool) {
+	frame := fs.frame(base, m.MaxLocals+m.maxStack)
+	locals := frame[:m.MaxLocals]
+	// An invoke passes its arguments in place. They need a copy only
+	// from Run's caller, or when the buffer grew under the caller.
+	if m.NumArgs > 0 && &locals[0] != &args[0] {
+		copy(locals, args)
 	}
-	locals := make([]Value, m.MaxLocals)
-	copy(locals, args)
-	stack := make([]Value, 0, m.maxStack)
+	clear(locals[m.NumArgs:])
+	stack := frame[m.MaxLocals:]
+	sp := 0
 
 	// Synchronized method prologue: lock the receiver, or the class
 	// object for a static method (§1: "the object must be locked for
@@ -318,11 +366,13 @@ func (v *VM) exec(t *threading.Thread, m *Method, args []Value, steps *int64) (r
 	}
 
 	pop := func() Value {
-		val := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		return val
+		sp--
+		return stack[sp]
 	}
-	push := func(val Value) { stack = append(stack, val) }
+	push := func(val Value) {
+		stack[sp] = val
+		sp++
+	}
 
 	// throwTo dispatches a thrown value from the instruction at fromPC:
 	// it returns the handler pc, or -1 to propagate to the caller.
@@ -338,7 +388,7 @@ func (v *VM) exec(t *threading.Thread, m *Method, args []Value, steps *int64) (r
 	// fromPC, returning (newPC, propagate).
 	doThrow := func(ex Value, fromPC int) (int, bool) {
 		if h := throwTo(fromPC); h >= 0 {
-			stack = stack[:0]
+			sp = 0
 			push(ex)
 			return h, false
 		}
@@ -375,7 +425,7 @@ func (v *VM) exec(t *threading.Thread, m *Method, args []Value, steps *int64) (r
 			b, a := pop(), pop()
 			push(IntValue(a.I * b.I))
 		case OpDup:
-			push(stack[len(stack)-1])
+			push(stack[sp-1])
 		case OpPop:
 			pop()
 		case OpGoto:
@@ -471,11 +521,8 @@ func (v *VM) exec(t *threading.Thread, m *Method, args []Value, steps *int64) (r
 			}
 		case OpInvoke:
 			callee := v.prog.Methods[in.A]
-			cargs := make([]Value, callee.NumArgs)
-			for i := callee.NumArgs - 1; i >= 0; i-- {
-				cargs[i] = pop()
-			}
-			res, calleeThrew := v.exec(t, callee, cargs, steps)
+			sp -= callee.NumArgs
+			res, calleeThrew := v.exec(t, fs, callee, base+m.MaxLocals+sp, stack[sp:sp+callee.NumArgs], steps)
 			if calleeThrew {
 				newPC, propagate := doThrow(res, pc-1)
 				if propagate {

@@ -140,28 +140,155 @@ func TestArrays(t *testing.T) {
 
 func TestInvokeAndRecursion(t *testing.T) {
 	t.Parallel()
-	v, th := newVM(t, func(p *Program) {
-		// fact(n) = n <= 0 ? 1 : n * fact(n-1); method index known = 0.
-		p.AddMethod(&Method{
-			Name: "fact", Flags: FlagStatic | FlagReturnsValue,
-			NumArgs: 1, MaxLocals: 1,
-			Code: NewAsm().
-				Iload(0).Iconst(1).IfICmpLT("base").
-				Iload(0).
-				Iload(0).Iconst(-1).Iadd().
-				Invoke(0).
-				Imul().IReturn().
-				Label("base").
-				Iconst(1).IReturn().
-				MustBuild(),
-		})
+	p := NewProgram()
+	// fact(n) = n <= 0 ? 1 : n * fact(n-1); method index known = 0.
+	p.AddMethod(&Method{
+		Name: "fact", Flags: FlagStatic | FlagReturnsValue,
+		NumArgs: 1, MaxLocals: 1,
+		Code: NewAsm().
+			Iload(0).Iconst(1).IfICmpLT("base").
+			Iload(0).
+			Iload(0).Iconst(-1).Iadd().
+			Invoke(0).
+			Imul().IReturn().
+			Label("base").
+			Iconst(1).IReturn().
+			MustBuild(),
 	})
-	res, err := v.Run(th, "fact", IntValue(10))
+	// sum(n) = n <= 0 ? 0 : n + sum(n-1), which stays exact at depths
+	// where fact has wrapped to 0; method index 1.
+	p.AddMethod(&Method{
+		Name: "sum", Flags: FlagStatic | FlagReturnsValue,
+		NumArgs: 1, MaxLocals: 1,
+		Code: NewAsm().
+			Iload(0).Iconst(1).IfICmpLT("base").
+			Iload(0).
+			Iload(0).Iconst(-1).Iadd().
+			Invoke(1).
+			Iadd().IReturn().
+			Label("base").
+			Iconst(0).IReturn().
+			MustBuild(),
+	})
+	// stale(n) calls dirty(n), which leaves n in its second local, and
+	// then fresh(n), whose frame reuses those slots and returns its
+	// second local before storing to it: 0, as in a zeroed frame.
+	p.AddMethod(&Method{
+		Name: "dirty", Flags: FlagStatic | FlagReturnsValue,
+		NumArgs: 1, MaxLocals: 2,
+		Code: NewAsm().Iload(0).Istore(1).Iload(1).IReturn().MustBuild(),
+	})
+	p.AddMethod(&Method{
+		Name: "fresh", Flags: FlagStatic | FlagReturnsValue,
+		NumArgs: 1, MaxLocals: 2,
+		Code: NewAsm().Iload(1).IReturn().MustBuild(),
+	})
+	p.AddMethod(&Method{
+		Name: "stale", Flags: FlagStatic | FlagReturnsValue,
+		NumArgs: 1, MaxLocals: 1,
+		Code: NewAsm().
+			Iload(0).Invoke(2).Pop().
+			Iload(0).Invoke(3).IReturn().
+			MustBuild(),
+	})
+	v, err := New(p, core.NewDefault(), object.NewHeap(), WithStepLimit(50_000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.I != 3628800 {
-		t.Fatalf("fact(10) = %d, want 3628800", res.I)
+	th, err := threading.NewRegistry().Attach("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The cases run in order on one VM, so each one starts on the frame
+	// stack the one before it left behind.
+	cases := []struct {
+		method string
+		n      int64
+		want   int64
+		err    string
+	}{
+		{method: "fact", n: 10, want: 3628800},
+		// Deep enough that the frame stack grows several times mid-call.
+		{method: "sum", n: 1000, want: 500500},
+		// Traps on the step limit thousands of frames down.
+		{method: "sum", n: 100_000, err: "step limit 50000 exceeded"},
+		{method: "fact", n: 10, want: 3628800},
+		{method: "sum", n: 1000, want: 500500},
+		{method: "stale", n: 99, want: 0},
+	}
+	for _, c := range cases {
+		res, err := v.Run(th, c.method, IntValue(c.n))
+		if c.err != "" {
+			if err == nil || !strings.Contains(err.Error(), c.err) {
+				t.Fatalf("%s(%d): err = %v, want %q", c.method, c.n, err, c.err)
+			}
+		} else if err != nil {
+			t.Fatalf("%s(%d): %v", c.method, c.n, err)
+		} else if res.I != c.want {
+			t.Fatalf("%s(%d) = %d, want %d", c.method, c.n, res.I, c.want)
+		}
+		requireFrameStackCleared(t, v)
+	}
+	if n := len(v.frames.Load().buf); n < 2*1000 {
+		t.Fatalf("frame stack holds %d slots after sum(1000), want at least 2000", n)
+	}
+}
+
+// requireFrameStackCleared checks that the frame stack parked in v holds
+// no value, so the VM keeps nothing a finished Run used reachable.
+func requireFrameStackCleared(t *testing.T, v *VM) {
+	t.Helper()
+	fs := v.frames.Load()
+	if fs == nil {
+		t.Fatal("no frame stack parked in the VM after Run")
+	}
+	for i, val := range fs.buf {
+		if val != (Value{}) {
+			t.Fatalf("frame stack slot %d still holds %+v after Run", i, val)
+		}
+	}
+}
+
+// TestInvokeAllocatesNothing gates the frame stack: interpreted calls
+// take their frames from the VM's buffer and pass arguments in place,
+// so a Run that invokes a method 64 times allocates no more than one
+// that invokes it once. Not parallel: AllocsPerRun counts every
+// allocation in the process.
+func TestInvokeAllocatesNothing(t *testing.T) {
+	v, th := newVM(t, func(p *Program) {
+		// id(x) = x; method index 0.
+		p.AddMethod(&Method{
+			Name: "id", Flags: FlagStatic | FlagReturnsValue,
+			NumArgs: 1, MaxLocals: 1,
+			Code: NewAsm().Iload(0).IReturn().MustBuild(),
+		})
+		// calls(n) sums id(i) over i < n; locals: 0 = n, 1 = i, 2 = acc.
+		p.AddMethod(&Method{
+			Name: "calls", Flags: FlagStatic | FlagReturnsValue,
+			NumArgs: 1, MaxLocals: 3,
+			Code: NewAsm().
+				Iconst(0).Istore(1).
+				Iconst(0).Istore(2).
+				Label("loop").
+				Iload(1).Iload(0).IfICmpGE("done").
+				Iload(2).Iload(1).Invoke(0).Iadd().Istore(2).
+				Iinc(1, 1).
+				Goto("loop").
+				Label("done").
+				Iload(2).IReturn().
+				MustBuild(),
+		})
+	})
+	allocs := func(n int64) float64 {
+		return testing.AllocsPerRun(100, func() {
+			res, err := v.Run(th, "calls", IntValue(n))
+			if err != nil || res.I != n*(n-1)/2 {
+				t.Fatalf("calls(%d) = %d, %v; want %d", n, res.I, err, n*(n-1)/2)
+			}
+		})
+	}
+	if one, many := allocs(1), allocs(64); many > one {
+		t.Fatalf("64 invokes allocate %.1f times per Run, 1 invoke %.1f: invokes allocate", many, one)
 	}
 }
 
