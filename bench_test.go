@@ -9,6 +9,7 @@
 //	BenchmarkMacro              — Figure 5 macro-benchmark comparison
 //	BenchmarkDirectLockUnlock   — the raw fast path (no interpreter),
 //	                              the paper's "17 instructions" claim
+//	BenchmarkWaitNotifyRoundTrip — unit cost of a wait/notify handoff
 //	BenchmarkDeflationAblation  — extension: cost of deflating eagerly
 //
 // The cmd/microbench, cmd/macrobench, cmd/tradeoffs
@@ -221,6 +222,49 @@ func BenchmarkDirectNestedLock(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkWaitNotifyRoundTrip is the wait/notify unit cost: two
+// threads alternate on one inflated object, each notifying the other and
+// then waiting. One op is one round trip: two Notify+Wait handoffs.
+func BenchmarkWaitNotifyRoundTrip(b *testing.B) {
+	for _, f := range bench.StandardImpls() {
+		f := f
+		b.Run(f.Name, func(b *testing.B) {
+			l := f.New()
+			reg := threading.NewRegistry()
+			o := object.NewHeap().New("X")
+			play := func(t *threading.Thread) {
+				l.Lock(t, o)
+				for i := 0; i < b.N; i++ {
+					if err := l.Notify(t, o); err != nil {
+						b.Error(err)
+					}
+					if _, err := l.Wait(t, o, 0); err != nil {
+						b.Error(err)
+					}
+				}
+				if err := l.Notify(t, o); err != nil {
+					b.Error(err)
+				}
+				if err := l.Unlock(t, o); err != nil {
+					b.Error(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			done, err := reg.Go("pong", play)
+			if err != nil {
+				b.Fatal(err)
+			}
+			t, err := reg.Attach("ping")
+			if err != nil {
+				b.Fatal(err)
+			}
+			play(t)
+			<-done
 		})
 	}
 }

@@ -34,17 +34,18 @@
 // owner last published in its bias slot — the revocation's
 // linearization point — and rewrites the header to a conventional
 // word: thin owned-by-reserver at that depth, or unlocked when the
-// depth was 0. Finally it unparks the reserver (threading.Parker) in
-// case it is stalled mid-handshake. Because the revoker's CAS and
-// depth read bracket the owner's depth store and header load under Go's
-// sequentially consistent atomics, one side always observes the other:
-// either the revoker's depth read includes the owner's in-flight
-// operation, or the owner's validating load sees the sentinel and
-// reconciles against whatever word the revoker published. A revoked
-// object can never be re-reserved (a sticky flags bit records the
-// revocation), so the fall-back is the paper's protocol: thin words
-// with a CAS acquire, inflating to an internal/monitor fat lock on
-// contention, count overflow, or Wait.
+// depth was 0. Finally it wakes every thread parked on the object in
+// the parking lot (threading.UnparkAll): the reserver stalled
+// mid-handshake, and anyone else waiting the sentinel out. Because the
+// revoker's CAS and depth read bracket the owner's depth store and
+// header load under Go's sequentially consistent atomics, one side
+// always observes the other: either the revoker's depth read includes
+// the owner's in-flight operation, or the owner's validating load sees
+// the sentinel and reconciles against whatever word the revoker
+// published. A revoked object can never be re-reserved (a sticky flags
+// bit records the revocation), so the fall-back is the paper's
+// protocol: thin words with a CAS acquire, inflating to an
+// internal/monitor fat lock on contention, count overflow, or Wait.
 //
 // Epochs. Each biased word carries a class epoch. When a class of
 // objects churns owners — revocation after revocation — the class's

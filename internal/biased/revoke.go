@@ -24,8 +24,9 @@ import (
 // guarantees any operation the read misses will reconcile against the
 // word we publish. Then rewrite the header: the owner's exact depth as
 // a conventional thin word, or — when unheld — unlocked, or
-// transferred to us if the reservation's epoch was stale. Finally wake
-// the owner in case it is stalled mid-reconciliation.
+// transferred to us if the reservation's epoch was stale — and wake
+// every thread parked on the object to wait the sentinel out, the owner
+// stalled mid-reconciliation among them.
 func (l *Locker) revoke(t *threading.Thread, o *object.Object, w uint32) bool {
 	misc := w & core.MiscMask
 	if !o.CASHeader(w, core.BiasRevokingWord(misc)) {
@@ -53,10 +54,7 @@ func (l *Locker) revoke(t *threading.Thread, o *object.Object, w uint32) bool {
 			nw := core.BiasedWord(t.Index(), cls.epoch.Load(), l.epochBits, misc)
 			s.SetWord(nw)
 			s.SetDepth(1)
-			o.SetHeader(nw)
-			if ownerT != nil {
-				ownerT.Parker().Unpark()
-			}
+			publishRevoked(o, nw)
 			l.biasTransfers.Add(1)
 			lockevent.Emit(lockevent.BiasTransfer, t, o)
 			return true
@@ -78,10 +76,7 @@ func (l *Locker) revoke(t *threading.Thread, o *object.Object, w uint32) bool {
 	}
 	o.SetFlagBits(FlagBiasDead) // before publishing: no re-reservation
 	l.bumpClassRevocation(t, cls)
-	o.SetHeader(nw)
-	if ownerT != nil {
-		ownerT.Parker().Unpark()
-	}
+	publishRevoked(o, nw)
 	l.revContention.Add(1)
 	lockevent.Emit(lockevent.RevokeContention, t, o)
 	return false
@@ -131,7 +126,7 @@ func (l *Locker) selfRevokeOverflow(t *threading.Thread, o *object.Object, s *th
 	m := l.table.Allocate()
 	m.SeedOwner(t, uint32(d)+1)
 	t.ReleaseBiasSlot(s)
-	o.SetHeader(core.InflatedWord(m.Index(), w))
+	publishRevoked(o, core.InflatedWord(m.Index(), w))
 	l.revOverflow.Add(1)
 	l.inflOverflow.Add(1)
 	lockevent.Emit(lockevent.RevokeOverflow, t, o)
@@ -166,7 +161,7 @@ func (l *Locker) waitRevoke(t *threading.Thread, o *object.Object, s *threading.
 		m := l.table.Allocate()
 		m.SeedOwner(t, uint32(d))
 		t.ReleaseBiasSlot(s)
-		o.SetHeader(core.InflatedWord(m.Index(), w))
+		publishRevoked(o, core.InflatedWord(m.Index(), w))
 		l.revWait.Add(1)
 		l.inflWait.Add(1)
 		lockevent.Emit(lockevent.RevokeWait, t, o)

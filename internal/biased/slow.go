@@ -2,7 +2,6 @@ package biased
 
 import (
 	"sync/atomic"
-	"time"
 
 	"thinlock/internal/arch"
 	"thinlock/internal/core"
@@ -175,11 +174,10 @@ func (l *Locker) unlockSlow(t *threading.Thread, o *object.Object) error {
 	}
 }
 
-// awaitRevocation waits out a revocation sentinel on o's header. The
-// revoker unparks the reserving thread when it publishes the walked
-// word; the parker timeout bounds the case where the waiting thread is
-// not the one the revoker knows about. The stall is the handshake's
-// cost, timed only when an observer records it.
+// awaitRevocation waits out a revocation sentinel on o's header: a few
+// back-off rounds, then a park on o in the parking lot, which whoever
+// publishes the walked word ends (publishRevoked). The stall is the
+// handshake's cost, timed only when an observer records it.
 func (l *Locker) awaitRevocation(t *threading.Thread, o *object.Object) {
 	hp := o.HeaderAddr()
 	if !core.IsBiasRevoking(atomic.LoadUint32(hp)) {
@@ -189,13 +187,23 @@ func (l *Locker) awaitRevocation(t *threading.Thread, o *object.Object) {
 	// ride out sentinels), so the episode ends with Unblock.
 	lockevent.EmitValue(lockevent.Block, t, o, int64(lockevent.WaitRevocation))
 	start := lockevent.Start(lockevent.Unblock)
+	revoking := func() bool { return core.IsBiasRevoking(atomic.LoadUint32(hp)) }
 	var b arch.Backoff
-	for core.IsBiasRevoking(atomic.LoadUint32(hp)) {
+	for revoking() {
 		if b.Rounds() >= 8 {
-			t.Parker().ParkTimeout(100 * time.Microsecond)
+			threading.Park(t, o, revoking)
 		} else {
 			b.Pause()
 		}
 	}
 	lockevent.End(lockevent.Unblock, t, o, start)
+}
+
+// publishRevoked ends a revocation: it stores the walked word w over the
+// sentinel and wakes every thread parked on o to wait the sentinel out.
+// The header store precedes the bucket lock UnparkAll takes, so a waiter
+// whose validate still saw the sentinel is already parked.
+func publishRevoked(o *object.Object, w uint32) {
+	o.SetHeader(w)
+	threading.UnparkAll(o)
 }

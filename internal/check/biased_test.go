@@ -245,33 +245,29 @@ func TestCheckerCatchesRevokeOffByOne(t *testing.T) {
 		SkipOracle:   true,
 	}
 
-	for seed := int64(0); seed < 4; seed++ {
-		cfg.Schedule = seed
-		if fs := CheckProgram(clean, p, cfg); len(fs) != 0 {
-			t.Fatalf("unmutated biased implementation failed (seed %d): %v", seed, fs)
+	killTest(t, "RevokeOffByOne", func() {
+		for seed := int64(0); seed < 4; seed++ {
+			cfg.Schedule = seed
+			if fs := CheckProgram(clean, p, cfg); len(fs) != 0 {
+				t.Fatalf("unmutated biased implementation failed (seed %d): %v", seed, fs)
+			}
 		}
-	}
-
-	var caught []Failure
-	var seed int64
-	for seed = 0; seed < 10; seed++ {
-		cfg.Schedule = seed
-		fs := CheckProgram(mutant, p, cfg)
-		if SameKind(fs, FailOutcome) || SameKind(fs, FailStuck) {
-			caught = fs
-			break
+	}, func() mutantVerdict {
+		diverges := func(fs []Failure) bool { return SameKind(fs, FailOutcome) || SameKind(fs, FailStuck) }
+		for seed := int64(0); seed < 10; seed++ {
+			cfg.Schedule = seed
+			if fs := CheckProgram(mutant, p, cfg); diverges(fs) {
+				min := Minimize(p, func(q Program) bool {
+					c := cfg
+					c.Schedule = seed
+					return diverges(CheckProgram(mutant, q, c))
+				})
+				return mutantVerdict{Caught: true, Seed: seed,
+					Detail: fmt.Sprintf("%v\nminimized failing schedule:\n%s", fs, min)}
+			}
 		}
-	}
-	if caught == nil {
-		t.Fatal("checker never reported the seeded RevokeOffByOne mutation")
-	}
-	min := Minimize(p, func(q Program) bool {
-		c := cfg
-		c.Schedule = seed
-		fs := CheckProgram(mutant, q, c)
-		return SameKind(fs, FailOutcome) || SameKind(fs, FailStuck)
+		return mutantVerdict{Detail: "no seed reported a divergence"}
 	})
-	t.Logf("RevokeOffByOne caught at seed %d: %v\nminimized failing schedule:\n%s", seed, caught, min)
 }
 
 // TestCheckerCatchesSkipOwnerValidation seeds the broken Dekker
@@ -307,26 +303,23 @@ func TestCheckerCatchesSkipOwnerValidation(t *testing.T) {
 		SkipOracle:   true,
 	}
 
-	for seed := int64(0); seed < 4; seed++ {
-		cfg.Schedule = seed
-		if fs := CheckProgram(clean, p, cfg); len(fs) != 0 {
-			t.Fatalf("unmutated biased implementation failed (seed %d): %v", seed, fs)
-		}
-	}
-
-	caught := false
-	for seed := int64(0); seed < 10 && !caught; seed++ {
-		cfg.Schedule = seed
-		fs := CheckProgram(mutant, p, cfg)
-		for _, k := range []FailureKind{FailStuck, FailMutex, FailLeak, FailOutcome} {
-			if SameKind(fs, k) {
-				t.Logf("SkipOwnerValidation caught at seed %d: %v", seed, fs)
-				caught = true
-				break
+	killTest(t, "SkipOwnerValidation", func() {
+		for seed := int64(0); seed < 4; seed++ {
+			cfg.Schedule = seed
+			if fs := CheckProgram(clean, p, cfg); len(fs) != 0 {
+				t.Fatalf("unmutated biased implementation failed (seed %d): %v", seed, fs)
 			}
 		}
-	}
-	if !caught {
-		t.Fatal("checker never reported the seeded SkipOwnerValidation mutation")
-	}
+	}, func() mutantVerdict {
+		for seed := int64(0); seed < 10; seed++ {
+			cfg.Schedule = seed
+			fs := CheckProgram(mutant, p, cfg)
+			for _, k := range []FailureKind{FailStuck, FailMutex, FailLeak, FailOutcome} {
+				if SameKind(fs, k) {
+					return mutantVerdict{Caught: true, Seed: seed, Detail: fmt.Sprint(fs)}
+				}
+			}
+		}
+		return mutantVerdict{Detail: "no seed reported a divergence"}
+	})
 }

@@ -186,28 +186,25 @@ func TestCheckerCatchesDeflateEpochSkip(t *testing.T) {
 		SkipOracle:   true,
 	}
 
-	for seed := int64(0); seed < 4; seed++ {
-		cfg.Schedule = seed
-		if fs := CheckProgram(clean, p, cfg); len(fs) != 0 {
-			t.Fatalf("unmutated compact implementation failed (seed %d): %v", seed, fs)
-		}
-	}
-
-	caught := false
-	for seed := int64(0); seed < 30 && !caught; seed++ {
-		cfg.Schedule = seed
-		fs := CheckProgram(mutant, p, cfg)
-		for _, k := range []FailureKind{FailMutex, FailOutcome, FailStuck, FailLeak} {
-			if SameKind(fs, k) {
-				t.Logf("DeflateEpochSkip caught at seed %d: %v", seed, fs)
-				caught = true
-				break
+	killTest(t, "DeflateEpochSkip", func() {
+		for seed := int64(0); seed < 4; seed++ {
+			cfg.Schedule = seed
+			if fs := CheckProgram(clean, p, cfg); len(fs) != 0 {
+				t.Fatalf("unmutated compact implementation failed (seed %d): %v", seed, fs)
 			}
 		}
-	}
-	if !caught {
-		t.Fatal("checker never reported the seeded DeflateEpochSkip mutation")
-	}
+	}, func() mutantVerdict {
+		for seed := int64(0); seed < 30; seed++ {
+			cfg.Schedule = seed
+			fs := CheckProgram(mutant, p, cfg)
+			for _, k := range []FailureKind{FailMutex, FailOutcome, FailStuck, FailLeak} {
+				if SameKind(fs, k) {
+					return mutantVerdict{Caught: true, Seed: seed, Detail: fmt.Sprint(fs)}
+				}
+			}
+		}
+		return mutantVerdict{Detail: "no seed reported a divergence"}
+	})
 }
 
 // TestCheckerCatchesDeflateQueueIgnore seeds the dropped entry queue
@@ -242,30 +239,26 @@ func TestCheckerCatchesDeflateQueueIgnore(t *testing.T) {
 		SkipOracle:   true,
 	}
 
-	for seed := int64(0); seed < 4; seed++ {
-		cfg.Schedule = seed
-		if fs := CheckProgram(clean, p, cfg); len(fs) != 0 {
-			t.Fatalf("unmutated compact implementation failed (seed %d): %v", seed, fs)
+	killTest(t, "DeflateQueueIgnore", func() {
+		for seed := int64(0); seed < 4; seed++ {
+			cfg.Schedule = seed
+			if fs := CheckProgram(clean, p, cfg); len(fs) != 0 {
+				t.Fatalf("unmutated compact implementation failed (seed %d): %v", seed, fs)
+			}
 		}
-	}
-
-	var caught []Failure
-	var seed int64
-	for seed = 0; seed < 10; seed++ {
-		cfg.Schedule = seed
-		if fs := CheckProgram(mutant, p, cfg); SameKind(fs, FailStuck) {
-			caught = fs
-			break
+	}, func() mutantVerdict {
+		for seed := int64(0); seed < 10; seed++ {
+			cfg.Schedule = seed
+			if fs := CheckProgram(mutant, p, cfg); SameKind(fs, FailStuck) {
+				min := Minimize(p, func(q Program) bool {
+					c := cfg
+					c.Schedule = seed
+					return SameKind(CheckProgram(mutant, q, c), FailStuck)
+				})
+				return mutantVerdict{Caught: true, Seed: seed,
+					Detail: fmt.Sprintf("%v\nminimized failing schedule:\n%s", fs, min)}
+			}
 		}
-	}
-	if caught == nil {
-		t.Fatal("checker never reported the stranded contender as a stuck schedule")
-	}
-	min := Minimize(p, func(q Program) bool {
-		c := cfg
-		c.Schedule = seed
-		return SameKind(CheckProgram(mutant, q, c), FailStuck)
+		return mutantVerdict{Detail: "no seed reported the stranded contender as a stuck schedule"}
 	})
-	t.Logf("DeflateQueueIgnore caught at seed %d: %v\nminimized failing schedule:\n%s",
-		seed, caught, min)
 }

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -39,20 +40,23 @@ func TestCheckerCatchesOverflowOffByOne(t *testing.T) {
 	p := Program{Objects: 1, Threads: [][]Op{ops}}
 	cfg := Config{Timeout: 10 * time.Second}
 
-	if fs := CheckProgram(clean, p, cfg); len(fs) != 0 {
-		t.Fatalf("unmutated implementation failed the overflow program: %v", fs)
-	}
-	fs := CheckProgram(mutant, p, cfg)
-	if !SameKind(fs, FailOutcome) {
-		t.Fatalf("checker missed the seeded OverflowOffByOne mutation: %v", fs)
-	}
-	min := Minimize(p, func(q Program) bool {
-		return SameKind(CheckProgram(mutant, q, cfg), FailOutcome)
+	killTest(t, "OverflowOffByOne", func() {
+		if fs := CheckProgram(clean, p, cfg); len(fs) != 0 {
+			t.Fatalf("unmutated implementation failed the overflow program: %v", fs)
+		}
+	}, func() mutantVerdict {
+		fs := CheckProgram(mutant, p, cfg)
+		if !SameKind(fs, FailOutcome) {
+			return mutantVerdict{Detail: fmt.Sprint(fs)}
+		}
+		min := Minimize(p, func(q Program) bool {
+			return SameKind(CheckProgram(mutant, q, cfg), FailOutcome)
+		})
+		if !SameKind(CheckProgram(mutant, min, cfg), FailOutcome) {
+			return mutantVerdict{Detail: fmt.Sprintf("minimized program no longer fails:\n%s", min)}
+		}
+		return mutantVerdict{Caught: true, Detail: fmt.Sprintf("%v\nminimized failing schedule:\n%s", fs, min)}
 	})
-	if !SameKind(CheckProgram(mutant, min, cfg), FailOutcome) {
-		t.Fatalf("minimized program no longer fails:\n%s", min)
-	}
-	t.Logf("OverflowOffByOne caught: %v\nminimized failing schedule:\n%s", fs, min)
 }
 
 // TestCheckerCatchesDropQueuedWake seeds the lost-wakeup bug (the
@@ -85,30 +89,26 @@ func TestCheckerCatchesDropQueuedWake(t *testing.T) {
 		SkipOracle:   true,
 	}
 
-	for seed := int64(0); seed < 4; seed++ {
-		cfg.Schedule = seed
-		if fs := CheckProgram(clean, p, cfg); len(fs) != 0 {
-			t.Fatalf("unmutated queued implementation failed (seed %d): %v", seed, fs)
+	killTest(t, "DropQueuedWake", func() {
+		for seed := int64(0); seed < 4; seed++ {
+			cfg.Schedule = seed
+			if fs := CheckProgram(clean, p, cfg); len(fs) != 0 {
+				t.Fatalf("unmutated queued implementation failed (seed %d): %v", seed, fs)
+			}
 		}
-	}
-
-	var caught []Failure
-	var seed int64
-	for seed = 0; seed < 8; seed++ {
-		cfg.Schedule = seed
-		if fs := CheckProgram(mutant, p, cfg); SameKind(fs, FailStuck) {
-			caught = fs
-			break
+	}, func() mutantVerdict {
+		for seed := int64(0); seed < 8; seed++ {
+			cfg.Schedule = seed
+			if fs := CheckProgram(mutant, p, cfg); SameKind(fs, FailStuck) {
+				min := Minimize(p, func(q Program) bool {
+					c := cfg
+					c.Schedule = seed
+					return SameKind(CheckProgram(mutant, q, c), FailStuck)
+				})
+				return mutantVerdict{Caught: true, Seed: seed,
+					Detail: fmt.Sprintf("%v\nminimized failing schedule:\n%s", fs, min)}
+			}
 		}
-	}
-	if caught == nil {
-		t.Fatal("checker never reported the dropped wakeup as a stuck schedule")
-	}
-	min := Minimize(p, func(q Program) bool {
-		c := cfg
-		c.Schedule = seed
-		return SameKind(CheckProgram(mutant, q, c), FailStuck)
+		return mutantVerdict{Detail: "no seed reported the dropped wakeup as a stuck schedule"}
 	})
-	t.Logf("DropQueuedWake caught at seed %d: %v\nminimized failing schedule:\n%s",
-		seed, caught, min)
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"thinlock/internal/object"
+	"thinlock/internal/threading"
 )
 
 func TestQueuedContentionParksAndInflates(t *testing.T) {
@@ -189,8 +190,8 @@ func TestQueuedFlagClearedAfterWake(t *testing.T) {
 	if o.Flags()&FlagFLC != 0 {
 		t.Error("flc bit left set after contention resolved")
 	}
-	if n := f.l.flc.queueLen(); n != 0 {
-		t.Errorf("%d contention queues leaked", n)
+	if n := threading.UnparkAll(o); n != 0 {
+		t.Errorf("%d contenders left parked on the object", n)
 	}
 }
 
@@ -209,8 +210,8 @@ func TestQueuedNoOverheadWithoutContention(t *testing.T) {
 	if s.QueuedParks != 0 || s.FLCWakeups != 0 || s.FatLocks != 0 {
 		t.Errorf("uncontended run touched queues: %+v", s)
 	}
-	if f.l.flc.queueLen() != 0 {
-		t.Error("queues allocated without contention")
+	if threading.UnparkAll(o) != 0 {
+		t.Error("a thread parked without contention")
 	}
 }
 
@@ -241,21 +242,4 @@ func TestQueuedWithDeflationCycles(t *testing.T) {
 	if counter != goroutines*iters {
 		t.Fatalf("counter = %d, want %d", counter, goroutines*iters)
 	}
-}
-
-func TestFLCTableDropKeepsNonEmptyQueues(t *testing.T) {
-	t.Parallel()
-	ft := newFLCTable()
-	q := ft.get(7)
-	q.waiters = append(q.waiters, make(chan struct{}))
-	ft.drop(7)
-	if ft.queueLen() != 1 {
-		t.Error("drop removed a queue with waiters")
-	}
-	q.waiters = nil
-	ft.drop(7)
-	if ft.queueLen() != 0 {
-		t.Error("drop kept an empty queue")
-	}
-	ft.drop(99) // absent id: no-op
 }

@@ -165,7 +165,6 @@ type ThinLocks struct {
 	cpu     arch.CPU
 	recycle bool // deflation with index recycling (Options.RecycleMonitors)
 	queued  bool
-	flc     *flcTable
 	mut     Mutations
 	// nestedLimit is the XOR-check bound: maxCount << CountShift.
 	nestedLimit uint32
@@ -199,9 +198,6 @@ func New(opts Options) *ThinLocks {
 		mut:         opts.TestMutations,
 		nestedLimit: maxCount << CountShift,
 		maxCount:    maxCount,
-	}
-	if tl.queued {
-		tl.flc = newFLCTable()
 	}
 	return tl
 }

@@ -18,6 +18,7 @@
 package conformance
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -69,6 +70,7 @@ func Run(t *testing.T, mk func() lockapi.Locker) {
 		{"SecondThreadAfterRepeatOwner", testSecondThreadAfterRepeatOwner},
 		{"WaitAfterRepeatOwnership", testWaitAfterRepeatOwnership},
 		{"InterruptDuringOwnershipTransfer", testInterruptDuringOwnershipTransfer},
+		{"TimeoutInterruptNotifyRace", testTimeoutInterruptNotifyRace},
 		{"ContendedDeepNesting", testContendedDeepNesting},
 		{"DeflateEnterRace", testDeflateEnterRace},
 		{"DeflateVsWaiterPinsMonitor", testDeflateVsWait},
@@ -515,6 +517,125 @@ func testInterruptDuringOwnershipTransfer(t *testing.T, mk func() lockapi.Locker
 	case <-time.After(testutil.DefaultWaitTimeout):
 		t.Fatal("interrupted waiter never returned")
 	}
+}
+
+// testTimeoutInterruptNotifyRace: a timed wait's timeout, an interrupt
+// and a notify land together on one waiter, round after round, in both
+// orders and at offsets around the timeout. Each round the waiter must
+// report exactly one outcome and own the monitor again at its saved
+// depth. The interrupt must be consumed exactly when the outcome is the
+// interrupt, so a notify that wins leaves the status pending. And the
+// waiter's next untimed wait must block until it is notified: no wake
+// left over from the race may end it.
+func testTimeoutInterruptNotifyRace(t *testing.T, mk func() lockapi.Locker) {
+	f := newFixture(t, mk)
+	main := f.thread(t, "main")
+	o := f.heap.New("conf")
+	const (
+		rounds  = 30
+		depth   = 2
+		timeout = time.Millisecond
+	)
+	started := make(chan *threading.Thread) // the waiter holds o at depth
+	fired := make(chan struct{})            // interrupt and notify delivered
+	parked := make(chan struct{})           // the waiter is in its untimed wait
+	var returned atomic.Bool
+	var outcomes [3]int // notified, interrupted, timed out
+
+	done, err := f.reg.Go("waiter", func(w *threading.Thread) {
+		for r := 0; r < rounds; r++ {
+			for i := 0; i < depth; i++ {
+				f.l.Lock(w, o)
+			}
+			started <- w
+			notified, err := f.l.Wait(w, o, timeout)
+			switch {
+			case err != nil && err != threading.ErrInterrupted:
+				t.Errorf("round %d: Wait err = %v", r, err)
+			case notified && err != nil:
+				t.Errorf("round %d: Wait reported both a notify and %v", r, err)
+			case notified:
+				outcomes[0]++
+			case err != nil:
+				outcomes[1]++
+			default:
+				outcomes[2]++
+			}
+			for i := 0; i < depth; i++ {
+				if err := f.l.Unlock(w, o); err != nil {
+					t.Errorf("round %d: unlock %d after wait: %v", r, i, err)
+				}
+			}
+			if err := f.l.Unlock(w, o); err != monitor.ErrIllegalMonitorState {
+				t.Errorf("round %d: unlock past the saved depth: err = %v", r, err)
+			}
+			<-fired
+			if pending := w.Interrupted(); pending == (err == threading.ErrInterrupted) {
+				t.Errorf("round %d: outcome (notified=%v, err=%v) left interrupt status %v",
+					r, notified, err, pending)
+			}
+
+			f.l.Lock(w, o)
+			returned.Store(false)
+			parked <- struct{}{}
+			notified, err = f.l.Wait(w, o, 0)
+			returned.Store(true)
+			if !notified || err != nil {
+				t.Errorf("round %d: untimed wait = (%v, %v), want notified", r, notified, err)
+			}
+			if err := f.l.Unlock(w, o); err != nil {
+				t.Errorf("round %d: unlock after untimed wait: %v", r, err)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < rounds; r++ {
+		w := <-started
+		f.l.Lock(main, o) // the waiter is inside Wait, or already past it
+		time.Sleep(timeout * time.Duration(r%4) / 2)
+		if r%3 != 2 {
+			w.Interrupt()
+		}
+		if r%3 == 0 {
+			time.Sleep(timeout / 2) // let the interrupt win
+		}
+		if err := f.l.Notify(main, o); err != nil {
+			t.Fatalf("round %d: notify: %v", r, err)
+		}
+		if r%3 == 2 {
+			w.Interrupt()
+		}
+		if err := f.l.Unlock(main, o); err != nil {
+			t.Fatalf("round %d: unlock: %v", r, err)
+		}
+		fired <- struct{}{}
+
+		<-parked
+		f.l.Lock(main, o) // acquired once the untimed wait has released o
+		if err := f.l.Unlock(main, o); err != nil {
+			t.Fatalf("round %d: unlock: %v", r, err)
+		}
+		time.Sleep(time.Millisecond)
+		if returned.Load() {
+			t.Fatalf("round %d: untimed wait returned without a notify", r)
+		}
+		f.l.Lock(main, o)
+		if err := f.l.Notify(main, o); err != nil {
+			t.Fatalf("round %d: notify: %v", r, err)
+		}
+		if err := f.l.Unlock(main, o); err != nil {
+			t.Fatalf("round %d: unlock: %v", r, err)
+		}
+	}
+	select {
+	case <-done:
+	case <-time.After(testutil.DefaultWaitTimeout):
+		t.Fatal("waiter never finished")
+	}
+	t.Logf("outcomes over %d rounds: notified %d, interrupted %d, timed out %d",
+		rounds, outcomes[0], outcomes[1], outcomes[2])
 }
 
 // testContendedDeepNesting: one thread nests past every count-field

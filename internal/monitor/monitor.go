@@ -10,14 +10,18 @@
 // count, and the necessary queues." (§2.1). This package is that system:
 // a Monitor holds an owner thread pointer, the lock count (the number of
 // locks, not the number minus one as in a thin lock — Figure 2), a FIFO
-// entry queue and a wait set. Blocked threads park on per-node channels.
+// entry queue and a wait set. The queues are intrusive lists of the
+// blocked threads' own park nodes (threading.ParkNode), each thread
+// sleeps on its own Parker, and a Monitor is 64 bytes: blocking
+// allocates nothing, and a monitor whose queues have emptied references
+// no thread.
 //
 // Entry spins, then queues. A thread that finds the monitor owned
 // re-checks it under the latch between arch.Backoff pauses, for a fixed
 // number of rounds (spinRounds), and only then joins the entry queue
 // and parks. The paper keeps a contended object inflated (§2.3.4), so
 // every later contention for it meets a monitor; when holds are short,
-// spinning first saves the park, the handoff and the queue node.
+// spinning first saves the park and the handoff.
 // Queued threads are served by direct handoff: when the owner exits,
 // ownership is transferred to the head of the entry queue before that
 // thread resumes, which keeps the queue FIFO-fair.
@@ -32,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"thinlock/internal/arch"
@@ -46,32 +49,14 @@ import (
 // IllegalMonitorStateException.
 var ErrIllegalMonitorState = errors.New("monitor: thread does not own monitor")
 
-// nodeState tracks where a blocked thread's node currently lives.
-// All transitions happen under the monitor latch.
-type nodeState int
-
+// The values of a queued thread's ParkNode.State: where the node lives.
+// Transitions happen under the monitor latch; the parked thread polls
+// for stateGranted without it.
 const (
-	stateEntryQueue nodeState = iota // blocked entering; in entry queue
-	stateWaitSet                     // blocked in wait; in wait set
-	stateGranted                     // ownership handed to this node
+	stateEntryQueue uint32 = iota // blocked entering; in the entry queue
+	stateWaitSet                  // blocked in wait; in the wait set
+	stateGranted                  // ownership handed to this node
 )
-
-// node represents one blocked thread, used for both the entry queue and
-// the wait set (notify moves a node from the wait set to the entry
-// queue without reallocating).
-type node struct {
-	t       *threading.Thread
-	granted chan struct{} // receives the ownership handoff; buffered 1
-	intr    chan struct{} // closed on interrupt (wait nodes only)
-	intrOne sync.Once
-	reentry uint32 // lock count to restore when granted
-	state   nodeState
-}
-
-// WakeForInterrupt implements threading.Interruptible.
-func (n *node) WakeForInterrupt() {
-	n.intrOne.Do(func() { close(n.intr) })
-}
 
 // Monitor is a heavy-weight recursive lock with condition-variable
 // semantics. The zero value is unusable; create monitors with New or
@@ -80,19 +65,15 @@ type Monitor struct {
 	latch   sync.Mutex
 	owner   *threading.Thread
 	count   uint32
-	entry   []*node // FIFO entry queue
-	waits   []*node // wait set, notified in FIFO order
-	index   uint32  // index in the owning Table (0 if table-less)
-	retired bool    // set by Retire; the monitor no longer guards its object
+	index   uint32          // index in the owning Table (0 if table-less)
+	entry   threading.Queue // FIFO entry queue
+	waits   threading.Queue // wait set, notified in FIFO order
+	retired bool            // set by Retire; the monitor no longer guards its object
 
 	// recycledIdx records that the Table served this monitor's index
 	// from a free list rather than extending the index space. Set once
 	// at allocation, read-only afterwards.
 	recycledIdx bool
-
-	contended atomic.Uint64 // entries that had to queue
-	waitCount atomic.Uint64 // Wait calls
-	notifies  atomic.Uint64 // Notify + NotifyAll calls
 }
 
 // New returns a fresh unowned monitor that is not registered in any
@@ -108,7 +89,7 @@ func (m *Monitor) String() string {
 	m.latch.Lock()
 	defer m.latch.Unlock()
 	return fmt.Sprintf("monitor(idx=%d owner=%v count=%d entry=%d wait=%d)",
-		m.index, m.owner, m.count, len(m.entry), len(m.waits))
+		m.index, m.owner, m.count, m.entry.Len(), m.waits.Len())
 }
 
 // Enter acquires the monitor for t, blocking until it is available.
@@ -141,7 +122,7 @@ func (m *Monitor) EnterIfActive(t *threading.Thread, o *object.Object) bool {
 func (m *Monitor) Retire(t *threading.Thread) bool {
 	m.latch.Lock()
 	defer m.latch.Unlock()
-	if m.owner != t || m.count != 1 || len(m.entry) > 0 || len(m.waits) > 0 {
+	if m.owner != t || m.count != 1 || !m.entry.Empty() || !m.waits.Empty() {
 		return false
 	}
 	m.owner = nil
@@ -159,7 +140,7 @@ func (m *Monitor) Retire(t *threading.Thread) bool {
 func (m *Monitor) RetireDroppingQueue(t *threading.Thread) bool {
 	m.latch.Lock()
 	defer m.latch.Unlock()
-	if m.owner != t || m.count != 1 || len(m.waits) > 0 {
+	if m.owner != t || m.count != 1 || !m.waits.Empty() {
 		return false
 	}
 	m.owner = nil
@@ -220,16 +201,29 @@ func (m *Monitor) enter(t *threading.Thread, o *object.Object) bool {
 		b.Pause()
 		m.latch.Lock()
 	}
-	n := &node{t: t, granted: make(chan struct{}, 1), reentry: 1, state: stateEntryQueue}
-	m.entry = append(m.entry, n)
-	m.contended.Add(1)
-	depth := len(m.entry)
+	n := t.ParkNode()
+	n.Count = 1
+	n.State.Store(stateEntryQueue)
+	m.entry.Push(n)
+	depth := 0
+	if lockevent.Wants(lockevent.Enqueue) {
+		depth = m.entry.Len()
+	}
 	m.latch.Unlock()
 	lockevent.EmitValue(lockevent.Enqueue, t, nil, int64(depth))
 	start := lockevent.Start(lockevent.Unpark)
-	<-n.granted // direct handoff: owner/count already set for us
+	awaitGrant(n) // direct handoff: owner/count already set for us
 	lockevent.End(lockevent.Unpark, t, nil, start)
 	return true
+}
+
+// awaitGrant parks n's thread until an exiting owner hands it the
+// monitor.
+func awaitGrant(n *threading.ParkNode) {
+	p := n.Thread().Parker()
+	for n.State.Load() != stateGranted {
+		p.Park()
+	}
 }
 
 // TryEnter acquires the monitor only if it can do so without blocking,
@@ -260,7 +254,7 @@ func (m *Monitor) TryEnter(t *threading.Thread) bool {
 func (m *Monitor) SeedOwner(t *threading.Thread, count uint32) {
 	m.latch.Lock()
 	defer m.latch.Unlock()
-	if m.owner != nil || len(m.entry) > 0 || len(m.waits) > 0 {
+	if m.owner != nil || !m.entry.Empty() || !m.waits.Empty() {
 		panic("monitor: SeedOwner on a monitor in use")
 	}
 	if count == 0 {
@@ -279,29 +273,38 @@ func (m *Monitor) Exit(t *threading.Thread) error {
 		return ErrIllegalMonitorState
 	}
 	m.count--
+	var next *threading.Thread
 	if m.count == 0 {
-		m.handoffLocked()
+		next = m.handoffLocked()
 	}
 	m.latch.Unlock()
+	unpark(next)
 	return nil
 }
 
-// handoffLocked transfers ownership to the head of the entry queue, or
-// marks the monitor unowned. Caller holds the latch and has already set
-// count to 0.
-func (m *Monitor) handoffLocked() {
-	if len(m.entry) == 0 {
+// handoffLocked transfers ownership to the head of the entry queue and
+// returns its thread, for the caller to unpark once it has released the
+// latch; with an empty queue it marks the monitor unowned and returns
+// nil. Caller holds the latch and has already set count to 0.
+func (m *Monitor) handoffLocked() *threading.Thread {
+	n := m.entry.Pop()
+	if n == nil {
 		m.owner = nil
-		return
+		return nil
 	}
-	n := m.entry[0]
-	copy(m.entry, m.entry[1:])
-	m.entry = m.entry[:len(m.entry)-1]
-	m.owner = n.t
-	m.count = n.reentry
-	n.state = stateGranted
-	lockevent.Emit(lockevent.Handoff, n.t, nil)
-	n.granted <- struct{}{}
+	th := n.Thread()
+	m.owner = th
+	m.count = n.Count
+	lockevent.Emit(lockevent.Handoff, th, nil)
+	n.State.Store(stateGranted) // from here on n belongs to its thread
+	return th
+}
+
+// unpark wakes a thread handoffLocked granted the monitor, if any.
+func unpark(t *threading.Thread) {
+	if t != nil {
+		t.Parker().Unpark()
+	}
 }
 
 // Wait releases the monitor completely (whatever the recursion depth),
@@ -309,109 +312,85 @@ func (m *Monitor) handoffLocked() {
 // forever), then re-acquires the monitor at the saved depth before
 // returning.
 //
-// notified reports whether the thread was woken by Notify/NotifyAll
-// (false for timeout). err is ErrIllegalMonitorState if t does not own
-// the monitor, or threading.ErrInterrupted if the wait was interrupted
-// (in which case the interrupt status is cleared, as in Java).
+// A wait reports exactly one outcome. notified is true, with a nil
+// error, if Notify or NotifyAll chose the thread; a timeout or interrupt
+// that races the notify then leaves the interrupt status as it is, so no
+// notification is lost to an interrupt (JLS §17.2.4). Otherwise err is
+// threading.ErrInterrupted if the thread's interrupt status was set when
+// it left the wait set (the status is cleared, as in Java), and nil for a
+// timeout. err is ErrIllegalMonitorState if t does not own the monitor.
 func (m *Monitor) Wait(t *threading.Thread, d time.Duration) (notified bool, err error) {
 	m.latch.Lock()
 	if m.owner != t {
 		m.latch.Unlock()
 		return false, ErrIllegalMonitorState
 	}
-	if t.IsInterrupted() {
+	if t.Interrupted() { // clears the status, as Java does when throwing
 		m.latch.Unlock()
-		t.Interrupted() // clear, as Java does when throwing
 		return false, threading.ErrInterrupted
 	}
-	m.waitCount.Add(1)
 	lockevent.Emit(lockevent.MonitorWait, t, nil)
-	n := &node{
-		t:       t,
-		granted: make(chan struct{}, 1),
-		intr:    make(chan struct{}),
-		reentry: m.count,
-		state:   stateWaitSet,
-	}
-	m.waits = append(m.waits, n)
+	n := t.ParkNode()
+	n.Count = m.count
+	n.State.Store(stateWaitSet)
+	m.waits.Push(n)
 	m.count = 0
-	m.handoffLocked()
-	t.SetWaitNode(n)
+	next := m.handoffLocked()
 	m.latch.Unlock()
+	unpark(next)
 
-	interrupted := false
-	if d > 0 {
-		timer := time.NewTimer(d)
-		select {
-		case <-n.granted:
-			notified = true
-		case <-timer.C:
-			lockevent.Emit(lockevent.WaitTimeout, t, nil)
-		case <-n.intr:
-			interrupted = true
-		}
-		timer.Stop()
+	sleep(t, n, d)
+	if n.State.Load() == stateGranted {
+		return true, nil
+	}
+
+	// Woken by a timeout or an interrupt. If a notify already moved the
+	// node to the entry queue the wait was notified, and the handoff is
+	// on its way. Otherwise leave the wait set and re-acquire the lock,
+	// queueing like any entrant if it is owned.
+	m.latch.Lock()
+	if n.State.Load() != stateWaitSet {
+		m.latch.Unlock()
+		awaitGrant(n)
+		return true, nil
+	}
+	m.waits.Remove(n)
+	if t.Interrupted() {
+		err = threading.ErrInterrupted
+	}
+	if m.owner == nil {
+		m.owner = t
+		m.count = n.Count
+		n.State.Store(stateGranted)
+		m.latch.Unlock()
 	} else {
-		select {
-		case <-n.granted:
-			notified = true
-		case <-n.intr:
-			interrupted = true
-		}
+		n.State.Store(stateEntryQueue)
+		m.entry.Push(n)
+		m.latch.Unlock()
+		awaitGrant(n)
 	}
-	t.SetWaitNode(nil)
-
-	if !notified {
-		// Timeout or interrupt. If the node is still in the wait set we
-		// cancel it and re-acquire the lock by queueing normally. If a
-		// concurrent notify already moved it to the entry queue, the
-		// handoff is (or will be) on its way: consume it instead. In
-		// the latter race Java treats the wakeup as a notification; a
-		// pending interrupt status is preserved for the caller.
-		m.latch.Lock()
-		if n.state == stateWaitSet {
-			m.removeWaiterLocked(n)
-			// Re-acquire: become a normal entry-queue node reusing
-			// the same channel and reentry count.
-			switch {
-			case m.owner == nil:
-				m.owner = t
-				m.count = n.reentry
-				n.state = stateGranted
-				m.latch.Unlock()
-			case m.owner == t:
-				// Impossible: we fully released and cannot have
-				// re-entered while blocked.
-				panic("monitor: waiter already owns monitor")
-			default:
-				n.state = stateEntryQueue
-				m.entry = append(m.entry, n)
-				m.contended.Add(1)
-				m.latch.Unlock()
-				<-n.granted
-			}
-		} else {
-			// Notified concurrently with the timeout/interrupt: a
-			// handoff will arrive on n.granted. Wait for it.
-			m.latch.Unlock()
-			<-n.granted
-			notified = true
-		}
-	}
-
-	if interrupted && t.Interrupted() {
-		return notified, threading.ErrInterrupted
-	}
-	return notified, nil
+	return false, err
 }
 
-// removeWaiterLocked deletes n from the wait set. Caller holds the latch.
-func (m *Monitor) removeWaiterLocked(n *node) {
-	for i, w := range m.waits {
-		if w == n {
-			m.waits = append(m.waits[:i], m.waits[i+1:]...)
+// sleep parks a waiter until its node is granted the monitor, it is
+// interrupted, or d (if positive) elapses.
+func sleep(t *threading.Thread, n *threading.ParkNode, d time.Duration) {
+	p := t.Parker()
+	var deadline time.Time
+	if d > 0 {
+		deadline = time.Now().Add(d)
+	}
+	for n.State.Load() != stateGranted && !t.IsInterrupted() {
+		if d <= 0 {
+			p.Park()
+			continue
+		}
+		left := time.Until(deadline)
+		if left <= 0 {
+			lockevent.Emit(lockevent.WaitTimeout, t, nil)
 			return
 		}
+		p.ParkTimeout(left)
 	}
 }
 
@@ -423,7 +402,6 @@ func (m *Monitor) Notify(t *threading.Thread) error {
 	if m.owner != t {
 		return ErrIllegalMonitorState
 	}
-	m.notifies.Add(1)
 	lockevent.Emit(lockevent.Notify, t, nil)
 	m.notifyOneLocked()
 	return nil
@@ -436,25 +414,22 @@ func (m *Monitor) NotifyAll(t *threading.Thread) error {
 	if m.owner != t {
 		return ErrIllegalMonitorState
 	}
-	m.notifies.Add(1)
 	lockevent.Emit(lockevent.Notify, t, nil)
-	for len(m.waits) > 0 {
-		m.notifyOneLocked()
+	for m.notifyOneLocked() {
 	}
 	return nil
 }
 
-// notifyOneLocked moves the head of the wait set to the entry queue.
-// Caller holds the latch.
-func (m *Monitor) notifyOneLocked() {
-	if len(m.waits) == 0 {
-		return
+// notifyOneLocked moves the head of the wait set to the entry queue,
+// reporting whether there was one. Caller holds the latch.
+func (m *Monitor) notifyOneLocked() bool {
+	n := m.waits.Pop()
+	if n == nil {
+		return false
 	}
-	n := m.waits[0]
-	copy(m.waits, m.waits[1:])
-	m.waits = m.waits[:len(m.waits)-1]
-	n.state = stateEntryQueue
-	m.entry = append(m.entry, n)
+	n.State.Store(stateEntryQueue)
+	m.entry.Push(n)
+	return true
 }
 
 // Owner returns the current owning thread, or nil.
@@ -475,14 +450,14 @@ func (m *Monitor) Count() uint32 {
 func (m *Monitor) EntryQueueLen() int {
 	m.latch.Lock()
 	defer m.latch.Unlock()
-	return len(m.entry)
+	return m.entry.Len()
 }
 
 // WaitSetLen reports how many threads are in the wait set.
 func (m *Monitor) WaitSetLen() int {
 	m.latch.Lock()
 	defer m.latch.Unlock()
-	return len(m.waits)
+	return m.waits.Len()
 }
 
 // Quiescent reports whether the monitor is unowned with empty queues;
@@ -490,14 +465,5 @@ func (m *Monitor) WaitSetLen() int {
 func (m *Monitor) Quiescent() bool {
 	m.latch.Lock()
 	defer m.latch.Unlock()
-	return m.owner == nil && len(m.entry) == 0 && len(m.waits) == 0
+	return m.owner == nil && m.entry.Empty() && m.waits.Empty()
 }
-
-// ContendedEntries reports how many Enter calls had to block.
-func (m *Monitor) ContendedEntries() uint64 { return m.contended.Load() }
-
-// Waits reports how many Wait calls were made.
-func (m *Monitor) Waits() uint64 { return m.waitCount.Load() }
-
-// Notifies reports how many Notify/NotifyAll calls were made.
-func (m *Monitor) Notifies() uint64 { return m.notifies.Load() }

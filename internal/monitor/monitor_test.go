@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"thinlock/internal/telemetry"
 	"thinlock/internal/testutil"
 	"thinlock/internal/threading"
 )
@@ -100,8 +101,17 @@ func TestTryEnter(t *testing.T) {
 	}
 }
 
+// enableTelemetry installs a fresh global telemetry for the rest of the
+// test. Its callers are not parallel, so the counts are the test's own.
+func enableTelemetry(t *testing.T) *telemetry.Telemetry {
+	t.Helper()
+	tel := telemetry.Enable(telemetry.New())
+	t.Cleanup(telemetry.Disable)
+	return tel
+}
+
 func TestContendedEnterBlocksAndHandsOff(t *testing.T) {
-	t.Parallel()
+	tel := enableTelemetry(t)
 	ths := newThreads(t, 2)
 	m := New()
 	m.Enter(ths[0], nil)
@@ -128,8 +138,8 @@ func TestContendedEnterBlocksAndHandsOff(t *testing.T) {
 	if m.Owner() != ths[1] || m.Count() != 1 {
 		t.Fatalf("owner=%v count=%d after handoff", m.Owner(), m.Count())
 	}
-	if m.ContendedEntries() != 1 {
-		t.Errorf("ContendedEntries = %d, want 1", m.ContendedEntries())
+	if n := tel.Counter(telemetry.CtrMonitorContendedEntries); n != 1 {
+		t.Errorf("contended entries = %d, want 1", n)
 	}
 }
 
@@ -569,7 +579,7 @@ func TestQuiescent(t *testing.T) {
 }
 
 func TestStatsCounters(t *testing.T) {
-	t.Parallel()
+	tel := enableTelemetry(t)
 	ths := newThreads(t, 2)
 	m := New()
 	m.Enter(ths[0], nil)
@@ -589,14 +599,14 @@ func TestStatsCounters(t *testing.T) {
 	if err := m.Exit(ths[1]); err != nil {
 		t.Fatal(err)
 	}
-	if m.ContendedEntries() == 0 {
-		t.Error("ContendedEntries not counted")
+	if tel.Counter(telemetry.CtrMonitorContendedEntries) == 0 {
+		t.Error("contended entries not counted")
 	}
-	if m.Waits() != 1 {
-		t.Errorf("Waits = %d, want 1", m.Waits())
+	if n := tel.Counter(telemetry.CtrWaits); n != 1 {
+		t.Errorf("waits = %d, want 1", n)
 	}
-	if m.Notifies() != 1 {
-		t.Errorf("Notifies = %d, want 1", m.Notifies())
+	if n := tel.Counter(telemetry.CtrNotifies); n != 1 {
+		t.Errorf("notifies = %d, want 1", n)
 	}
 }
 

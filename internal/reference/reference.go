@@ -33,18 +33,6 @@ type waiter struct {
 	notified bool
 }
 
-// irqNode adapts the oracle's channel-based wait to the interrupt
-// delivery of threading.Thread.Interrupt, which wakes whatever
-// Interruptible the thread registered. Interrupt may fire more than
-// once; the sync.Once keeps the close idempotent.
-type irqNode struct {
-	once sync.Once
-	ch   chan struct{}
-}
-
-// WakeForInterrupt implements threading.Interruptible.
-func (n *irqNode) WakeForInterrupt() { n.once.Do(func() { close(n.ch) }) }
-
 // Locker is the oracle. It implements lockapi.Locker.
 type Locker struct {
 	mu     sync.Mutex
@@ -128,44 +116,47 @@ func (l *Locker) Wait(t *threading.Thread, o *object.Object, d time.Duration) (b
 	s.owner = nil
 	close(s.entryWake)
 	s.entryWake = make(chan struct{})
-	in := &irqNode{ch: make(chan struct{})}
-	t.SetWaitNode(in)
 	l.mu.Unlock()
 
-	notified, interrupted := false, false
+	// Block on the notify, the timer, or the thread's park permit, which
+	// Interrupt releases. A permit with no interrupt status behind it is
+	// a leftover from an earlier wake: keep waiting.
+	var timeout <-chan time.Time
 	if d > 0 {
 		timer := time.NewTimer(d)
-		select {
-		case <-w.ch:
-			notified = true
-		case <-timer.C:
-		case <-in.ch:
-			interrupted = true
-		}
-		timer.Stop()
-	} else {
-		select {
-		case <-w.ch:
-			notified = true
-		case <-in.ch:
-			interrupted = true
-		}
+		defer timer.Stop()
+		timeout = timer.C
 	}
-	t.SetWaitNode(nil)
-
-	l.mu.Lock()
-	if !notified {
-		if w.notified {
-			// Notify raced the timeout: treat as notified.
-			notified = true
-		} else {
-			for i, x := range s.waiters {
-				if x == w {
-					s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-					break
-				}
+	permit := t.Parker().C()
+wait:
+	for {
+		select {
+		case <-w.ch:
+			break wait
+		case <-timeout:
+			break wait
+		case <-permit:
+			if t.IsInterrupted() {
+				break wait
 			}
 		}
+	}
+
+	// One outcome, decided under the lock as in internal/monitor: a
+	// notified waiter reports the notification and keeps any interrupt
+	// status; otherwise it leaves the wait set and reports an interrupt
+	// (consuming the status) or a timeout.
+	l.mu.Lock()
+	notified := w.notified
+	interrupted := false
+	if !notified {
+		for i, x := range s.waiters {
+			if x == w {
+				s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
+				break
+			}
+		}
+		interrupted = t.Interrupted()
 	}
 	l.mu.Unlock()
 
@@ -174,12 +165,8 @@ func (l *Locker) Wait(t *threading.Thread, o *object.Object, d time.Duration) (b
 	l.mu.Lock()
 	s.count = saved
 	l.mu.Unlock()
-	// As in internal/monitor: an interrupt wake whose status is still
-	// pending reports ErrInterrupted (consuming the status); if a
-	// concurrent notify raced ahead of the interrupt delivery, the
-	// wakeup counts as the notification and the status stays pending.
-	if interrupted && t.Interrupted() {
-		return notified, threading.ErrInterrupted
+	if interrupted {
+		return false, threading.ErrInterrupted
 	}
 	return notified, nil
 }

@@ -9,8 +9,11 @@
 // caller threads through lock operations, and a Registry hands out and
 // recycles the 15-bit indices.
 //
-// Blocking is built on a channel-based binary semaphore (Parker), since Go
-// does not expose a goroutine park/unpark primitive.
+// Every blocked thread parks the same way (park.go): each Thread embeds
+// one ParkNode, which a monitor's entry queue and wait set link
+// intrusively and which the process-wide parking lot files under the
+// object it waits on, and it sleeps on its own one-permit Parker. So
+// blocking allocates nothing.
 package threading
 
 import (
@@ -18,7 +21,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // IndexBits is the width of a thread index in the lock word.
@@ -52,13 +54,12 @@ type Thread struct {
 	serial      uint64
 	name        string
 	registry    *Registry
-	parker      Parker
 	interrupted atomic.Bool
 
-	// waitMu guards waitNode, the node for an in-progress monitor wait,
-	// so Interrupt can find and wake it.
-	waitMu   sync.Mutex
-	waitNode Interruptible
+	// parker is the thread's one-permit semaphore, made by Attach; node
+	// is its place in whatever queue it blocks in (park.go).
+	parker Parker
+	node   ParkNode
 
 	// frameMethod/framePC are the interpreter's currently executing
 	// method and bytecode pc, published by internal/vm around lock
@@ -75,14 +76,6 @@ type Thread struct {
 	// biasClaimed counts the claimed ones; owner only.
 	biasSlots   [BiasSlots]BiasSlot
 	biasClaimed int
-}
-
-// Interruptible is implemented by blocked states (e.g. a monitor wait
-// node) that an Interrupt call must be able to wake.
-type Interruptible interface {
-	// WakeForInterrupt attempts to wake the blocked thread because it
-	// was interrupted.
-	WakeForInterrupt()
 }
 
 // Index returns the thread's 15-bit index (1..MaxThreads). It is 0 only
@@ -113,16 +106,15 @@ func (t *Thread) String() string {
 // Parker returns the thread's parking semaphore.
 func (t *Thread) Parker() *Parker { return &t.parker }
 
-// Interrupt sets the thread's interrupt status and wakes it if it is
-// blocked in an interruptible wait.
+// ParkNode returns the thread's park node, for the queue it blocks in.
+func (t *Thread) ParkNode() *ParkNode { return &t.node }
+
+// Interrupt sets the thread's interrupt status and unparks it. An
+// interruptible wait sees the status when it wakes; any other park
+// takes the wake as spurious and parks again.
 func (t *Thread) Interrupt() {
 	t.interrupted.Store(true)
-	t.waitMu.Lock()
-	n := t.waitNode
-	t.waitMu.Unlock()
-	if n != nil {
-		n.WakeForInterrupt()
-	}
+	t.parker.Unpark()
 }
 
 // Interrupted reports and clears the thread's interrupt status, like
@@ -159,15 +151,6 @@ func (t *Thread) ClearFrame() {
 // by the owning goroutine.
 func (t *Thread) Frame() (method string, pc int32, ok bool) {
 	return t.frameMethod, t.framePC, t.frameSet
-}
-
-// SetWaitNode publishes (or, with nil, clears) the thread's current
-// interruptible wait so Interrupt can reach it. It is called by the
-// monitor implementation around a wait.
-func (t *Thread) SetWaitNode(n Interruptible) {
-	t.waitMu.Lock()
-	t.waitNode = n
-	t.waitMu.Unlock()
 }
 
 // Registry hands out thread indices and maps them back to Threads,
@@ -214,7 +197,9 @@ func (r *Registry) Attach(name string) (*Thread, error) {
 		serial:   attachSerial.Add(1),
 		name:     name,
 		registry: r,
+		parker:   Parker{ch: make(chan struct{}, 1)},
 	}
+	t.node.thread = t
 	r.threads[idx] = t
 	r.attached++
 	r.totalAttach++
@@ -288,54 +273,4 @@ func (r *Registry) Go(name string, fn func(*Thread)) (<-chan struct{}, error) {
 		fn(t)
 	}()
 	return done, nil
-}
-
-// Parker is a one-permit binary semaphore used to block and unblock a
-// thread. Unpark before Park leaves a permit so the wakeup is never lost;
-// multiple Unparks coalesce into one permit.
-type Parker struct {
-	once sync.Once
-	ch   chan struct{}
-}
-
-func (p *Parker) init() {
-	p.once.Do(func() { p.ch = make(chan struct{}, 1) })
-}
-
-// Park blocks until a permit is available and consumes it.
-func (p *Parker) Park() {
-	p.init()
-	<-p.ch
-}
-
-// ParkTimeout blocks until a permit is available or d elapses. It reports
-// whether a permit was consumed (true) or the timeout fired (false).
-// A non-positive d polls without blocking.
-func (p *Parker) ParkTimeout(d time.Duration) bool {
-	p.init()
-	if d <= 0 {
-		select {
-		case <-p.ch:
-			return true
-		default:
-			return false
-		}
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-p.ch:
-		return true
-	case <-timer.C:
-		return false
-	}
-}
-
-// Unpark makes one permit available if none is pending.
-func (p *Parker) Unpark() {
-	p.init()
-	select {
-	case p.ch <- struct{}{}:
-	default:
-	}
 }

@@ -193,9 +193,20 @@ func TestUniqueIndicesProperty(t *testing.T) {
 	}
 }
 
+// parker returns the Parker of a freshly attached thread: Attach makes
+// its channel.
+func parker(t *testing.T) *Parker {
+	t.Helper()
+	th, err := NewRegistry().Attach("p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return th.Parker()
+}
+
 func TestParkerUnparkBeforePark(t *testing.T) {
 	t.Parallel()
-	var p Parker
+	p := parker(t)
 	p.Unpark()
 	doneCh := make(chan struct{})
 	go func() {
@@ -211,7 +222,7 @@ func TestParkerUnparkBeforePark(t *testing.T) {
 
 func TestParkerUnparksCoalesce(t *testing.T) {
 	t.Parallel()
-	var p Parker
+	p := parker(t)
 	p.Unpark()
 	p.Unpark()
 	p.Unpark()
@@ -225,7 +236,7 @@ func TestParkerUnparksCoalesce(t *testing.T) {
 
 func TestParkerTimeout(t *testing.T) {
 	t.Parallel()
-	var p Parker
+	p := parker(t)
 	start := time.Now()
 	if p.ParkTimeout(20 * time.Millisecond) {
 		t.Fatal("ParkTimeout returned true with no permit")
@@ -237,7 +248,7 @@ func TestParkerTimeout(t *testing.T) {
 
 func TestParkerParkAfterUnparkCrossGoroutine(t *testing.T) {
 	t.Parallel()
-	var p Parker
+	p := parker(t)
 	released := make(chan struct{})
 	go func() {
 		p.Park()
@@ -252,10 +263,6 @@ func TestParkerParkAfterUnparkCrossGoroutine(t *testing.T) {
 	}
 }
 
-type fakeWaitNode struct{ woke chan struct{} }
-
-func (f *fakeWaitNode) WakeForInterrupt() { close(f.woke) }
-
 func TestInterruptStatusAndWake(t *testing.T) {
 	t.Parallel()
 	r := NewRegistry()
@@ -263,13 +270,16 @@ func TestInterruptStatusAndWake(t *testing.T) {
 	if th.IsInterrupted() {
 		t.Fatal("fresh thread interrupted")
 	}
-	n := &fakeWaitNode{woke: make(chan struct{})}
-	th.SetWaitNode(n)
+	woke := make(chan struct{})
+	go func() {
+		th.Parker().Park()
+		close(woke)
+	}()
 	th.Interrupt()
 	select {
-	case <-n.woke:
-	default:
-		t.Fatal("Interrupt did not wake the wait node")
+	case <-woke:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Interrupt did not unpark the thread")
 	}
 	if !th.IsInterrupted() {
 		t.Fatal("interrupt status not set")
@@ -280,8 +290,10 @@ func TestInterruptStatusAndWake(t *testing.T) {
 	if th.IsInterrupted() {
 		t.Fatal("Interrupted() did not clear status")
 	}
-	th.SetWaitNode(nil)
-	th.Interrupt() // no node: must not panic
+	th.Interrupt() // not parked: leaves a permit, must not block
+	if !th.Parker().ParkTimeout(0) {
+		t.Fatal("Interrupt of a running thread left no permit")
+	}
 }
 
 func TestThreadString(t *testing.T) {
@@ -299,13 +311,5 @@ func BenchmarkAttachDetach(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		th, _ := r.Attach("t")
 		r.Detach(th)
-	}
-}
-
-func BenchmarkParkUnpark(b *testing.B) {
-	var p Parker
-	for i := 0; i < b.N; i++ {
-		p.Unpark()
-		p.Park()
 	}
 }

@@ -320,8 +320,9 @@ func (r *Runtime) Synchronized(t *Thread, o *Object, fn func()) {
 
 // Wait releases o's monitor, blocks until notified, interrupted, or d
 // elapses (d <= 0 waits forever), and re-acquires the monitor at the
-// original recursion depth. notified is false when the wakeup was a
-// timeout.
+// original recursion depth. It reports one outcome: notified (an
+// interrupt that raced the notify stays pending), ErrInterrupted, or a
+// timeout (notified false, nil error).
 func (r *Runtime) Wait(t *Thread, o *Object, d time.Duration) (notified bool, err error) {
 	return r.locker.Wait(t.t, o.o, d)
 }
