@@ -40,12 +40,16 @@ race:
 # So does internal/lockevent, ten times over: observer registration
 # racing with emits is its one concurrent structure. internal/monitor
 # runs ten times over too: its entry spin, which polls the monitor
-# between back-off pauses before it queues, races exits, handoffs and
-# retirements. So does internal/vm: concurrent Runs on one VM hand its
-# frame stack between them through one atomic pointer, and a Run that
-# finds it taken builds its own.
+# between back-off pauses before it queues, races exits and handoffs.
+# So does internal/vm: concurrent Runs on one VM hand its frame stack
+# between them through one atomic pointer, and a Run that finds it
+# taken builds its own. Core's compact-monitor tests run ten times over
+# as well (the parking lot's own tests ride in internal/threading): a
+# waiter filed before its release, a notify's relabel and the final
+# unlock's flc handshake are all store/load ordering.
 race-locks:
 	$(GO) test -race -count=10 ./internal/biased/... ./internal/threading/... ./internal/lockevent/... ./internal/monitor/... ./internal/vm/...
+	$(GO) test -race -count=10 -run 'Compact|Deflation' ./internal/core/...
 	$(GO) test -race -count=1 ./internal/core/... ./internal/lockscope/...
 
 # check runs the concurrent differential checker CLI over every lock

@@ -10,7 +10,7 @@
 //	BenchmarkDirectLockUnlock   — the raw fast path (no interpreter),
 //	                              the paper's "17 instructions" claim
 //	BenchmarkWaitNotifyRoundTrip — unit cost of a wait/notify handoff
-//	BenchmarkDeflationAblation  — extension: cost of deflating eagerly
+//	BenchmarkInflationAblation  — extension: inflate for life vs compact monitors
 //
 // The cmd/microbench, cmd/macrobench, cmd/tradeoffs
 // binaries produce the paper-formatted tables; these benches expose the
@@ -270,16 +270,13 @@ func BenchmarkWaitNotifyRoundTrip(b *testing.B) {
 }
 
 // BenchmarkContentionPolicy compares the paper's spin-with-back-off
-// against the queued-inflation extension on the pathological long-hold
-// case of §2.3.4. b.N counts contention rounds with a 200µs hold.
+// against the queued-inflation extension and compact monitors on the
+// pathological long-hold case of §2.3.4. b.N counts contention rounds
+// with a 200µs hold.
 func BenchmarkContentionPolicy(b *testing.B) {
-	for _, queued := range []bool{false, true} {
-		name := "Spin"
-		if queued {
-			name = "Queued"
-		}
-		b.Run(name, func(b *testing.B) {
-			r, err := bench.RunContentionPolicy(queued, b.N, 2, 200*time.Microsecond)
+	for _, policy := range bench.ContentionPolicies {
+		b.Run(policy, func(b *testing.B) {
+			r, err := bench.RunContentionPolicy(policy, b.N, 2, 200*time.Microsecond)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -289,18 +286,18 @@ func BenchmarkContentionPolicy(b *testing.B) {
 	}
 }
 
-// BenchmarkDeflationAblation compares the default keep-inflated policy
-// against the deflation extension (deflate on every final release of an
-// uncontended fat lock, recycling the monitor index) —
-// quantifying why the paper's "stays inflated" discipline is cheap
-// insurance (DESIGN.md §6).
-func BenchmarkDeflationAblation(b *testing.B) {
+// BenchmarkInflationAblation times the uncontended lock/unlock pair on
+// an object that has been contended once: under the paper's
+// keep-inflated policy it is a fat monitor's enter and exit, under
+// compact monitors a thin CAS and store plus the unlock's flags load
+// (DESIGN.md §6).
+func BenchmarkInflationAblation(b *testing.B) {
 	configs := []struct {
 		name string
 		opts core.Options
 	}{
 		{"KeepInflated", core.Options{}},
-		{"EagerDeflation", core.Options{RecycleMonitors: true}},
+		{"Compact", core.Options{Compact: true}},
 	}
 	for _, cfg := range configs {
 		cfg := cfg
@@ -317,7 +314,7 @@ func BenchmarkDeflationAblation(b *testing.B) {
 				b.Fatal(err)
 			}
 			o := heap.New("X")
-			// Inflate once by hand: t2 seeds contention.
+			// Contend once: t2 spins on t's hold.
 			l.Lock(t, o)
 			inflated := make(chan struct{})
 			go func() {

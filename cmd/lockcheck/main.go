@@ -9,7 +9,7 @@
 //
 //	lockcheck [-impl all|name,name] [-threads N] [-objects N] [-ops N]
 //	          [-rounds N] [-seed N] [-timeout D]
-//	          [-mutate overflow|dropwake|biasdepth|biasdekker|deflate-epoch|deflate-queue]
+//	          [-mutate overflow|dropwake|biasdepth|biasdekker|lot-validate|lot-dropwake]
 //	          [-explore]
 //
 // The implementation names accepted by -impl are exactly
@@ -22,12 +22,12 @@
 //
 // -mutate seeds a known protocol bug — into a thin-lock instance
 // (overflow, dropwake), a biased-locking instance (biasdepth,
-// biasdekker) or a compact-monitor instance (deflate-epoch,
-// deflate-queue) — and checks that instead, demonstrating (in a few
+// biasdekker) or a compact-monitor instance (lot-validate,
+// lot-dropwake) — and checks that instead, demonstrating (in a few
 // seconds) that the checker actually detects broken lock protocols;
-// these runs are expected to FAIL. The deflate mutations first run the
-// hand-written deflation corpus (check.DeflationCorpus), which exposes
-// both deterministically at schedule seed 0.
+// these runs are expected to FAIL. The lot mutations first run the
+// hand-written lot corpus (check.LotCorpus), which exposes both at
+// schedule seed 0.
 package main
 
 import (
@@ -53,7 +53,7 @@ func main() {
 	rounds := flag.Int("rounds", 20, "programs to generate per implementation")
 	seed := flag.Int64("seed", 1, "base seed for program generation and schedule jitter")
 	timeout := flag.Duration("timeout", 20*time.Second, "per-run watchdog bound")
-	mutate := flag.String("mutate", "", "seed a known bug and check it: overflow | dropwake | biasdepth | biasdekker | deflate-epoch | deflate-queue")
+	mutate := flag.String("mutate", "", "seed a known bug and check it: overflow | dropwake | biasdepth | biasdekker | lot-validate | lot-dropwake")
 	explore := flag.Bool("explore", false, "exhaustively model check all interleavings of tiny programs")
 	flag.Parse()
 
@@ -85,17 +85,17 @@ func main() {
 		os.Exit(2)
 	}
 
-	// The deflation mutations break protocol steps that random programs
-	// only trip over occasionally; the hand-written deflation corpus
-	// exposes them deterministically, so those runs check it first.
-	corpusFirst := *mutate == "deflate-epoch" || *mutate == "deflate-queue"
+	// The lot mutations break protocol steps that random programs only
+	// trip over occasionally; the hand-written lot corpus exposes them at
+	// schedule seed 0, so those runs check it first.
+	corpusFirst := strings.HasPrefix(*mutate, "lot-")
 
 	failed := false
 	for _, name := range sortedNames(impls) {
 		mk := impls[name]
 		if corpusFirst {
-			fmt.Printf("%-18s deflation corpus (%d programs × %d schedule seeds) ... ",
-				name, len(check.DeflationCorpus()), corpusSeeds)
+			fmt.Printf("%-18s lot corpus (%d programs × %d schedule seeds) ... ",
+				name, len(check.LotCorpus()), corpusSeeds)
 			if bad := checkCorpus(mk, *timeout); bad != nil {
 				failed = true
 				fmt.Println("FAIL")
@@ -119,20 +119,20 @@ func main() {
 	}
 }
 
-// corpusSeeds is how many schedule seeds each deflation corpus program
-// runs under; the seeded deflation mutations fall to seed 0.
+// corpusSeeds is how many schedule seeds each lot corpus program runs
+// under; the seeded lot mutations fall to seed 0.
 const corpusSeeds = 4
 
-// checkCorpus runs the hand-written deflation corpus against one
-// implementation and returns a report (nil when clean). The corpus
-// programs are already minimal, so failures are reported as-is without
-// delta debugging — which also keeps mutation runs fast when the
-// failure kind is a stuck schedule (each stuck probe costs a full
-// watchdog timeout).
+// checkCorpus runs the hand-written lot corpus against one
+// implementation, every program at a schedule seed before the next
+// seed, and returns a report (nil when clean). The corpus programs are
+// already minimal, so failures are reported as-is without delta
+// debugging — which also keeps mutation runs fast when the failure kind
+// is a stuck schedule (each stuck probe costs a full watchdog timeout).
 func checkCorpus(mk func() lockapi.Locker, timeout time.Duration) error {
-	for _, tc := range check.DeflationCorpus() {
-		for seed := int64(0); seed < corpusSeeds; seed++ {
-			cfg := check.DeflationCorpusConfig(seed, timeout)
+	for seed := int64(0); seed < corpusSeeds; seed++ {
+		for _, tc := range check.LotCorpus() {
+			cfg := check.LotCorpusConfig(seed, timeout)
 			fs := check.CheckProgram(mk, tc.P, cfg)
 			if len(fs) == 0 {
 				continue
@@ -219,26 +219,26 @@ func selectImpls(names, mutate string) (map[string]func() lockapi.Locker, error)
 				})
 			},
 		}, nil
-	case "deflate-epoch":
+	case "lot-validate":
 		return map[string]func() lockapi.Locker{
-			"ThinLock-mut-epoch": func() lockapi.Locker {
+			"ThinLock-mut-validate": func() lockapi.Locker {
 				return core.New(core.Options{
-					RecycleMonitors: true,
-					TestMutations:   core.Mutations{DeflateEpochSkip: true},
+					Compact:       true,
+					TestMutations: core.Mutations{LotSkipValidate: true},
 				})
 			},
 		}, nil
-	case "deflate-queue":
+	case "lot-dropwake":
 		return map[string]func() lockapi.Locker{
-			"ThinLock-mut-queue": func() lockapi.Locker {
+			"ThinLock-mut-lotwake": func() lockapi.Locker {
 				return core.New(core.Options{
-					RecycleMonitors: true,
-					TestMutations:   core.Mutations{DeflateQueueIgnore: true},
+					Compact:       true,
+					TestMutations: core.Mutations{LotDropWake: true},
 				})
 			},
 		}, nil
 	default:
-		return nil, fmt.Errorf("unknown -mutate %q (want overflow, dropwake, biasdepth, biasdekker, deflate-epoch or deflate-queue)", mutate)
+		return nil, fmt.Errorf("unknown -mutate %q (want overflow, dropwake, biasdepth, biasdekker, lot-validate or lot-dropwake)", mutate)
 	}
 
 	all := check.Implementations()

@@ -64,7 +64,7 @@ func TestSelectImpls(t *testing.T) {
 		t.Error("unknown implementation accepted")
 	}
 
-	for _, mutate := range []string{"overflow", "dropwake", "biasdepth", "biasdekker", "deflate-epoch", "deflate-queue"} {
+	for _, mutate := range []string{"overflow", "dropwake", "biasdepth", "biasdekker", "lot-validate", "lot-dropwake"} {
 		m, err := selectImpls("all", mutate)
 		if err != nil {
 			t.Fatalf("-mutate %s: %v", mutate, err)

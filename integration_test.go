@@ -38,13 +38,13 @@ func lockerConfigs() []struct {
 			return core.New(core.Options{CPU: arch.PowerPCMP})
 		}},
 		{"ThinLock-deflate", func() lockapi.Locker {
-			return core.New(core.Options{RecycleMonitors: true})
+			return core.New(core.Options{Compact: true})
 		}},
 		{"ThinLock-queued", func() lockapi.Locker {
 			return core.New(core.Options{QueuedInflation: true})
 		}},
 		{"ThinLock-queued-deflate", func() lockapi.Locker {
-			return core.New(core.Options{QueuedInflation: true, RecycleMonitors: true})
+			return core.New(core.Options{QueuedInflation: true, Compact: true})
 		}},
 		{"ThinLock-2bit", func() lockapi.Locker {
 			return core.New(core.Options{CountBits: 2})

@@ -148,6 +148,16 @@ func (b *Backoff) Pause() {
 // Rounds reports how many times Pause has been called.
 func (b *Backoff) Rounds() uint { return b.round }
 
+// SpinRounds is how many Backoff pauses a contender spends re-checking a
+// lock another thread holds before it parks: a fat monitor's entry spin,
+// and ThinLock-compact's spin on a thin word. The first eight pauses are
+// busy spins and scheduler yields; the rest are short sleeps.
+// EXPERIMENTS.md has the sweep that chose it.
+const SpinRounds = 12
+
+// Spent reports whether the pauses have used up the SpinRounds budget.
+func (b *Backoff) Spent() bool { return b.round >= SpinRounds }
+
 // Reset restarts the back-off schedule.
 func (b *Backoff) Reset() { b.round = 0 }
 

@@ -11,15 +11,32 @@ import (
 )
 
 // ContentionPolicy compares the paper's spin-with-back-off inflation
-// (§2.3.4) against the queued-inflation extension on the case the paper
-// itself flags as pathological: "when an object is locked by one thread
-// and not released for a long time, during which time other threads are
-// spinning on the object".
+// (§2.3.4) against the queued-inflation extension and compact monitors
+// on the case the paper itself flags as pathological: "when an object
+// is locked by one thread and not released for a long time, during
+// which time other threads are spinning on the object".
 //
 // Each round uses a fresh object: the owner acquires it, holds it for
 // holdTime, and releases; contenders attempt the lock for the whole
-// window and the round ends when all of them have acquired once (the
-// first of them inflates the lock).
+// window and the round ends when all of them have acquired once (under
+// spin and queued, the first of them inflates the lock; compact
+// monitors inflate nothing).
+
+// ContentionPolicies names the compared policies, in report order.
+var ContentionPolicies = []string{"spin", "queued", "compact"}
+
+// policyOptions maps a policy name to its thin-lock configuration.
+func policyOptions(policy string) (core.Options, bool) {
+	switch policy {
+	case "spin":
+		return core.Options{}, true
+	case "queued":
+		return core.Options{QueuedInflation: true}, true
+	case "compact":
+		return core.Options{Compact: true}, true
+	}
+	return core.Options{}, false
+}
 
 // ContentionPolicyResult reports one policy's behaviour.
 type ContentionPolicyResult struct {
@@ -39,10 +56,15 @@ func (r ContentionPolicyResult) String() string {
 		r.Policy, r.Elapsed.Round(time.Microsecond), r.CPU.Round(time.Microsecond), r.SpinRounds, r.Parks)
 }
 
-// RunContentionPolicy measures one policy (queued=false is the paper's
-// spinning) over the given number of rounds.
-func RunContentionPolicy(queued bool, rounds, contenders int, holdTime time.Duration) (ContentionPolicyResult, error) {
-	l := core.New(core.Options{QueuedInflation: queued})
+// RunContentionPolicy measures one policy, named as in
+// ContentionPolicies ("spin" is the paper's), over the given number of
+// rounds.
+func RunContentionPolicy(policy string, rounds, contenders int, holdTime time.Duration) (ContentionPolicyResult, error) {
+	opts, ok := policyOptions(policy)
+	if !ok {
+		return ContentionPolicyResult{}, fmt.Errorf("bench: unknown contention policy %q", policy)
+	}
+	l := core.New(opts)
 	heap := object.NewHeap()
 	reg := threading.NewRegistry()
 	owner, err := reg.Attach("owner")
@@ -81,12 +103,8 @@ func RunContentionPolicy(queued bool, rounds, contenders int, holdTime time.Dura
 	elapsed, cpu := time.Since(start), processCPU()-cpu
 
 	s := l.Stats()
-	name := "spin"
-	if queued {
-		name = "queued"
-	}
 	return ContentionPolicyResult{
-		Policy:     name,
+		Policy:     policy,
 		Elapsed:    elapsed,
 		CPU:        cpu,
 		SpinRounds: s.SpinRounds,
@@ -95,13 +113,16 @@ func RunContentionPolicy(queued bool, rounds, contenders int, holdTime time.Dura
 	}, nil
 }
 
-// RunContentionPolicyComparison runs both policies and returns
-// (spin, queued).
-func RunContentionPolicyComparison(rounds, contenders int, holdTime time.Duration) (spin, queued ContentionPolicyResult, err error) {
-	spin, err = RunContentionPolicy(false, rounds, contenders, holdTime)
-	if err != nil {
-		return
+// RunContentionPolicyComparison runs every policy in ContentionPolicies
+// order.
+func RunContentionPolicyComparison(rounds, contenders int, holdTime time.Duration) ([]ContentionPolicyResult, error) {
+	out := make([]ContentionPolicyResult, 0, len(ContentionPolicies))
+	for _, p := range ContentionPolicies {
+		r, err := RunContentionPolicy(p, rounds, contenders, holdTime)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, r)
 	}
-	queued, err = RunContentionPolicy(true, rounds, contenders, holdTime)
-	return
+	return out, nil
 }

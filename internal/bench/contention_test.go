@@ -4,10 +4,12 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"thinlock/internal/arch"
 )
 
 func TestContentionPolicySpin(t *testing.T) {
-	r, err := RunContentionPolicy(false, 3, 2, 5*time.Millisecond)
+	r, err := RunContentionPolicy("spin", 3, 2, 5*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +28,7 @@ func TestContentionPolicySpin(t *testing.T) {
 }
 
 func TestContentionPolicyQueued(t *testing.T) {
-	r, err := RunContentionPolicy(true, 3, 2, 5*time.Millisecond)
+	r, err := RunContentionPolicy("queued", 3, 2, 5*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +43,31 @@ func TestContentionPolicyQueued(t *testing.T) {
 	}
 }
 
-func TestContentionPolicyComparison(t *testing.T) {
-	spin, queued, err := RunContentionPolicyComparison(2, 2, 3*time.Millisecond)
+func TestContentionPolicyCompact(t *testing.T) {
+	const rounds, contenders = 3, 2
+	r, err := RunContentionPolicy("compact", rounds, contenders, 5*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if r.Parks == 0 {
+		t.Error("compact policy never parked under a long hold")
+	}
+	// Each contender spins out at most its budget before it parks, and
+	// parks again without spinning if a wake does not get it the lock.
+	if max := uint64(rounds * contenders * arch.SpinRounds); r.SpinRounds > max {
+		t.Errorf("compact policy spun %d pauses, want at most %d", r.SpinRounds, max)
+	}
+}
+
+func TestContentionPolicyComparison(t *testing.T) {
+	rs, err := RunContentionPolicyComparison(2, 2, 3*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) != len(ContentionPolicies) {
+		t.Fatalf("%d results, want %d", len(rs), len(ContentionPolicies))
+	}
+	spin, queued := rs[0], rs[1]
 	// The headline claim: queued waiting replaces busy pauses with
 	// precise parks.
 	if spin.SpinRounds == 0 || queued.Parks == 0 {
@@ -55,5 +77,8 @@ func TestContentionPolicyComparison(t *testing.T) {
 		if !strings.Contains(spin.String(), want) {
 			t.Errorf("String() = %q, want %q in it", spin.String(), want)
 		}
+	}
+	if _, err := RunContentionPolicy("nope", 1, 1, 0); err == nil {
+		t.Error("unknown policy accepted")
 	}
 }

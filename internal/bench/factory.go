@@ -28,7 +28,7 @@ func StandardImpls() []Factory {
 		{Name: "IBM112", New: func() lockapi.Locker { return hotlocks.NewDefault() }},
 		{Name: "JDK111", New: func() lockapi.Locker { return monitorcache.NewDefault() }},
 		{Name: "Biased", New: func() lockapi.Locker { return biased.NewDefault() }},
-		{Name: "ThinLock-compact", New: func() lockapi.Locker { return core.New(core.Options{RecycleMonitors: true}) }},
+		{Name: "ThinLock-compact", New: func() lockapi.Locker { return core.New(core.Options{Compact: true}) }},
 	}
 }
 

@@ -57,8 +57,9 @@ func inflate(t *testing.T, l lockapi.Locker, th *threading.Thread, o *object.Obj
 // TestBlockingAllocatesNothing: every way a thread blocks parks its own
 // park node on its own permit, so a blocked thread costs no allocation:
 // an untimed monitor-entry block, a wait/notify handoff, a flat-lock
-// contention park and a revocation wait. Only a timed wait may allocate,
-// for its timer. Deliberately not parallel: AllocsPerRun reads global
+// contention park, compact monitors' contended park and lot wait/notify
+// handoff, and a revocation wait. Only a timed wait may allocate, for
+// its timer. Deliberately not parallel: AllocsPerRun reads global
 // allocation counters.
 func TestBlockingAllocatesNothing(t *testing.T) {
 	if telemetry.Enabled() {
@@ -141,6 +142,55 @@ func TestBlockingAllocatesNothing(t *testing.T) {
 		i++
 	}); avg != 1 {
 		t.Errorf("flc park cycle allocates %.2f objects, want 1 (the inflated monitor)", avg)
+	}
+
+	// Compact monitors: the same contended park, which inflates nothing,
+	// and an untimed wait/notify handoff on the lot.
+	c := core.New(core.Options{Compact: true})
+	co := w.heap.New("compact")
+	lockCompact := func() {
+		c.Lock(b, co)
+		if err := c.Unlock(b, co); err != nil {
+			t.Error(err)
+		}
+	}
+	if avg := testing.AllocsPerRun(runs, func() {
+		parks := c.Stats().QueuedParks
+		c.Lock(a, co)
+		p.steps <- lockCompact
+		await(t, "b parks on the lot", func() bool { return c.Stats().QueuedParks > parks })
+		if err := c.Unlock(a, co); err != nil {
+			t.Fatal(err)
+		}
+		<-p.done
+	}); avg != 0 {
+		t.Errorf("compact contended park allocates %.2f objects", avg)
+	}
+	waitCompact := func() {
+		c.Lock(b, co)
+		if notified, err := c.Wait(b, co, 0); !notified || err != nil {
+			t.Errorf("compact Wait = (%v, %v), want notified", notified, err)
+		}
+		if err := c.Unlock(b, co); err != nil {
+			t.Error(err)
+		}
+	}
+	if avg := testing.AllocsPerRun(runs, func() {
+		p.steps <- waitCompact
+		await(t, "b waits on the lot", func() bool { return threading.Parked(co) == 1 })
+		c.Lock(a, co)
+		if err := c.Notify(a, co); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Unlock(a, co); err != nil {
+			t.Fatal(err)
+		}
+		<-p.done
+	}); avg != 0 {
+		t.Errorf("compact wait/notify handoff allocates %.2f objects", avg)
+	}
+	if s := c.Stats(); s.FatLocks != 0 {
+		t.Errorf("compact monitors allocated %d monitors", s.FatLocks)
 	}
 
 	// Revocation wait: b waits out a sentinel that the test publishes

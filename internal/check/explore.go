@@ -91,8 +91,8 @@ func (m mop) String() string {
 }
 
 // monState is the abstract fat monitor for one object (allocated at
-// most once per object: the model has no deflation, matching the
-// paper's protocol where inflation is permanent).
+// most once per object, matching the paper's protocol where inflation
+// is permanent).
 type monState struct {
 	exists bool
 	owner  int8 // 0 = none, else thread number (1-based)

@@ -68,18 +68,17 @@ func TestLockdepHasNoFalsePositives(t *testing.T) {
 		}
 	})
 
-	// The churn workload drives the compact extension's whole monitor
-	// lifecycle — inflation, deflation, index recycling — under lockdep;
-	// its per-generation barriers are deadlock-free by construction, so
-	// any inversion or cycle reported here is a false positive from
-	// lockdep confusing a recycled monitor index with its previous
-	// object.
+	// The churn workload drives compact monitors' whole lot protocol —
+	// contention parks, filed waiters, notify relabels and entry wakes —
+	// under lockdep; its per-generation barriers are deadlock-free by
+	// construction, so any inversion or cycle reported here is a false
+	// positive.
 	t.Run("workload", func(t *testing.T) {
 		w, ok := workloads.ByName("churn")
 		if !ok {
 			t.Fatal("churn workload not registered")
 		}
-		l := core.New(core.Options{RecycleMonitors: true})
+		l := core.New(core.Options{Compact: true})
 		ctx := jcl.NewContext(l, object.NewHeap())
 		reg := threading.NewRegistry()
 		th, err := reg.Attach("lockdep-churn")
@@ -89,8 +88,8 @@ func TestLockdepHasNoFalsePositives(t *testing.T) {
 		if sum := w.Run(ctx, th, 4); sum == 0 {
 			t.Fatal("churn checksum is zero; workload may be degenerate")
 		}
-		if l.Stats().MonitorRecycles == 0 {
-			t.Fatal("churn recycled no monitor index; the lifecycle was not exercised")
+		if l.Stats().FLCWakeups == 0 {
+			t.Fatal("churn woke no parked thread; the lot protocol was not exercised")
 		}
 	})
 

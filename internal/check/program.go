@@ -12,8 +12,8 @@
 // The single-threaded differential tests in internal/reference cover the
 // easy half of the paper's claim (identical observable behaviour on one
 // thread); this package covers the half where lock-word protocols
-// actually break: contended inflation, wait/notify handoff and deflation
-// races in rare interleavings.
+// actually break: contended inflation, wait/notify handoff and parking-
+// lot races in rare interleavings.
 package check
 
 import (

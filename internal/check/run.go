@@ -299,16 +299,18 @@ func Run(mk func() lockapi.Locker, p Program, cfg Config) *Result {
 
 // checkQuiescence validates that the implementation reached a clean
 // final state: no object still locked, no monitor left with an owner or
-// occupied queues, and (for thin locks) the monitor table accounts for
-// exactly one monitor per inflation. Monitors that deflation retired are
-// unreachable from any header but are guaranteed quiescent by
-// Monitor.Retire's precondition; a monitor leaked with waiters still
-// queued would have held a thread and tripped the watchdog instead.
+// occupied queues, no thread's node still filed on the parking lot, and
+// (for thin locks) the monitor table accounts for exactly one monitor
+// per inflation.
 func checkQuiescence(l lockapi.Locker, objs []*object.Object) []Failure {
 	var fs []Failure
 	switch impl := l.(type) {
 	case *core.ThinLocks:
 		for i, o := range objs {
+			if n := threading.Parked(o); n != 0 {
+				fs = append(fs, Failure{FailLeak,
+					fmt.Sprintf("obj %d has %d nodes filed on the parking lot after run", i, n)})
+			}
 			if m := impl.Monitor(o); m != nil {
 				if !m.Quiescent() {
 					fs = append(fs, Failure{FailLeak,

@@ -70,19 +70,20 @@ func TestKernelCASContention(t *testing.T) {
 }
 
 // TestStandardMPQueuedDeflationComposition stacks every orthogonal
-// feature — MP machine model, queued inflation, deflation, narrow count
-// field — and hammers one object; correctness must be preserved by the
-// composition, not just each feature alone.
+// feature — MP machine model, queued inflation, compact monitors, a
+// narrow count field nested past its maximum into the side count — and
+// hammers one object; correctness must be preserved by the composition,
+// not just each feature alone.
 func TestStandardMPQueuedDeflationComposition(t *testing.T) {
 	t.Parallel()
 	f := newFixture(t, Options{
 		CPU:             arch.PowerPCMP,
 		QueuedInflation: true,
-		RecycleMonitors: true,
+		Compact:         true,
 		CountBits:       3,
 	})
 	o := f.heap.New("X")
-	const goroutines, iters = 6, 250
+	const goroutines, iters, depth = 6, 250, 10 // 10 > 2^3 thin levels
 	var counter int64
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -91,14 +92,14 @@ func TestStandardMPQueuedDeflationComposition(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				f.l.Lock(th, o)
-				f.l.Lock(th, o) // nested within the 3-bit budget
-				counter++
-				if err := f.l.Unlock(th, o); err != nil {
-					t.Error(err)
+				for d := 0; d < depth; d++ {
+					f.l.Lock(th, o)
 				}
-				if err := f.l.Unlock(th, o); err != nil {
-					t.Error(err)
+				counter++
+				for d := 0; d < depth; d++ {
+					if err := f.l.Unlock(th, o); err != nil {
+						t.Error(err)
+					}
 				}
 			}
 		}()
@@ -106,5 +107,11 @@ func TestStandardMPQueuedDeflationComposition(t *testing.T) {
 	wg.Wait()
 	if counter != goroutines*iters {
 		t.Fatalf("counter = %d, want %d", counter, goroutines*iters)
+	}
+	if s := f.l.Stats(); s.FatLocks != 0 {
+		t.Fatalf("compact composition allocated %d monitors", s.FatLocks)
+	}
+	if !IsUnlocked(o.Header()) {
+		t.Fatalf("header = %#x after all releases, want unlocked", o.Header())
 	}
 }

@@ -25,22 +25,18 @@ package core
 //     that parked on the flat-lock-contention queue is never woken: a
 //     lost wakeup that leaves the schedule permanently stuck.
 //
-//   - DeflateEpochSkip breaks the compact-monitor grace period: a
-//     deflated monitor's index goes straight to the free list
-//     (Table.FreeSkippingGrace) and the fat-lock lookup dereferences
-//     the header's index without pinning or re-reading (dwelling in the
-//     window so the race is schedulable). A reader holding a stale
-//     index can then resolve it to a different object's freshly
-//     inflated monitor and enter the wrong critical section — the
-//     use-after-free class of bug quiescence-based reclamation exists
-//     to prevent. Surfaces as a mutual-exclusion violation or outcome
-//     divergence.
+//   - LotSkipValidate parks a contender on the lot without re-checking
+//     the lock word and the flc bit under the bucket lock (the validate
+//     of threading.Park), dwelling between setting flc and parking so
+//     the race is schedulable (the dwell is a legal schedule; only the
+//     missing check is the bug). An owner that releases inside the
+//     dwell wakes nobody, and the contender sleeps forever on a free
+//     lock: a stuck schedule.
 //
-//   - DeflateQueueIgnore retires a monitor without checking that its
-//     entry queue is empty (Monitor.RetireDroppingQueue): a contender
-//     already queued for the handoff is abandoned and sleeps forever —
-//     the deflation analogue of a lost wakeup, surfacing as a stuck
-//     schedule.
+//   - LotDropWake makes a compact Notify relabel its waiter without
+//     setting flc, dropping the wake that the notifier's final unlock
+//     owes the waiter. A notified waiter sleeps through the release and
+//     is stranded: a stuck schedule.
 //
 // (The paper's `sync` barrier in the MPSync unlock path cannot serve as
 // a mutation here: arch.Sync models only the instruction's cost, because
@@ -55,16 +51,14 @@ type Mutations struct {
 	// losing the wakeup the queued-inflation protocol depends on.
 	DropQueuedWake bool
 
-	// DeflateEpochSkip recycles deflated monitor indices without the
-	// grace period and looks indices up without the reader pin.
-	DeflateEpochSkip bool
+	// LotSkipValidate parks lot contenders without validate.
+	LotSkipValidate bool
 
-	// DeflateQueueIgnore deflates monitors without checking the entry
-	// queue, stranding queued contenders.
-	DeflateQueueIgnore bool
+	// LotDropWake skips the flc bit a compact Notify sets.
+	LotDropWake bool
 }
 
 // Enabled reports whether any mutation is switched on.
 func (m Mutations) Enabled() bool {
-	return m.OverflowOffByOne || m.DropQueuedWake || m.DeflateEpochSkip || m.DeflateQueueIgnore
+	return m.OverflowOffByOne || m.DropQueuedWake || m.LotSkipValidate || m.LotDropWake
 }

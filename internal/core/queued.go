@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync/atomic"
+	"time"
 
 	"thinlock/internal/lockevent"
 	"thinlock/internal/object"
@@ -48,6 +49,8 @@ import (
 // it under the locality-of-contention principle, and the losers find the
 // inflated word and queue on the fat lock. The cost of the extension is
 // one extra atomic load on every final unlock while the lock is thin.
+// Compact monitors (compact.go) park their contenders the same way but
+// never inflate.
 
 // FlagFLC is the flat-lock-contention bit in the object's flags word.
 const FlagFLC uint32 = 1 << 0
@@ -59,14 +62,17 @@ func (l *ThinLocks) queueWait(t *threading.Thread, o *object.Object) {
 	// ordering is what makes the handshake safe).
 	o.SetFlagBits(FlagFLC)
 	hp := o.HeaderAddr()
-	if w := atomic.LoadUint32(hp); w&TIDMask == 0 || IsInflated(w) {
+	skip := l.mut.LotSkipValidate
+	if skip {
+		time.Sleep(5 * time.Millisecond) // seeded bug: see mutation.go
+	} else if w := atomic.LoadUint32(hp); w&TIDMask == 0 || IsInflated(w) {
 		// Released (or inflated) in the window: no need to park.
 		return
 	}
 	start := lockevent.Start(lockevent.Unpark)
 	parked := threading.Park(t, o, func() bool {
 		w := atomic.LoadUint32(hp)
-		if w&TIDMask == 0 || IsInflated(w) || o.Flags()&FlagFLC == 0 {
+		if !skip && (w&TIDMask == 0 || IsInflated(w) || o.Flags()&FlagFLC == 0) {
 			return false
 		}
 		// Counted before the thread sleeps, so a watcher sees the park.
@@ -99,10 +105,10 @@ func (l *ThinLocks) maybeWakeQueued(o *object.Object) {
 // wakeAfterUnlock is maybeWakeQueued behind the DropQueuedWake seeded
 // mutation (see mutation.go). Inflation's wakeup is deliberately not
 // routed through here: the mutation models a bug in the unlock path
-// only.
+// only. It is small enough to inline, so a final unlock that finds flc
+// clear makes no call.
 func (l *ThinLocks) wakeAfterUnlock(o *object.Object) {
-	if l.mut.DropQueuedWake {
-		return
+	if o.Flags()&FlagFLC != 0 && !l.mut.DropQueuedWake {
+		l.wakeQueued(o)
 	}
-	l.maybeWakeQueued(o)
 }

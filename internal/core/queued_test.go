@@ -214,32 +214,3 @@ func TestQueuedNoOverheadWithoutContention(t *testing.T) {
 		t.Error("a thread parked without contention")
 	}
 }
-
-func TestQueuedWithDeflationCycles(t *testing.T) {
-	t.Parallel()
-	// Queued inflation + eager deflation: locks cycle thin→fat→thin
-	// under contention; mutual exclusion and wakeups must survive.
-	f := newFixture(t, Options{QueuedInflation: true, RecycleMonitors: true})
-	o := f.heap.New("X")
-	const goroutines, iters = 6, 300
-	var counter int64
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		th := f.thread(t)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				f.l.Lock(th, o)
-				counter++
-				if err := f.l.Unlock(th, o); err != nil {
-					t.Error(err)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if counter != goroutines*iters {
-		t.Fatalf("counter = %d, want %d", counter, goroutines*iters)
-	}
-}

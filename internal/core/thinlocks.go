@@ -78,27 +78,26 @@ type Options struct {
 	// selects for. Ignored by the other variants, which hard-wire a
 	// machine. The default is PowerPCUP.
 	CPU arch.CPU
-	// RecycleMonitors turns on the deflation extension (not in the
-	// paper, whose locks stay inflated for the object's lifetime), in
-	// its compact-monitor form after Dice & Kogan's Compact Java
-	// Monitors: a fat lock whose queues are empty is turned back into
-	// a thin lock on final unlock, and its table index is retired
-	// through a grace period and then reused by later inflations, so
-	// the monitor table's footprint tracks the peak number of
-	// simultaneously inflated objects instead of growing monotonically
-	// with every inflation. Readers of possibly-stale monitor indices
-	// pin the table around the header reload (see monitor.Table).
-	RecycleMonitors bool
+	// Compact turns on compact monitors (not in the paper, whose
+	// contended objects stay inflated for life), after Dice & Kogan's
+	// Compact Java Monitors: the header only ever holds thin words, and
+	// the queueing state lives on the threading package's parking lot.
+	// A contender spins, then parks there keyed by the object; Wait
+	// files the waiter there and Notify relabels it. Nothing inflates,
+	// so the instance keeps no monitor table (compact.go).
+	Compact bool
 	// QueuedInflation turns on the queued-contention extension (the
 	// Tasuki-lock protocol; see queued.go): contenders park on a
 	// contention queue instead of spinning, signalled by a flat-lock-
-	// contention bit the owner checks after each final unlock.
+	// contention bit the owner checks after each final unlock. Compact
+	// contenders park that way already, so it changes nothing there.
 	QueuedInflation bool
 	// CountBits narrows the nested-count field for the §3.2 ablation
 	// ("our use of 8 bits for the lock count is highly conservative;
 	// 2 or 3 bits is probably sufficient"). Valid values are 1..8;
 	// 0 means the paper's 8. A lock nests up to 2^CountBits times
-	// before the next acquisition overflows and inflates. The field
+	// before the next acquisition overflows and inflates (under
+	// Compact, moves its deeper levels to a side count). The field
 	// always occupies the same 8 bit positions; narrowing only lowers
 	// the overflow threshold.
 	CountBits int
@@ -126,28 +125,20 @@ type Stats struct {
 	// are not counted here; they reach telemetry's spin_rounds as Spin
 	// events with WaitFat.
 	SpinRounds uint64
-	// Deflations counts fat locks turned back into thin locks (always 0
-	// unless the deflation extension is enabled).
+	// Deflations is always 0: no configuration turns a fat lock back
+	// into a thin one. It stays because benchmark reports read it.
 	Deflations uint64
-	// QueuedParks counts contenders that parked on a contention queue
-	// (always 0 unless queued inflation is enabled).
+	// QueuedParks counts contenders that parked on the parking lot
+	// (always 0 unless queued inflation or compact monitors are on).
 	QueuedParks uint64
-	// FLCWakeups counts owner-side contention-queue wakeups.
+	// FLCWakeups counts owner-side wakeups of the lot's entry parkers.
 	FLCWakeups uint64
-	// FatLocks is the number of monitors ever allocated.
+	// FatLocks is the number of monitors ever allocated (always 0 under
+	// compact monitors).
 	FatLocks int
-	// MonitorFrees counts monitor indices returned to the recycler
-	// (always 0 unless the deflation extension is enabled).
-	MonitorFrees uint64
-	// MonitorRecycles counts inflations that reused a recycled index.
-	MonitorRecycles uint64
-	// LiveMonitors is the number of monitors currently bound to an
-	// object (FatLocks minus MonitorFrees).
-	LiveMonitors int
-	// TableSpan is the size of the monitor index space in use — the
-	// table's memory footprint. With deflation it tracks the peak
-	// number of simultaneously inflated objects; without, it equals
-	// FatLocks.
+	// TableSpan is the size of the monitor index space in use, the
+	// table's memory footprint. It equals FatLocks: an index is never
+	// reused.
 	TableSpan int
 }
 
@@ -160,12 +151,15 @@ func (s Stats) Inflations() uint64 {
 // a veneer over the heavy-weight monitor subsystem: uncontended and
 // nested locking never touch a monitor.
 type ThinLocks struct {
-	table   *monitor.Table
+	table   *monitor.Table // nil under compact monitors
 	variant Variant
 	cpu     arch.CPU
-	recycle bool // deflation with index recycling (Options.RecycleMonitors)
+	compact bool // Options.Compact
 	queued  bool
-	mut     Mutations
+	// parks is set when contenders park on the lot (queued or
+	// compact), so a final unlock must check the flc bit.
+	parks bool
+	mut   Mutations
 	// nestedLimit is the XOR-check bound: maxCount << CountShift.
 	nestedLimit uint32
 	// maxCount is the largest encodable count, (1 << CountBits) - 1.
@@ -176,10 +170,11 @@ type ThinLocks struct {
 	inflWait       atomic.Uint64
 	spinAcq        atomic.Uint64
 	spinRounds     atomic.Uint64
-	deflations     atomic.Uint64
-	recycles       atomic.Uint64
 	queuedParks    atomic.Uint64
 	flcWakeups     atomic.Uint64
+
+	// deep holds compact monitors' side counts (compact.go).
+	deep sideCounts
 }
 
 // New returns a ThinLocks instance with the given options.
@@ -190,20 +185,23 @@ func New(opts Options) *ThinLocks {
 	}
 	maxCount := uint32(1)<<bits - 1
 	tl := &ThinLocks{
-		table:       monitor.NewTable(),
 		variant:     opts.Variant,
 		cpu:         opts.CPU,
-		recycle:     opts.RecycleMonitors,
+		compact:     opts.Compact,
 		queued:      opts.QueuedInflation,
+		parks:       opts.QueuedInflation || opts.Compact,
 		mut:         opts.TestMutations,
 		nestedLimit: maxCount << CountShift,
 		maxCount:    maxCount,
+	}
+	if !opts.Compact {
+		tl.table = monitor.NewTable()
 	}
 	return tl
 }
 
 // NewDefault returns the standard configuration: dynamic machine test on
-// a PowerPC uniprocessor, no deflation.
+// a PowerPC uniprocessor, inflation for life.
 func NewDefault() *ThinLocks { return New(Options{}) }
 
 // Name implements lockapi.Locker.
@@ -219,21 +217,20 @@ func (l *ThinLocks) Variant() Variant { return l.variant }
 
 // Stats returns a snapshot of the instance's counters.
 func (l *ThinLocks) Stats() Stats {
-	return Stats{
+	s := Stats{
 		InflationsContention: l.inflContention.Load(),
 		InflationsOverflow:   l.inflOverflow.Load(),
 		InflationsWait:       l.inflWait.Load(),
 		SpinAcquisitions:     l.spinAcq.Load(),
 		SpinRounds:           l.spinRounds.Load(),
-		Deflations:           l.deflations.Load(),
 		QueuedParks:          l.queuedParks.Load(),
 		FLCWakeups:           l.flcWakeups.Load(),
-		FatLocks:             l.table.Len(),
-		MonitorFrees:         l.table.Freed(),
-		MonitorRecycles:      l.recycles.Load(),
-		LiveMonitors:         l.table.Live(),
-		TableSpan:            l.table.Span(),
 	}
+	if l.table != nil {
+		s.FatLocks = l.table.Len()
+		s.TableSpan = s.FatLocks
+	}
+	return s
 }
 
 // Lock acquires o's monitor for t (§2.3.1, §2.3.3, §2.3.4). The
@@ -318,7 +315,11 @@ func (l *ThinLocks) lockFast(t *threading.Thread, o *object.Object, cpu arch.CPU
 func (l *ThinLocks) lockSlow(t *threading.Thread, o *object.Object, cpu arch.CPU, fence bool) {
 	lockevent.Emit(lockevent.SlowEnter, t, o)
 	start := lockevent.Start(lockevent.SlowExit)
-	l.lockSlowBody(t, o, cpu, fence)
+	if l.compact {
+		l.lockCompact(t, o, cpu, fence)
+	} else {
+		l.lockSlowBody(t, o, cpu, fence)
+	}
 	lockevent.End(lockevent.SlowExit, t, o, start)
 }
 
@@ -340,29 +341,11 @@ func (l *ThinLocks) lockSlowBody(t *threading.Thread, o *object.Object, cpu arch
 
 		case IsInflated(w):
 			lockevent.EmitValue(lockevent.Block, t, o, int64(lockevent.WaitFat))
-			if !l.recycle {
-				l.table.Get(FatIndex(w)).Enter(t, o)
-				if fence {
-					arch.ISync()
-				}
-				return
+			l.table.Get(FatIndex(w)).Enter(t, o)
+			if fence {
+				arch.ISync()
 			}
-			// With deflation the index in w may already have been
-			// handed to a different object's monitor; re-read the
-			// header under a table pin so the recycler cannot reuse
-			// the index inside our lookup window.
-			m := l.pinnedFat(hp, t)
-			if m == nil {
-				continue // deflated between loads; retry the header
-			}
-			if m.EnterIfActive(t, o) {
-				if fence {
-					arch.ISync()
-				}
-				return
-			}
-			// The monitor was retired by deflation; the header no
-			// longer (or soon will no longer) point at it. Retry.
+			return
 
 		case x&TIDMask == 0:
 			// Thin, owned by this thread, count saturated: the next
@@ -416,56 +399,12 @@ func (l *ThinLocks) lockSlowBody(t *threading.Thread, o *object.Object, cpu arch
 	}
 }
 
-// pinnedFat resolves the object header at hp to its fat monitor under a
-// table reader pin: the pin is published first, the header is re-read,
-// and only then is the index dereferenced, so a concurrent deflation
-// cannot recycle the index between the load and the Get (monitor.Table's
-// grace period holds it back until we unpin). Returns nil if the header
-// is no longer inflated. The monitor pointer stays valid after unpinning
-// — monitor structs are never reused, so the worst a latecomer sees is a
-// permanently retired monitor, answered by EnterIfActive.
-//
-// Exit/Wait/Notify need no pin: they are owner-validated. If the caller
-// owns the fat lock the index binding cannot change (only the owner can
-// retire it). If it does not, any monitor the stale index resolves to
-// was allocated after the caller read the header, so it can be owned
-// only by a thread that inflated or entered it after that read; the
-// caller is inside this operation and did neither. The operation fails
-// with ErrIllegalMonitorState exactly as it must.
-func (l *ThinLocks) pinnedFat(hp *uint32, t *threading.Thread) *monitor.Monitor {
-	if l.mut.DeflateEpochSkip {
-		// Seeded bug: dereference the possibly-stale index with no pin
-		// and no header re-read, dwelling in the window to make the
-		// recycle race schedulable (the sleep is a legal schedule; only
-		// the missing grace protection is the bug).
-		w := atomic.LoadUint32(hp)
-		time.Sleep(200 * time.Microsecond)
-		if !IsInflated(w) {
-			return nil
-		}
-		return l.table.Get(FatIndex(w))
-	}
-	token := l.table.Pin(t.Index())
-	w := atomic.LoadUint32(hp)
-	if !IsInflated(w) {
-		l.table.Unpin(token)
-		return nil
-	}
-	m := l.table.Get(FatIndex(w))
-	l.table.Unpin(token)
-	return m
-}
-
 // inflate converts the thin lock the calling thread owns into a fat lock
 // holding `locks` nested locks. The header store may be plain: the
 // inflating thread owns the thin lock, and the discipline guarantees
 // exclusive write access to the lock word.
 func (l *ThinLocks) inflate(t *threading.Thread, o *object.Object, locks uint32) *monitor.Monitor {
 	m := l.table.Allocate()
-	if m.RecycledIndex() {
-		l.recycles.Add(1)
-		lockevent.Emit(lockevent.Recycle, t, o)
-	}
 	m.SeedOwner(t, locks)
 	o.SetHeader(InflatedWord(m.Index(), o.Header()))
 	if l.queued {
@@ -526,7 +465,7 @@ func (l *ThinLocks) unlockStore(t *threading.Thread, o *object.Object, fence boo
 			arch.Sync()
 		}
 		atomic.StoreUint32(hp, w^t.Shifted())
-		if l.queued {
+		if l.parks {
 			l.wakeAfterUnlock(o)
 		}
 		return nil
@@ -545,7 +484,7 @@ func (l *ThinLocks) unlockCAS(t *threading.Thread, o *object.Object) error {
 			// write the word.
 			panic("core: unlock CAS failed while owning the lock")
 		}
-		if l.queued {
+		if l.parks {
 			l.wakeAfterUnlock(o)
 		}
 		return nil
@@ -574,6 +513,8 @@ func (l *ThinLocks) unlockSlow(t *threading.Thread, o *object.Object, fence, use
 			if fence {
 				arch.Sync()
 			}
+		} else if l.compact && ThinCount(w) == l.maxCount && l.deep.shallower(o) {
+			return nil // released a level of the side count
 		} else {
 			nw = w - CountUnit // nested release: decrement the count
 		}
@@ -584,70 +525,27 @@ func (l *ThinLocks) unlockSlow(t *threading.Thread, o *object.Object, fence, use
 		} else {
 			atomic.StoreUint32(hp, nw)
 		}
-		if l.queued && x < CountUnit {
+		if l.parks && x < CountUnit {
 			l.wakeAfterUnlock(o)
 		}
 		return nil
 	}
 	if IsInflated(w) {
-		// No pin needed here: if this thread owns the fat lock the
-		// binding is stable (only the owner can retire it), and if it
-		// does not, the retire/exit below fail with the right error —
-		// see pinnedFat.
-		m := l.table.Get(FatIndex(w))
-		if l.recycle && l.retireFat(m, t) {
-			// Deflation extension: the fat lock was held exactly once
-			// with empty queues; retire it and restore a thin,
-			// unlocked header. Latecomers holding the stale monitor
-			// index bounce off the retired monitor and re-read the
-			// header.
-			l.deflations.Add(1)
-			lockevent.Emit(lockevent.Deflate, t, o)
-			if fence {
-				arch.Sync()
-			}
-			atomic.StoreUint32(hp, w&MiscMask)
-			// Recycle the index only after the header restore: the
-			// grace stamp taken inside Free must postdate the last
-			// moment a reader could have found the index through this
-			// object.
-			l.freeIndex(t, m)
-			return nil
-		}
-		return m.Exit(t)
+		return l.table.Get(FatIndex(w)).Exit(t)
 	}
 	// Thin but owned by another thread (or unlocked).
 	return ErrIllegalMonitorState
 }
 
-// retireFat retires a quiescent fat lock, honoring the seeded
-// deflate-queue mutation (which skips the entry-queue emptiness check,
-// stranding queued contenders — see core.Mutations).
-func (l *ThinLocks) retireFat(m *monitor.Monitor, t *threading.Thread) bool {
-	if l.mut.DeflateQueueIgnore {
-		return m.RetireDroppingQueue(t)
-	}
-	return m.Retire(t)
-}
-
-// freeIndex returns a retired monitor's index to the table's recycler,
-// honoring the seeded deflate-epoch mutation (which skips the grace
-// period, recreating the stale-index reuse race the epoch scheme
-// prevents).
-func (l *ThinLocks) freeIndex(t *threading.Thread, m *monitor.Monitor) {
-	if l.mut.DeflateEpochSkip {
-		l.table.FreeSkippingGrace(m)
-	} else {
-		l.table.Free(m)
-	}
-	lockevent.Emit(lockevent.Free, t, nil)
-}
-
 // Wait implements lockapi.Locker. Waiting requires queues, so a
-// thin-locked object is first inflated at its current nesting depth.
+// thin-locked object is first inflated at its current nesting depth;
+// compact monitors queue the waiter on the parking lot instead.
 func (l *ThinLocks) Wait(t *threading.Thread, o *object.Object, d time.Duration) (bool, error) {
 	lockevent.Emit(lockevent.WaitBegin, t, o)
 	defer lockevent.Emit(lockevent.WaitEnd, t, o)
+	if l.compact {
+		return l.waitCompact(t, o, d)
+	}
 	w := o.Header()
 	if IsInflated(w) {
 		return l.table.Get(FatIndex(w)).Wait(t, d)
@@ -661,9 +559,13 @@ func (l *ThinLocks) Wait(t *threading.Thread, o *object.Object, d time.Duration)
 	return false, ErrIllegalMonitorState
 }
 
-// Notify implements lockapi.Locker. A thin-locked object can have no
-// waiters (waiting inflates), so notify on an owned thin lock is a no-op.
+// Notify implements lockapi.Locker. Unless monitors are compact, a
+// thin-locked object can have no waiters (waiting inflates), so notify
+// on an owned thin lock is a no-op.
 func (l *ThinLocks) Notify(t *threading.Thread, o *object.Object) error {
+	if l.compact {
+		return l.notifyCompact(t, o, 1)
+	}
 	w := o.Header()
 	if IsInflated(w) {
 		return l.table.Get(FatIndex(w)).Notify(t)
@@ -676,6 +578,9 @@ func (l *ThinLocks) Notify(t *threading.Thread, o *object.Object) error {
 
 // NotifyAll implements lockapi.Locker.
 func (l *ThinLocks) NotifyAll(t *threading.Thread, o *object.Object) error {
+	if l.compact {
+		return l.notifyCompact(t, o, -1)
+	}
 	w := o.Header()
 	if IsInflated(w) {
 		return l.table.Get(FatIndex(w)).NotifyAll(t)

@@ -1,6 +1,6 @@
 // Package conformance is a reusable behavioural test suite for
 // lockapi.Locker implementations. Every implementation in the
-// repository — the paper's thin locks and their queued/deflation/
+// repository — the paper's thin locks and their queued/compact/
 // narrow-count variants, both historical baselines, and the reference
 // oracle — must exhibit the same observable monitor semantics; this
 // package states those semantics once, as executable subtests, instead
@@ -72,10 +72,10 @@ func Run(t *testing.T, mk func() lockapi.Locker) {
 		{"InterruptDuringOwnershipTransfer", testInterruptDuringOwnershipTransfer},
 		{"TimeoutInterruptNotifyRace", testTimeoutInterruptNotifyRace},
 		{"ContendedDeepNesting", testContendedDeepNesting},
-		{"DeflateEnterRace", testDeflateEnterRace},
-		{"DeflateVsWaiterPinsMonitor", testDeflateVsWait},
-		{"ReinflateAfterDeflate", testReinflateAfterDeflate},
-		{"NoDeflateWhileNested", testNoDeflateWhileNested},
+		{"DeflateEnterRace", testWaitEnterRace},
+		{"DeflateVsWaiterPinsMonitor", testWaiterSurvivesReleases},
+		{"ReinflateAfterDeflate", testTwoObjectWaits},
+		{"NoDeflateWhileNested", testNestedHoldNotReleasedEarly},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {

@@ -11,23 +11,24 @@ import (
 	"thinlock/internal/threading"
 )
 
-// The deflation-race cases below state monitor semantics every
-// implementation must exhibit, but that only *deflating* implementations
-// (core.Options.RecycleMonitors) can get wrong in interesting ways:
-// a monitor deflated back to a thin word races a concurrent enter, a
-// waiter must pin its monitor against deflation, a recycled index must
-// not leak one object's monitor to another, and a recursively held
-// monitor must never deflate early. Non-deflating implementations pass
-// them trivially — which is exactly why they are stated here, once, for
-// all implementations.
+// The wait-race cases below state monitor semantics every
+// implementation must exhibit: a wait's release races a concurrent
+// enter, a waiter survives other threads' lock/unlock cycles and still
+// receives a later notify, waits and enters on two objects never leak
+// into each other, and a recursively held lock is never released before
+// its final unlock. They were written against an implementation that
+// deflated monitors and recycled their indices, which these races broke
+// in interesting ways, and keep the names they had then. Compact
+// monitors (core.Options.Compact) meet the same races on the parking
+// lot: a waiter filed while the lock is held, a relabel a final unlock
+// must wake, nodes of two objects in one lot bucket.
 
-// testDeflateEnterRace: one thread continuously drives an object through
-// the inflate → deflate cycle (a timed wait inflates; every final unlock
-// is a deflation candidate) while two other threads hammer plain
-// lock/unlock on the same object. Whatever state the header is caught
-// in — thin, fat, mid-deflation, re-inflated — mutual exclusion must
-// hold and every unlock must succeed.
-func testDeflateEnterRace(t *testing.T, mk func() lockapi.Locker) {
+// testWaitEnterRace: one thread repeatedly takes a timed wait on an
+// object, so each wait releases the lock into, and re-acquires it
+// against, two other threads hammering plain lock/unlock on it.
+// Whatever state the header is caught in, mutual exclusion must hold
+// and every unlock must succeed.
+func testWaitEnterRace(t *testing.T, mk func() lockapi.Locker) {
 	f := newFixture(t, mk)
 	o := f.heap.New("conf")
 
@@ -86,20 +87,18 @@ func testDeflateEnterRace(t *testing.T, mk func() lockapi.Locker) {
 		select {
 		case <-done:
 		case <-time.After(testutil.DefaultWaitTimeout):
-			t.Fatal("deflate-enter race participant never finished")
+			t.Fatal("wait-enter race participant never finished")
 		}
 	}
 	if want := churnRounds + enterers*enterRounds; counter != want {
-		t.Fatalf("counter = %d, want %d (lost updates across deflation)", counter, want)
+		t.Fatalf("counter = %d, want %d (lost updates across waits)", counter, want)
 	}
 }
 
-// testDeflateVsWait: a waiter parked in Wait pins its monitor. Another
-// thread then locks and fully releases the object many times — each
-// release is a deflation candidate, but the non-empty wait set must veto
-// it, or the waiter's monitor (wait set included) is thrown away and the
-// final Notify lands on a fresh lock with nobody waiting.
-func testDeflateVsWait(t *testing.T, mk func() lockapi.Locker) {
+// testWaiterSurvivesReleases: a thread waits untimed while another locks and
+// fully releases the object many times. No release may wake or drop the
+// waiter, which must still be there for the final Notify.
+func testWaiterSurvivesReleases(t *testing.T, mk func() lockapi.Locker) {
 	f := newFixture(t, mk)
 	main := f.thread(t, "main")
 	o := f.heap.New("conf")
@@ -122,9 +121,8 @@ func testDeflateVsWait(t *testing.T, mk func() lockapi.Locker) {
 		t.Fatal(err)
 	}
 	<-waiting
-	// Acquiring here guarantees the waiter is inside Wait; each of the
-	// following final unlocks would deflate if the wait set were
-	// (wrongly) ignored.
+	// Acquiring here guarantees the waiter is inside Wait; none of the
+	// following final unlocks may disturb it.
 	for i := 0; i < 20; i++ {
 		f.l.Lock(main, o)
 		if err := f.l.Unlock(main, o); err != nil {
@@ -141,21 +139,21 @@ func testDeflateVsWait(t *testing.T, mk func() lockapi.Locker) {
 	select {
 	case <-done:
 	case <-time.After(testutil.DefaultWaitTimeout):
-		t.Fatal("waiter never woke: deflation discarded a parked waiter")
+		t.Fatal("waiter never woke: a release discarded it")
 	}
 	if !<-notified {
 		t.Error("waiter reported notified = false after Notify")
 	}
 }
 
-// testReinflateAfterDeflate: two objects alternately inflate and deflate
-// while dedicated threads hammer each object, so a stale monitor
-// reference (an implementation caching or recycling per-object monitor
-// state) has every chance to resolve to the *other* object's current
-// monitor. Each object's counter is guarded only by that object; any
-// cross-object leak of a monitor loses updates or trips the per-object
+// testTwoObjectWaits: one thread takes timed waits on two objects
+// in turn while dedicated threads hammer each object, so any state one
+// object's blocking leaves behind (a cached or recycled monitor, a lot
+// node or wake meant for the other key) has every chance to reach the
+// *other* object. Each object's counter is guarded only by that object;
+// any cross-object leak loses updates or trips the per-object
 // exclusivity tripwire.
-func testReinflateAfterDeflate(t *testing.T, mk func() lockapi.Locker) {
+func testTwoObjectWaits(t *testing.T, mk func() lockapi.Locker) {
 	f := newFixture(t, mk)
 	a, b := f.heap.New("conf"), f.heap.New("conf")
 
@@ -167,10 +165,8 @@ func testReinflateAfterDeflate(t *testing.T, mk func() lockapi.Locker) {
 	var inside [2]atomic.Int32
 	objs := [2]*object.Object{a, b}
 
-	// The churner inflates a, deflates it (timed wait + full release),
-	// then immediately does the same to b: with index recycling b's
-	// fresh monitor tends to reuse a's just-freed slot, which is the
-	// stale-index hazard under test.
+	// The churner takes a timed wait on a and fully releases it, then
+	// immediately does the same to b.
 	churnDone, err := f.reg.Go("churner", func(w *threading.Thread) {
 		for r := 0; r < churnRounds; r++ {
 			for i, co := range objs {
@@ -212,25 +208,26 @@ func testReinflateAfterDeflate(t *testing.T, mk func() lockapi.Locker) {
 		select {
 		case <-done:
 		case <-time.After(testutil.DefaultWaitTimeout):
-			t.Fatal("reinflate race participant never finished")
+			t.Fatal("two-object wait race participant never finished")
 		}
 	}
 	for i := range counters {
 		if counters[i] != enterRounds {
-			t.Errorf("object %d counter = %d, want %d (monitor leaked across objects)",
+			t.Errorf("object %d counter = %d, want %d (lock state leaked across objects)",
 				i, counters[i], enterRounds)
 		}
 	}
 }
 
-// testNoDeflateWhileNested: a monitor held recursively must not deflate
-// until the *final* release. The holder inflates at depth 5 (a timed
-// wait forces fat state on thin-lock implementations), then unwinds one
-// level at a time while a contender tries to get in; the contender must
-// only ever acquire after the holder's last unlock has cleared the
-// held flag. An implementation that treats any fat unlock as a deflation
-// point hands the contender a lock the holder still owns.
-func testNoDeflateWhileNested(t *testing.T, mk func() lockapi.Locker) {
+// testNestedHoldNotReleasedEarly: a lock held recursively must not be released
+// before the *final* unlock. The holder takes a timed wait at depth 5
+// (which releases and restores all five levels), then unwinds one level
+// at a time while a contender tries to get in; the contender must only
+// ever acquire after the holder's last unlock has cleared the held flag.
+// An implementation that treats an intermediate unlock as a release, or
+// restores the wait's depth short, hands the contender a lock the holder
+// still owns.
+func testNestedHoldNotReleasedEarly(t *testing.T, mk func() lockapi.Locker) {
 	f := newFixture(t, mk)
 	o := f.heap.New("conf")
 
@@ -242,8 +239,7 @@ func testNoDeflateWhileNested(t *testing.T, mk func() lockapi.Locker) {
 			f.l.Lock(w, o)
 		}
 		held = true
-		// Force fat state at full depth; the wait releases and
-		// re-acquires all five levels.
+		// The wait releases and re-acquires all five levels.
 		if _, err := f.l.Wait(w, o, time.Millisecond); err != nil {
 			t.Errorf("holder wait: %v", err)
 		}
@@ -281,7 +277,7 @@ func testNoDeflateWhileNested(t *testing.T, mk func() lockapi.Locker) {
 		select {
 		case <-done:
 		case <-time.After(testutil.DefaultWaitTimeout):
-			t.Fatal("nested-hold deflation case never completed")
+			t.Fatal("nested-hold case never completed")
 		}
 	}
 }

@@ -197,6 +197,62 @@ func TestInflatedObjectsDeadlockIsDiagnosed(t *testing.T) {
 	}
 }
 
+// TestCompactDeadlockIsDiagnosed: the same three-thread cycle under
+// compact monitors, where no object inflates: each blocked thread spins
+// on the thin word and then parks on the lot, keyed by the object. The
+// Block events that open and close the spin must name the object, so
+// the detector finds the cycle and reports each thread's lot park. The
+// three threads stay parked for the life of the test binary.
+// Not parallel: owns the global lockdep registration.
+func TestCompactDeadlockIsDiagnosed(t *testing.T) {
+	const n = 3
+	d := lockdep.Enable(lockdep.New(lockdep.Config{}))
+	defer lockdep.Disable()
+
+	l := core.New(core.Options{Compact: true})
+	heap := object.NewHeap()
+	reg := threading.NewRegistry()
+	objs := make([]*object.Object, n)
+	for i := range objs {
+		objs[i] = heap.New("Cell")
+	}
+	firstHeld := make(chan struct{}, n)
+	proceed := make(chan struct{})
+	for i := 0; i < n; i++ {
+		i := i
+		if _, err := reg.Go(fmt.Sprintf("cell-%d", i), func(th *threading.Thread) {
+			l.Lock(th, objs[i])
+			firstHeld <- struct{}{}
+			<-proceed
+			l.Lock(th, objs[(i+1)%n]) // never returns
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		<-firstHeld
+	}
+	close(proceed)
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		for _, c := range d.DetectWaitCycles() {
+			if len(c.Threads) != n {
+				continue
+			}
+			s := c.String()
+			if strings.Count(s, "holds Cell#") == n && strings.Count(s, "queued-park") == n {
+				return
+			}
+			// A thread may still be spinning; its park follows.
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("deadlock never diagnosed with every thread parked; waiters: %+v", d.WaitingThreads())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // Ordered forks — every philosopher takes the lower-numbered fork
 // first — contend on the same objects but cannot deadlock, and lockdep
 // must stay silent: no inversions and, once the run drains, no cycles.

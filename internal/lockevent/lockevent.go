@@ -50,18 +50,15 @@ const (
 	InflateContention
 	InflateOverflow
 	InflateWait
-	// Deflate is a quiescent fat lock turned back into a thin lock on
-	// its final unlock.
-	Deflate
 	// Spin is one back-off round waiting for a lock word or a fat
 	// monitor another thread owns; the value is the WaitKind (WaitFat
 	// for a monitor's entry spin).
 	Spin
-	// QueuedPark is a contender parking on the flat-lock-contention
-	// queue (the queued-inflation extension).
+	// QueuedPark is a contender parking on the parking lot behind the
+	// flat-lock-contention bit (queued inflation, compact monitors).
 	QueuedPark
-	// QueueWake is an owner waking the contention queue after its final
-	// unlock.
+	// QueueWake is an owner waking the lot's entry parkers after its
+	// final unlock.
 	QueueWake
 	// Enqueue is a thread joining a monitor's entry queue; the value is
 	// the queue depth it found.
@@ -69,9 +66,8 @@ const (
 	// Handoff is an exiting monitor owner handing ownership to the head
 	// of the entry queue.
 	Handoff
-	// Retire is a monitor retired by deflation.
-	Retire
-	// MonitorWait is a thread entering a monitor's wait set.
+	// MonitorWait is a thread entering a monitor's wait set (under
+	// compact monitors, filing itself on the lot as a waiter).
 	MonitorWait
 	// WaitTimeout is a wait woken by its timer rather than a notify.
 	WaitTimeout
@@ -113,11 +109,6 @@ const (
 	// unbiasable.
 	BulkRebias
 	BulkRevoke
-	// Free is a deflated monitor's index returned to the table's
-	// recycler.
-	Free
-	// Recycle is an inflation served with a recycled monitor index.
-	Recycle
 
 	// SlowExit closes the acquisition SlowEnter opened; the value is its
 	// latency in nanoseconds.
@@ -146,7 +137,7 @@ const (
 	NumKinds
 )
 
-// NumCounted is the number of counted kinds (SlowEnter..Recycle).
+// NumCounted is the number of counted kinds (SlowEnter..BulkRevoke).
 const NumCounted = SlowExit
 
 // WaitKind says why a thread blocks: the value of Block and Spin.
@@ -158,8 +149,8 @@ const (
 	// WaitSpin is a thread spinning for a thin lock held by another
 	// thread (§2.3.4 of the paper).
 	WaitSpin
-	// WaitQueued is a thread parked on the flat-lock-contention queue
-	// (the queued-inflation extension).
+	// WaitQueued is a thread parked on the parking lot behind the
+	// flat-lock-contention bit (queued inflation, compact monitors).
 	WaitQueued
 	// WaitFat is a thread entering a fat monitor that may be owned.
 	WaitFat

@@ -190,8 +190,8 @@ func (p *Profiler) Park(t *threading.Thread, ns int64) {
 }
 
 // siteOf returns the in-flight sampled site, or captures the site of
-// an unsampled event (inflations, revocations and deflations are rare
-// and recorded unconditionally).
+// an unsampled event (inflations and revocations are rare and recorded
+// unconditionally).
 func (p *Profiler) siteOf(t *threading.Thread) *SiteRecord {
 	if site := p.slot(t).site.Load(); site != nil {
 		return site
@@ -230,20 +230,6 @@ func (p *Profiler) Revocation(t *threading.Thread, o *object.Object, cause Infla
 	}
 	if obj := p.objs.get(o.ID(), o.Class()); obj != nil {
 		obj.Revocations.Add(1)
-	}
-}
-
-// Deflation records a deflation of o: the final unlock found the fat
-// monitor quiescent and turned it back into a thin lock. Deflations are
-// rare protocol transitions like inflations and are recorded
-// unconditionally; the acting thread is the releasing owner, so the
-// captured site is where the lock went quiescent.
-func (p *Profiler) Deflation(t *threading.Thread, o *object.Object) {
-	if site := p.siteOf(t); site != nil {
-		site.Deflations.Add(1)
-	}
-	if obj := p.objs.get(o.ID(), o.Class()); obj != nil {
-		obj.Deflations.Add(1)
 	}
 }
 
@@ -297,8 +283,6 @@ func (p *Profiler) LockEvent(k lockevent.Kind, t *threading.Thread, o *object.Ob
 		p.Inflation(t, o, InflationCause(k-lockevent.InflateContention))
 	case lockevent.RevokeContention, lockevent.RevokeOverflow, lockevent.RevokeWait:
 		p.Revocation(t, o, InflationCause(k-lockevent.RevokeContention))
-	case lockevent.Deflate:
-		p.Deflation(t, o)
 	case lockevent.SlowUnlock:
 		p.UnlockSlow(t, o)
 	}
@@ -310,7 +294,7 @@ var consumes = lockevent.Sites | lockevent.Of(
 	lockevent.SlowEnter, lockevent.SlowExit, lockevent.CASFail, lockevent.Unpark,
 	lockevent.InflateContention, lockevent.InflateOverflow, lockevent.InflateWait,
 	lockevent.RevokeContention, lockevent.RevokeOverflow, lockevent.RevokeWait,
-	lockevent.Deflate, lockevent.SlowUnlock)
+	lockevent.SlowUnlock)
 
 // active is the globally installed Profiler.
 var active atomic.Pointer[Profiler]

@@ -57,11 +57,6 @@ type SiteRecord struct {
 	// nested overflow past the biased depth limit, or a Wait). Only the
 	// biased implementation feeds these.
 	Revocations [NumCauses]atomic.Uint64
-	// Deflations counts fat locks deflated back to thin at this site
-	// (the site of the final unlock that found the monitor quiescent).
-	// Only deflating implementations feed this; there is no cause
-	// dimension — quiescence on final unlock is the only trigger.
-	Deflations atomic.Uint64
 	// ParkNs accumulates time sampled acquisitions from this site spent
 	// parked (contention queue or monitor entry queue).
 	ParkNs atomic.Uint64
@@ -110,8 +105,6 @@ type ObjectRecord struct {
 	Inflations atomic.Uint64
 	// Revocations counts bias revocations of this object (any cause).
 	Revocations atomic.Uint64
-	// Deflations counts deflations of this object back to a thin lock.
-	Deflations atomic.Uint64
 	// ParkNs accumulates park time spent acquiring this object.
 	ParkNs atomic.Uint64
 	// DelayNs accumulates slow-path acquisition latency for this object.

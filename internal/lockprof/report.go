@@ -24,7 +24,6 @@ type SiteStat struct {
 	CASFailures uint64            `json:"cas_failures"`
 	Inflations  map[string]uint64 `json:"inflations,omitempty"`
 	Revocations map[string]uint64 `json:"revocations,omitempty"`
-	Deflations  uint64            `json:"deflations,omitempty"`
 	ParkNs      uint64            `json:"park_ns"`
 	DelayNs     uint64            `json:"delay_ns"`
 	HoldNs      uint64            `json:"hold_ns"`
@@ -56,7 +55,6 @@ type ObjectStat struct {
 	SlowEntries uint64 `json:"slow_entries"`
 	Inflations  uint64 `json:"inflations"`
 	Revocations uint64 `json:"revocations,omitempty"`
-	Deflations  uint64 `json:"deflations,omitempty"`
 	ParkNs      uint64 `json:"park_ns"`
 	DelayNs     uint64 `json:"delay_ns"`
 	HoldNs      uint64 `json:"hold_ns"`
@@ -95,7 +93,6 @@ func (p *Profiler) Snapshot() *Snapshot {
 			Frames:      frames,
 			SlowEntries: r.SlowEntries.Load(),
 			CASFailures: r.CASFailures.Load(),
-			Deflations:  r.Deflations.Load(),
 			ParkNs:      r.ParkNs.Load(),
 			DelayNs:     r.DelayNs.Load(),
 			HoldNs:      r.HoldNs.Load(),
@@ -142,7 +139,6 @@ func (p *Profiler) Snapshot() *Snapshot {
 			SlowEntries: r.SlowEntries.Load(),
 			Inflations:  r.Inflations.Load(),
 			Revocations: r.Revocations.Load(),
-			Deflations:  r.Deflations.Load(),
 			ParkNs:      r.ParkNs.Load(),
 			DelayNs:     r.DelayNs.Load(),
 			HoldNs:      r.HoldNs.Load(),
@@ -189,7 +185,6 @@ func mergeSitesByLabel(sites []SiteStat) []SiteStat {
 		}
 		dst.SlowEntries += st.SlowEntries
 		dst.CASFailures += st.CASFailures
-		dst.Deflations += st.Deflations
 		dst.ParkNs += st.ParkNs
 		dst.DelayNs += st.DelayNs
 		dst.HoldNs += st.HoldNs
@@ -314,8 +309,6 @@ func (s *Snapshot) WritePrometheus(w io.Writer, topN int) error {
 			func(st SiteStat) uint64 { return st.ParkNs }},
 		{"lockprof_hold_ns", "Sampled lock hold time by site (ns).",
 			func(st SiteStat) uint64 { return st.HoldNs }},
-		{"lockprof_deflations", "Fat locks deflated back to thin by site.",
-			func(st SiteStat) uint64 { return st.Deflations }},
 	}
 	for _, m := range metrics {
 		name := telemetry.PromPrefix + m.name + "_total"

@@ -23,7 +23,7 @@ func (s Series) WriteJSON(w io.Writer) error {
 const csvHeader = "index,at_ns,window_ns," +
 	"slow_per_sec,cas_fail_per_sec,cas_fail_ratio," +
 	"inflations_contention,inflations_overflow,inflations_wait," +
-	"inflations_per_sec,deflations_per_sec,parks_per_sec," +
+	"inflations_per_sec,parks_per_sec," +
 	"acquire_p50_ns,acquire_p99_ns,park_p50_ns,park_p99_ns,hold_p50_ns,hold_p99_ns," +
 	"anomalies,top_site"
 
@@ -51,7 +51,6 @@ func (s Series) WriteCSV(w io.Writer) error {
 			strconv.FormatUint(sm.Inflations.Overflow, 10),
 			strconv.FormatUint(sm.Inflations.Wait, 10),
 			fmtFloat(sm.InflationsPerSec),
-			fmtFloat(sm.DeflationsPerSec),
 			fmtFloat(sm.ParksPerSec),
 			strconv.FormatUint(sm.AcquireP50Ns, 10),
 			strconv.FormatUint(sm.AcquireP99Ns, 10),

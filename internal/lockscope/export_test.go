@@ -24,7 +24,7 @@ func goldenSeries() lockscope.Series {
 				Index: 41, AtNs: 10_250_000_000, WindowNs: 250_000_000,
 				SlowPerSec: 400, CASFailPerSec: 100, CASFailRatio: 0.2,
 				Inflations:       lockscope.InflationDeltas{Contention: 2, Wait: 1},
-				InflationsPerSec: 12, DeflationsPerSec: 4, ParksPerSec: 40,
+				InflationsPerSec: 12, ParksPerSec: 40,
 				AcquireP50Ns: 812, AcquireP99Ns: 14_890,
 				ParkP50Ns: 1_048_000, ParkP99Ns: 9_400_000,
 				HoldP50Ns: 2_100, HoldP99Ns: 88_000,

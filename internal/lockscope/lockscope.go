@@ -3,7 +3,7 @@
 // captures the cumulative telemetry counters and the profiler's
 // per-site totals, differences them against the previous capture, and
 // publishes one windowed Sample — per-second rates, CAS-failure ratio,
-// inflation/deflation deltas by cause, acquire/park/hold percentiles
+// inflation deltas by cause, acquire/park/hold percentiles
 // computed from histogram *deltas*, and the top-K sites active in the
 // window — into a fixed-capacity ring that readers (the /debug
 // endpoints, lockmon -scope, macrobench timelines) consume without

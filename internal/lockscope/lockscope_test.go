@@ -67,13 +67,12 @@ func TestSampleRatesAndQuantiles(t *testing.T) {
 		{counters: map[string]uint64{"slow_path_entries": 0}},
 		{
 			// One 250ms window with 100 slow entries, 25 CAS failures,
-			// 2 contention inflations, 1 deflation, 10 parks, and a
+			// 2 contention inflations, 10 parks, and a
 			// stall distribution.
 			counters: map[string]uint64{
 				"slow_path_entries":         100,
 				"cas_failures":              25,
 				"inflations_contention":     2,
-				"deflations":                1,
 				"queued_parks":              4,
 				"monitor_contended_entries": 6,
 			},
@@ -108,8 +107,8 @@ func TestSampleRatesAndQuantiles(t *testing.T) {
 	if s.Inflations.Contention != 2 || s.Inflations.Total() != 2 {
 		t.Errorf("inflations = %+v, want contention 2", s.Inflations)
 	}
-	if s.InflationsPerSec != 8 || s.DeflationsPerSec != 4 {
-		t.Errorf("inflations/s deflations/s = %v/%v, want 8/4", s.InflationsPerSec, s.DeflationsPerSec)
+	if s.InflationsPerSec != 8 {
+		t.Errorf("inflations/s = %v, want 8", s.InflationsPerSec)
 	}
 	if s.ParksPerSec != 40 { // (4+6)/0.25s
 		t.Errorf("parks/s = %v, want 40", s.ParksPerSec)

@@ -60,8 +60,6 @@ type Sample struct {
 	Inflations InflationDeltas `json:"inflations"`
 	// InflationsPerSec is the total inflation rate.
 	InflationsPerSec float64 `json:"inflations_per_sec"`
-	// DeflationsPerSec is the monitor deflation rate.
-	DeflationsPerSec float64 `json:"deflations_per_sec"`
 	// ParksPerSec is the rate of contenders blocking (queued parks plus
 	// monitor contended entries).
 	ParksPerSec float64 `json:"parks_per_sec"`
@@ -137,8 +135,7 @@ func derive(d telemetry.Snapshot, sites []SiteCount, atNs, windowNs int64, topK 
 			Overflow:   d.Counter("inflations_overflow"),
 			Wait:       d.Counter("inflations_wait"),
 		},
-		DeflationsPerSec: perSec(d.Counter("deflations")),
-		ParksPerSec:      perSec(d.Counter("queued_parks") + d.Counter("monitor_contended_entries")),
+		ParksPerSec: perSec(d.Counter("queued_parks") + d.Counter("monitor_contended_entries")),
 	}
 	if casFail+slow > 0 {
 		s.CASFailRatio = float64(casFail) / float64(casFail+slow)

@@ -18,7 +18,7 @@
 //
 // Entry spins, then queues. A thread that finds the monitor owned
 // re-checks it under the latch between arch.Backoff pauses, for a fixed
-// number of rounds (spinRounds), and only then joins the entry queue
+// number of rounds (arch.SpinRounds), and only then joins the entry queue
 // and parks. The paper keeps a contended object inflated (§2.3.4), so
 // every later contention for it meets a monitor; when holds are short,
 // spinning first saves the park and the handoff.
@@ -62,18 +62,12 @@ const (
 // semantics. The zero value is unusable; create monitors with New or
 // Table.Allocate.
 type Monitor struct {
-	latch   sync.Mutex
-	owner   *threading.Thread
-	count   uint32
-	index   uint32          // index in the owning Table (0 if table-less)
-	entry   threading.Queue // FIFO entry queue
-	waits   threading.Queue // wait set, notified in FIFO order
-	retired bool            // set by Retire; the monitor no longer guards its object
-
-	// recycledIdx records that the Table served this monitor's index
-	// from a free list rather than extending the index space. Set once
-	// at allocation, read-only afterwards.
-	recycledIdx bool
+	latch sync.Mutex
+	owner *threading.Thread
+	count uint32
+	index uint32          // index in the owning Table (0 if table-less)
+	entry threading.Queue // FIFO entry queue
+	waits threading.Queue // wait set, notified in FIFO order
 }
 
 // New returns a fresh unowned monitor that is not registered in any
@@ -95,105 +89,28 @@ func (m *Monitor) String() string {
 // Enter acquires the monitor for t, blocking until it is available.
 // Re-entry by the owner increments the lock count. o is the object the
 // monitor guards: the spin rounds report it, so an observer knows what
-// t waits for. Entering a retired monitor is a caller bug (only the
-// deflation extension retires monitors, and it enters through
-// EnterIfActive).
-func (m *Monitor) Enter(t *threading.Thread, o *object.Object) {
-	if !m.enter(t, o) {
-		panic("monitor: Enter on retired monitor")
-	}
-}
-
-// EnterIfActive is like Enter but fails, without acquiring, when the
-// monitor has been retired by the deflation extension, whether before
-// the call or while t spins. A false return means the caller must retry
-// from the object header, which no longer points at this monitor. Once
-// t is queued the monitor cannot retire under it: Retire requires empty
-// queues.
-func (m *Monitor) EnterIfActive(t *threading.Thread, o *object.Object) bool {
-	return m.enter(t, o)
-}
-
-// Retire deflates the monitor: if t owns it exactly once and both queues
-// are empty, the monitor is marked retired and released, and true is
-// returned. A retired monitor rejects all future entries, forcing
-// latecomers back to the object header. Used only by the deflation
-// extension; the paper's protocol never deflates (§2.3).
-func (m *Monitor) Retire(t *threading.Thread) bool {
-	m.latch.Lock()
-	defer m.latch.Unlock()
-	if m.owner != t || m.count != 1 || !m.entry.Empty() || !m.waits.Empty() {
-		return false
-	}
-	m.owner = nil
-	m.count = 0
-	m.retired = true
-	lockevent.Emit(lockevent.Retire, t, nil)
-	return true
-}
-
-// RetireDroppingQueue is Retire with the entry-queue emptiness check
-// removed: a queued contender's node is abandoned, its handoff never
-// arrives, and the thread sleeps forever. It exists only as the seeded
-// deflate-queue mutation (see core.Mutations), so the differential
-// checker can prove it detects a deflation that strands contenders.
-func (m *Monitor) RetireDroppingQueue(t *threading.Thread) bool {
-	m.latch.Lock()
-	defer m.latch.Unlock()
-	if m.owner != t || m.count != 1 || !m.waits.Empty() {
-		return false
-	}
-	m.owner = nil
-	m.count = 0
-	m.retired = true
-	lockevent.Emit(lockevent.Retire, t, nil)
-	return true
-}
-
-// RecycledIndex reports whether this monitor's index was served from the
-// table's free list (i.e. a previous monitor was deflated out of it).
-func (m *Monitor) RecycledIndex() bool { return m.recycledIdx }
-
-// Retired reports whether the monitor has been deflated away.
-func (m *Monitor) Retired() bool {
-	m.latch.Lock()
-	defer m.latch.Unlock()
-	return m.retired
-}
-
-// spinRounds is how many arch.Backoff pauses a contender spends
-// re-checking an owned monitor before it joins the entry queue. The
-// first eight pauses are Backoff's busy spins and scheduler yields; the
-// rest are its short sleeps. EXPERIMENTS.md has the sweep that chose it.
-const spinRounds = 12
-
-// enter acquires the monitor for t, or re-enters it, and returns true;
-// it returns false without acquiring if the monitor is retired.
+// t waits for.
 //
 // A contender first spins: it polls the monitor under the latch between
 // back-off pauses, emitting one Spin event on o per pause, and takes the
 // monitor if it finds the owner nil (which implies an empty entry
 // queue). Only when the rounds run out does it queue and park.
-func (m *Monitor) enter(t *threading.Thread, o *object.Object) bool {
+func (m *Monitor) Enter(t *threading.Thread, o *object.Object) {
 	var b arch.Backoff
 	m.latch.Lock()
 	for {
-		if m.retired {
-			m.latch.Unlock()
-			return false
-		}
 		switch {
 		case m.owner == nil:
 			m.owner = t
 			m.count = 1
 			m.latch.Unlock()
-			return true
+			return
 		case m.owner == t:
 			m.count++
 			m.latch.Unlock()
-			return true
+			return
 		}
-		if b.Rounds() == spinRounds {
+		if b.Spent() {
 			break
 		}
 		m.latch.Unlock()
@@ -214,7 +131,6 @@ func (m *Monitor) enter(t *threading.Thread, o *object.Object) bool {
 	start := lockevent.Start(lockevent.Unpark)
 	awaitGrant(n) // direct handoff: owner/count already set for us
 	lockevent.End(lockevent.Unpark, t, nil, start)
-	return true
 }
 
 // awaitGrant parks n's thread until an exiting owner hands it the
@@ -231,9 +147,6 @@ func awaitGrant(n *threading.ParkNode) {
 func (m *Monitor) TryEnter(t *threading.Thread) bool {
 	m.latch.Lock()
 	defer m.latch.Unlock()
-	if m.retired {
-		return false
-	}
 	switch {
 	case m.owner == nil:
 		m.owner = t
@@ -460,8 +373,7 @@ func (m *Monitor) WaitSetLen() int {
 	return m.waits.Len()
 }
 
-// Quiescent reports whether the monitor is unowned with empty queues;
-// used by the deflation extension.
+// Quiescent reports whether the monitor is unowned with empty queues.
 func (m *Monitor) Quiescent() bool {
 	m.latch.Lock()
 	defer m.latch.Unlock()

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -641,5 +642,21 @@ func BenchmarkRecursiveEnterExit(b *testing.B) {
 		if err := m.Exit(th); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func TestMonitorString(t *testing.T) {
+	t.Parallel()
+	ths := newThreads(t, 1)
+	m := New()
+	m.Enter(ths[0], nil)
+	s := m.String()
+	for _, want := range []string{"monitor(", "count=1", "entry=0", "wait=0"} {
+		if !strings.Contains(s, want) {
+			t.Errorf("String() = %q missing %q", s, want)
+		}
+	}
+	if err := m.Exit(ths[0]); err != nil {
+		t.Fatal(err)
 	}
 }

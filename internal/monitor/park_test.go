@@ -8,13 +8,14 @@ import (
 	"thinlock/internal/threading"
 )
 
-// TestMonitorIs64Bytes pins the layout: latch, owner, count, index, two
-// queue head/tail pairs and two flags. A field added here is paid by
-// every monitor an inflate-forever implementation keeps for life.
+// TestMonitorIs64Bytes pins the layout: latch, owner, count, index and
+// two queue head/tail pairs, 56 bytes that the allocator rounds up to
+// its 64-byte size class. A field added here is paid by every monitor an
+// inflate-forever implementation keeps for life.
 func TestMonitorIs64Bytes(t *testing.T) {
 	t.Parallel()
-	if n := unsafe.Sizeof(Monitor{}); n != 64 {
-		t.Fatalf("sizeof(Monitor) = %d, want 64", n)
+	if n := unsafe.Sizeof(Monitor{}); n != 56 {
+		t.Fatalf("sizeof(Monitor) = %d, want 56 (in the allocator's 64-byte size class)", n)
 	}
 }
 

@@ -19,88 +19,21 @@ const chunkBits = 10
 
 const chunkSize = 1 << chunkBits
 
-// numShards is the number of independent free/limbo lists the recycler
-// spreads returned indices over, so concurrent deflations on different
-// objects never contend on one list head.
-const numShards = 8
-
-// numPins sizes the reader pin-slot array. Thread indices are dense from
-// 1, so any realistic run maps threads to distinct slots; two threads
-// that do alias a slot fall back to a conservative global pin count that
-// simply stalls reclamation (never compromising safety).
-const numPins = 256
-
-// freeNode is one recycled index on a shard's free or limbo stack. Nodes
-// are ordinary garbage-collected allocations and are never reused, so the
-// classic Treiber-stack ABA problem cannot arise: a node's next pointer
-// is written once, before its single push.
-type freeNode struct {
-	idx   uint32
-	stamp uint64 // grace-period epoch assigned at Free time
-	next  *freeNode
-}
-
-// tableShard is one lane of the recycler.
-type tableShard struct {
-	free  atomic.Pointer[freeNode] // indices past their grace period
-	limbo atomic.Pointer[freeNode] // indices still inside it
-	_     [48]byte                 // keep neighbouring shard heads off one line
-}
-
-// pinSlot is one reader's published epoch. A nonzero value e means "a
-// reader that loaded the global epoch as e may still be dereferencing a
-// monitor index it read from an object header".
-type pinSlot struct {
-	epoch atomic.Uint64
-	_     [56]byte
-}
-
 // Table maps monitor indices to monitors, mirroring "the table which maps
 // inflated monitor indices to fat locks" (§2.3). Get is wait-free (an
 // atomic load plus two indexing operations — the paper's "shifting the
 // monitor index to the right and indexing into the vector"), because it
 // sits on the locking fast path for every inflated object.
 //
-// Beyond the paper (whose table only ever grows), the table recycles
-// indices: Free returns a deflated monitor's index through a grace
-// period so that a racing Get can never observe a recycled slot, and
-// Allocate prefers recycled indices over extending the index space.
-// Allocation and recycling are latch-free — fresh indices come from an
-// atomic counter and recycled ones from per-shard Treiber stacks; the
-// mutex guards only chunk growth, which happens O(span/chunkSize) times
-// ever. Monitor structs themselves are never reused: a recycled index
-// gets a fresh Monitor, so a stale pointer obtained before the recycle
-// stays permanently retired and can never be confused with the new
-// tenant.
-//
-// The grace period is a quiescence scheme in the QSBR family. Readers
-// that may hold a stale index (the lock slow path, between loading an
-// object header and calling Get) bracket the window with Pin/Unpin:
-// Pin publishes the current global epoch in a per-thread slot before the
-// header is (re)loaded. Free stamps the returned index with epoch+1
-// (incremented after the object's header has been restored to thin).
-// An index with stamp s is reusable only when no published pin is below
-// s: such a pin could belong to a reader that loaded the old fat header
-// before it was restored — under sequentially consistent atomics that
-// reader's pin store precedes the header restore, which precedes the
-// stamp increment, which precedes any reclaim scan, so the scan is
-// guaranteed to see the pin and hold the index back.
+// As in the paper, the table only grows: an inflated object keeps its
+// monitor for life (§2.3.4), so an index, once bound, is never reused
+// and a Get never races a rebinding. Fresh indices come from an atomic
+// counter; the mutex guards only chunk growth, which happens
+// O(span/chunkSize) times ever.
 type Table struct {
 	mu     sync.Mutex // guards chunk growth only
 	chunks atomic.Pointer[[]*[chunkSize]*Monitor]
-
-	next      atomic.Uint32 // next never-used index; index 0 is valid
-	allocated atomic.Uint64 // cumulative Allocate calls (fresh + recycled)
-	freed     atomic.Uint64 // cumulative Free calls
-	recycled  atomic.Uint64 // Allocate calls served from a free list
-	limboLen  atomic.Int64  // indices currently awaiting their grace period
-
-	epoch    atomic.Uint64 // global grace epoch; starts at 1 (0 = unpinned)
-	cursor   atomic.Uint32 // round-robin shard selector for Allocate/Free
-	fallback atomic.Int64  // pins that lost their slot to another thread
-
-	shards [numShards]tableShard
-	pins   [numPins]pinSlot
+	next   atomic.Uint32 // next never-used index; index 0 is valid
 }
 
 // NewTable returns an empty monitor table.
@@ -108,22 +41,13 @@ func NewTable() *Table {
 	t := &Table{}
 	empty := make([]*[chunkSize]*Monitor, 0)
 	t.chunks.Store(&empty)
-	t.epoch.Store(1) // pin value 0 must mean "no pin published"
 	return t
 }
 
-// Allocate returns a monitor bound to a unique live index, preferring a
-// recycled index (one whose grace period has expired) over extending the
-// index space. It panics if the 23-bit index space is exhausted, which
-// corresponds to a VM that has inflated eight million locks at once.
+// Allocate returns a monitor bound to a fresh index. It panics if the
+// 23-bit index space is exhausted, which corresponds to a VM that has
+// inflated eight million locks.
 func (tb *Table) Allocate() *Monitor {
-	tb.allocated.Add(1)
-	if n := tb.popFree(); n != nil {
-		tb.recycled.Add(1)
-		m := &Monitor{index: n.idx, recycledIdx: true}
-		tb.bind(n.idx, m)
-		return m
-	}
 	idx := tb.next.Add(1) - 1
 	if idx >= MaxMonitors {
 		panic("monitor: 23-bit monitor index space exhausted")
@@ -133,12 +57,9 @@ func (tb *Table) Allocate() *Monitor {
 	return m
 }
 
-// bind publishes m as the tenant of idx, growing the chunk directory if
-// idx is beyond it. The store into an existing chunk is an atomic
-// pointer-sized write through a slot that racing Gets read; Go guarantees
-// word-sized aligned stores are not torn, and the recycler's grace period
-// guarantees no Get dereferences idx between the old tenant's retirement
-// and this store.
+// bind publishes m at idx, growing the chunk directory if idx is beyond
+// it. Only the inflating thread knows idx until it publishes the
+// inflated header, whose atomic store orders this one before any Get.
 func (tb *Table) bind(idx uint32, m *Monitor) {
 	ci := int(idx >> chunkBits)
 	chunks := *tb.chunks.Load()
@@ -161,11 +82,7 @@ func (tb *Table) bind(idx uint32, m *Monitor) {
 
 // Get returns the monitor with the given index. It panics on an index
 // that was never allocated: encountering one means an object header held
-// a corrupt inflated lock word. Callers that may hold a stale index (one
-// read from a header that a concurrent deflation can rewrite) must
-// bracket the header load and the Get with Pin/Unpin and re-load the
-// header after pinning; otherwise the slot they index may have been
-// handed to a different object's monitor.
+// a corrupt inflated lock word.
 func (tb *Table) Get(idx uint32) *Monitor {
 	chunks := *tb.chunks.Load()
 	ci := int(idx >> chunkBits)
@@ -179,186 +96,5 @@ func (tb *Table) Get(idx uint32) *Monitor {
 	return m
 }
 
-// Pin publishes the acting thread (identified by its dense registry
-// index) as a table reader and returns a token for Unpin. It must be
-// called before loading the object header whose monitor index will be
-// passed to Get; the header must be (re)loaded after Pin returns. Pin
-// never blocks: if the thread's slot is occupied by an aliasing thread
-// it falls back to a global conservative pin.
-func (tb *Table) Pin(threadIdx uint16) int {
-	e := tb.epoch.Load()
-	slot := int(threadIdx) % numPins
-	if tb.pins[slot].epoch.CompareAndSwap(0, e) {
-		return slot
-	}
-	// Slot collision (more than numPins concurrent readers, or a hash
-	// alias). Fall back to a global count that blocks all reclamation
-	// while nonzero — safe, merely less precise.
-	tb.fallback.Add(1)
-	return -1
-}
-
-// Unpin withdraws a Pin. The token is Pin's return value.
-func (tb *Table) Unpin(token int) {
-	if token < 0 {
-		tb.fallback.Add(-1)
-		return
-	}
-	tb.pins[token].epoch.Store(0)
-}
-
-// Free returns a deflated monitor's index to the recycler. The caller
-// must already have retired the monitor and restored the object's header
-// (so no new reader can reach the index through that object); Free then
-// opens a grace period: the index parks in a limbo list stamped with the
-// next epoch and becomes allocatable only once every pinned reader
-// published an epoch at or above the stamp. Freeing an unretired monitor
-// is a caller bug.
-func (tb *Table) Free(m *Monitor) {
-	if !m.Retired() {
-		panic("monitor: Free of a monitor that was not retired")
-	}
-	tb.freeWithGrace(m, true)
-}
-
-// FreeSkippingGrace is Free without the grace period: the index goes
-// straight to the free list, reusable immediately. It exists only as the
-// seeded deflate-epoch mutation (see core.Mutations) — it recreates the
-// recycle race the epoch scheme prevents, so the differential checker
-// can prove it would catch a broken grace period.
-func (tb *Table) FreeSkippingGrace(m *Monitor) {
-	tb.freeWithGrace(m, false)
-}
-
-func (tb *Table) freeWithGrace(m *Monitor, grace bool) {
-	tb.freed.Add(1)
-	sh := &tb.shards[tb.cursor.Add(1)%numShards]
-	n := &freeNode{idx: m.index}
-	if !grace {
-		push(&sh.free, n)
-		return
-	}
-	// The stamp must be taken after the caller's header restore; the
-	// increment also moves the global epoch forward so new readers
-	// publish values that do not hold this index back.
-	n.stamp = tb.epoch.Add(1)
-	push(&sh.limbo, n)
-	tb.limboLen.Add(1)
-}
-
-// popFree returns a reusable index node, or nil. It first tries the free
-// stacks, then attempts to graduate limbo indices whose grace period has
-// expired. The scan is amortized into allocation so there is no
-// background sweeper thread (the JDK111 global-latch sweep is exactly
-// what this design avoids).
-func (tb *Table) popFree() *freeNode {
-	start := tb.cursor.Add(1)
-	for i := uint32(0); i < numShards; i++ {
-		if n := pop(&tb.shards[(start+i)%numShards].free); n != nil {
-			return n
-		}
-	}
-	if tb.limboLen.Load() == 0 {
-		return nil
-	}
-	tb.reclaim()
-	for i := uint32(0); i < numShards; i++ {
-		if n := pop(&tb.shards[(start+i)%numShards].free); n != nil {
-			return n
-		}
-	}
-	return nil
-}
-
-// reclaim graduates every limbo index whose stamp is at or below the
-// oldest published reader epoch from limbo to its shard's free stack.
-func (tb *Table) reclaim() {
-	safe := tb.safeEpoch()
-	if safe == 0 {
-		return
-	}
-	for s := range tb.shards {
-		sh := &tb.shards[s]
-		n := sh.limbo.Swap(nil)
-		for n != nil {
-			next := n.next
-			if n.stamp <= safe {
-				tb.limboLen.Add(-1)
-				push(&sh.free, n)
-			} else {
-				push(&sh.limbo, n)
-			}
-			n = next
-		}
-	}
-}
-
-// safeEpoch returns the newest stamp that is safe to reuse: the minimum
-// over all published reader pins, or the current epoch when no reader is
-// pinned. Zero means nothing can be reclaimed right now (a fallback pin
-// is active).
-func (tb *Table) safeEpoch() uint64 {
-	if tb.fallback.Load() != 0 {
-		return 0
-	}
-	safe := tb.epoch.Load()
-	for i := range tb.pins {
-		if v := tb.pins[i].epoch.Load(); v != 0 && v <= safe {
-			// A reader pinned at v may hold any index stamped above v;
-			// stamps <= v predate its window and stay reclaimable.
-			safe = v
-		}
-	}
-	return safe
-}
-
-// push adds n to the Treiber stack at head.
-func push(head *atomic.Pointer[freeNode], n *freeNode) {
-	for {
-		h := head.Load()
-		n.next = h
-		if head.CompareAndSwap(h, n) {
-			return
-		}
-	}
-}
-
-// pop removes and returns the top of the Treiber stack at head, or nil.
-// Safe against ABA because nodes are never pushed twice (each Free
-// allocates a fresh node and the garbage collector keeps a popped node's
-// memory alive while any raced pop still references it).
-func pop(head *atomic.Pointer[freeNode]) *freeNode {
-	for {
-		h := head.Load()
-		if h == nil {
-			return nil
-		}
-		if head.CompareAndSwap(h, h.next) {
-			return h
-		}
-	}
-}
-
-// Len reports how many monitors have ever been allocated (fresh plus
-// recycled) — one per inflation, so the differential checker's
-// monitors-vs-inflations accounting holds whether or not indices are
-// recycled.
-func (tb *Table) Len() int { return int(tb.allocated.Load()) }
-
-// Live reports how many monitors are currently bound to an object
-// (allocated minus freed). Without deflation this equals Len.
-func (tb *Table) Live() int {
-	return int(tb.allocated.Load() - tb.freed.Load())
-}
-
-// Span reports the size of the index space in use: the high-water count
-// of simultaneously live monitors, and the measure of the table's memory
-// footprint. A recycling workload keeps Span near its peak concurrent
-// demand while Len grows with every inflation.
-func (tb *Table) Span() int { return int(tb.next.Load()) }
-
-// Recycled reports how many allocations were served from the free lists.
-func (tb *Table) Recycled() uint64 { return tb.recycled.Load() }
-
-// Freed reports how many indices were returned by Free.
-func (tb *Table) Freed() uint64 { return tb.freed.Load() }
+// Len reports how many monitors have been allocated, one per inflation.
+func (tb *Table) Len() int { return int(tb.next.Load()) }

@@ -50,13 +50,11 @@ const (
 	CtrInflationsContention      = Counter(lockevent.InflateContention)
 	CtrInflationsOverflow        = Counter(lockevent.InflateOverflow)
 	CtrInflationsWait            = Counter(lockevent.InflateWait)
-	CtrDeflations                = Counter(lockevent.Deflate)
 	CtrSpinRounds                = Counter(lockevent.Spin)
 	CtrQueuedParks               = Counter(lockevent.QueuedPark)
 	CtrFLCWakeups                = Counter(lockevent.QueueWake)
 	CtrMonitorContendedEntries   = Counter(lockevent.Enqueue)
 	CtrMonitorHandoffs           = Counter(lockevent.Handoff)
-	CtrMonitorRetirements        = Counter(lockevent.Retire)
 	CtrWaits                     = Counter(lockevent.MonitorWait)
 	CtrWaitTimerWakeups          = Counter(lockevent.WaitTimeout)
 	CtrNotifies                  = Counter(lockevent.Notify)
@@ -77,8 +75,6 @@ const (
 	CtrBiasRevocationsWait       = Counter(lockevent.RevokeWait)
 	CtrBulkRebiases              = Counter(lockevent.BulkRebias)
 	CtrBulkRevokes               = Counter(lockevent.BulkRevoke)
-	CtrMonitorFrees              = Counter(lockevent.Free)
-	CtrMonitorRecycles           = Counter(lockevent.Recycle)
 
 	// NumCounters is the number of defined counters.
 	NumCounters = Counter(lockevent.NumCounted)
@@ -92,13 +88,11 @@ var counterNames = [NumCounters]string{
 	CtrInflationsContention:    "inflations_contention",
 	CtrInflationsOverflow:      "inflations_overflow",
 	CtrInflationsWait:          "inflations_wait",
-	CtrDeflations:              "deflations",
 	CtrSpinRounds:              "spin_rounds",
 	CtrQueuedParks:             "queued_parks",
 	CtrFLCWakeups:              "flc_wakeups",
 	CtrMonitorContendedEntries: "monitor_contended_entries",
 	CtrMonitorHandoffs:         "monitor_handoffs",
-	CtrMonitorRetirements:      "monitor_retirements",
 	CtrWaits:                   "waits",
 	CtrWaitTimerWakeups:        "wait_timer_wakeups",
 	CtrNotifies:                "notifies",
@@ -120,8 +114,6 @@ var counterNames = [NumCounters]string{
 	CtrBiasRevocationsOverflow:   "bias_revocations_overflow",
 	CtrBulkRebiases:              "bulk_rebiases",
 	CtrBulkRevokes:               "bulk_revokes",
-	CtrMonitorFrees:              "monitor_frees",
-	CtrMonitorRecycles:           "monitor_recycles",
 }
 
 // Name returns the counter's stable metric name.

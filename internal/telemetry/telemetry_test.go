@@ -233,11 +233,11 @@ func TestSnapshotMergeAndDelta(t *testing.T) {
 func TestReset(t *testing.T) {
 	t.Parallel()
 	m := telemetry.New()
-	m.Inc(nil, telemetry.CtrDeflations)
+	m.Inc(nil, telemetry.CtrNotifies)
 	m.Observe(nil, telemetry.HistEntryQueueDepth, 3)
 	m.Reset()
 	s := m.Snapshot()
-	if s.Counter("deflations") != 0 {
+	if s.Counter("notifies") != 0 {
 		t.Error("counter survived Reset")
 	}
 	if s.Histograms["entry_queue_depth"].Count != 0 {

@@ -10,6 +10,14 @@
 // Linux futex hash. Either way the thread then sleeps on its Parker until
 // whoever dequeues its node wakes it, so a block allocates nothing.
 //
+// A lot node is an entry parker or a waiter. Park files an entry parker:
+// a thread waiting for its key's lock to be released. File files a
+// waiter, a thread in Object.wait that a notify must choose; Relabel is
+// that notify, turning waiters into entry parkers; UnparkOne and
+// UnparkAll wake entry parkers only. So ThinLock-compact
+// keeps a contended or waited-on object's whole queueing state here and
+// never inflates it.
+//
 // The lot is one process-wide table rather than one per lock
 // implementation: blocked threads are few at any moment, a fixed table
 // sized for them is a few KiB of static data, and a per-Locker table
@@ -88,11 +96,21 @@ type ParkNode struct {
 
 	// State says where a monitor holds the node (its entry queue, its
 	// wait set, or granted ownership); the monitor defines the values.
+	// On the lot it is LotEntry or LotWait.
 	State atomic.Uint32
 	// Count is the lock count a monitor restores when it hands itself
-	// to the node.
+	// to the node, or that a waiter filed on the lot restores once it
+	// re-acquires.
 	Count uint32
 }
+
+// The states of a node on the lot.
+const (
+	// LotEntry is a thread waiting to contend for its key's lock.
+	LotEntry uint32 = iota
+	// LotWait is a thread in Object.wait on its key.
+	LotWait
+)
 
 // Thread returns the thread the node belongs to.
 func (n *ParkNode) Thread() *Thread { return n.thread }
@@ -198,6 +216,7 @@ func Park(t *Thread, key *object.Object, validate func() bool) bool {
 		b.mu.Unlock()
 		return false
 	}
+	n.State.Store(LotEntry)
 	n.key.Store(key)
 	b.q.Push(n)
 	b.mu.Unlock()
@@ -207,14 +226,117 @@ func Park(t *Thread, key *object.Object, validate func() bool) bool {
 	return true
 }
 
-// UnparkOne releases the longest-parked thread on key, reporting whether
-// there was one.
+// File files t's node on key as a waiter that will restore count locks,
+// without blocking; Sleep then blocks t. The caller must hold key's lock
+// and release it after File returns, so a notify that follows the
+// release finds the node.
+//
+//lockvet:noalloc
+func File(t *Thread, key *object.Object, count uint32) {
+	b := bucketFor(key)
+	n := &t.node
+	n.Count = count
+	n.State.Store(LotWait)
+	b.mu.Lock()
+	n.key.Store(key)
+	b.q.Push(n)
+	b.mu.Unlock()
+}
+
+// Sleep blocks t, whose node File filed, until an unparker releases it,
+// t is interrupted, or d elapses (d <= 0 sleeps without a timeout). If
+// the node is still a waiter then, Sleep removes it; a node that a
+// Relabel chose sleeps on, untimed, until an unparker releases it. Sleep
+// reports whether a Relabel chose the node, that is whether the wait was
+// notified; the caller tells a timeout from an interrupt by the
+// interrupt status. Only a timed sleep allocates, for its timer.
+func Sleep(t *Thread, d time.Duration) (notified bool) {
+	n := &t.node
+	var deadline time.Time
+	if d > 0 {
+		deadline = time.Now().Add(d)
+	}
+	for n.key.Load() != nil && !t.IsInterrupted() {
+		if d <= 0 {
+			t.parker.Park()
+			continue
+		}
+		left := time.Until(deadline)
+		if left <= 0 {
+			break
+		}
+		t.parker.ParkTimeout(left)
+	}
+	if key := n.key.Load(); key != nil {
+		b := bucketFor(key)
+		b.mu.Lock()
+		if n.key.Load() != nil && n.State.Load() == LotWait {
+			b.q.Remove(n)
+			n.key.Store(nil)
+		}
+		b.mu.Unlock()
+	}
+	for n.key.Load() != nil {
+		t.parker.Park()
+	}
+	return n.State.Load() == LotEntry
+}
+
+// Relabel turns up to max (all, if negative) of key's waiters, longest
+// filed first, into entry parkers, and returns how many. They sleep on
+// until UnparkOne or UnparkAll releases them.
+//
+//lockvet:noalloc
+func Relabel(key *object.Object, max int) int {
+	b := bucketFor(key)
+	moved := 0
+	b.mu.Lock()
+	for n := b.q.head; n != nil && moved != max; n = n.next {
+		if n.key.Load() == key && n.State.Load() == LotWait {
+			n.State.Store(LotEntry)
+			moved++
+		}
+	}
+	b.mu.Unlock()
+	return moved
+}
+
+// Parked returns how many threads are filed on key, entry parkers and
+// waiters alike, or on any key if key is nil.
+func Parked(key *object.Object) int {
+	if key != nil {
+		return bucketFor(key).count(key)
+	}
+	k := 0
+	for i := range lot {
+		k += lot[i].count(nil)
+	}
+	return k
+}
+
+// count returns how many of b's nodes are filed on key, or on any key if
+// key is nil.
+func (b *bucket) count(key *object.Object) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	k := 0
+	for n := b.q.head; n != nil; n = n.next {
+		if key == nil || n.key.Load() == key {
+			k++
+		}
+	}
+	return k
+}
+
+// UnparkOne releases the longest-parked entry parker on key, reporting
+// whether there was one. Waiters stay filed.
 func UnparkOne(key *object.Object) bool { return unpark(key, 1) == 1 }
 
-// UnparkAll releases every thread parked on key and returns how many.
+// UnparkAll releases every entry parker on key and returns how many.
+// Waiters stay filed.
 func UnparkAll(key *object.Object) int { return unpark(key, -1) }
 
-// unpark releases up to max (all, if negative) threads parked on key.
+// unpark releases up to max (all, if negative) entry parkers on key.
 // The node is unlinked and its next read before its key is cleared:
 // from that store on, the node belongs to its thread again.
 //
@@ -226,7 +348,7 @@ func unpark(key *object.Object, max int) int {
 	var prev *ParkNode
 	for n := b.q.head; n != nil && woken != max; {
 		next := n.next
-		if n.key.Load() != key {
+		if n.key.Load() != key || n.State.Load() != LotEntry {
 			prev, n = n, next
 			continue
 		}

@@ -56,25 +56,9 @@ func TestParkValidateFalseDoesNotBlock(t *testing.T) {
 	if Park(th, o, func() bool { return false }) {
 		t.Fatal("Park reported a park although validate refused")
 	}
-	if parkedOn(o) != 0 {
+	if Parked(o) != 0 {
 		t.Fatal("refused park left the node in its bucket")
 	}
-}
-
-// parkedOn counts the nodes parked on key. Parallel tests share the
-// lot, and fresh heaps reuse ids, so a bucket may also hold other
-// tests' nodes.
-func parkedOn(key *object.Object) int {
-	b := bucketFor(key)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	k := 0
-	for n := b.q.head; n != nil; n = n.next {
-		if n.key.Load() == key {
-			k++
-		}
-	}
-	return k
 }
 
 // parkAsync parks th on o in a goroutine and returns a channel closed
@@ -132,7 +116,7 @@ func TestUnparkOneIsFIFOAndMatchesKey(t *testing.T) {
 	if UnparkOne(a) {
 		t.Fatal("UnparkOne on an empty key reported a wake")
 	}
-	if parkedOn(a)+parkedOn(b) != 0 {
+	if Parked(a)+Parked(b) != 0 {
 		t.Fatal("bucket keeps nodes after every thread left")
 	}
 }

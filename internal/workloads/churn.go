@@ -21,21 +21,20 @@ const churnPhases = 8
 // which inflates it (the first arriver waits).
 const churnShareEvery = 16
 
-// runChurn is the monitor-lifecycle stress of the compact-monitor
-// extension: two workers burn through generations of short-lived
+// runChurn is the monitor-lifecycle stress that compact monitors
+// exist for: two workers burn through generations of short-lived
 // objects — at DefaultSize over ten million of them — locking each once
 // and abandoning the whole generation at the phase boundary. Every
 // churnShareEvery-th step the workers additionally rendezvous on a
-// shared object whose barrier forces a wait, and waiting inflates, so
-// each phase also inflates and abandons thousands of monitors.
+// shared object whose barrier forces a wait, and under the paper's
+// protocol waiting inflates, so each phase also inflates and abandons
+// thousands of monitors.
 //
 // Under the paper's baseline implementations the monitor table (or
 // monitor cache) footprint grows with every inflated object ever seen;
-// under deflation + index recycling it stays bounded by the number of
-// barriers simultaneously in flight (at most one per worker pair, since
-// a two-party barrier keeps the workers within one rendezvous of each
-// other). The churn stress test and the EXPERIMENTS churn table assert
-// and report exactly that contrast.
+// compact monitors park the waiter on the lot instead and allocate no
+// monitor at all. The churn stress test and the EXPERIMENTS churn table
+// assert and report exactly that contrast.
 //
 // Determinism: worker w folds a pure function of (phase, step) into its
 // own sums[w] slot; phases join before the next spawns, and the final
@@ -102,8 +101,8 @@ func runChurn(ctx *jcl.Context, t *threading.Thread, size int) uint64 {
 // churnBarrier is a two-party rendezvous on o: worker w records its
 // arrival, wakes a possibly-waiting partner, and waits until the partner
 // has arrived too. The first arriver always waits, so every barrier
-// object's lock inflates exactly once and — under the deflating
-// implementations — deflates again when the last party releases it.
+// object's lock inflates exactly once (compact monitors: files one
+// waiter on the lot).
 func churnBarrier(l lockapi.Locker, wt *threading.Thread, o *object.Object, arrived *[churnWorkers]bool, w int) {
 	lockapi.Synchronized(l, wt, o, func() {
 		arrived[w] = true

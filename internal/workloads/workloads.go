@@ -158,7 +158,7 @@ func All() []Workload {
 		{
 			Name:        "churn",
 			Source:      "(this repository) monitor-lifecycle churn kernel",
-			Description: "2 workers inflate-and-abandon generations of short-lived objects (10M+ at default size); bounds the monitor table under deflation + index recycling",
+			Description: "2 workers inflate-and-abandon generations of short-lived objects (10M+ at default size); compact monitors allocate no monitor for them",
 			DefaultSize: 500,
 			Concurrent:  true,
 			Run:         runChurn,

@@ -99,7 +99,7 @@ type Config struct {
 	impl      Implementation
 	variant   Variant
 	cpu       CPU
-	deflation bool
+	compact   bool
 	queued    bool
 	countBits int
 	stats     bool
@@ -127,13 +127,14 @@ func WithCPU(cpu CPU) Option {
 	return func(c *Config) { c.cpu = cpu }
 }
 
-// WithDeflation enables the deflation extension (not in the paper):
-// uncontended fat locks are turned back into thin locks on release, and
-// the retired monitor's table index is recycled for later inflations
-// after a grace period, so the monitor table stays as small as the peak
-// number of simultaneously inflated objects.
+// WithDeflation enables compact monitors (not in the paper, whose
+// contended objects stay inflated for life): an object's header only
+// ever holds a thin lock word, and contenders and waiters park on a
+// process-wide parking lot keyed by the object, so no object is ever
+// inflated and none has to be deflated. Lock memory is then bounded by
+// the blocked threads, not by the objects that were once contended.
 func WithDeflation() Option {
-	return func(c *Config) { c.deflation = true }
+	return func(c *Config) { c.compact = true }
 }
 
 // WithQueuedInflation enables the queued-contention extension (the
@@ -218,7 +219,7 @@ func New(opts ...Option) *Runtime {
 		rt.thin = core.New(core.Options{
 			Variant:         cfg.variant,
 			CPU:             cfg.cpu,
-			RecycleMonitors: cfg.deflation,
+			Compact:         cfg.compact,
 			QueuedInflation: cfg.queued,
 			CountBits:       cfg.countBits,
 		})
@@ -349,7 +350,7 @@ func (r *Runtime) Inflated(o *Object) bool {
 }
 
 // ThinLockStats returns the thin-lock counters (inflations, spins,
-// deflations), or zero values for the baseline implementations.
+// lot parks), or zero values for the baseline implementations.
 func (r *Runtime) ThinLockStats() core.Stats {
 	if r.thin == nil {
 		return core.Stats{}
