@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet lockvet race race-locks check explore fuzz-smoke obs-smoke deadlock-smoke
+.PHONY: all build test vet fastpath lockvet race race-locks check explore fuzz-smoke obs-smoke deadlock-smoke
 
 all: vet build lockvet test
 
@@ -13,6 +13,14 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fastpath fails unless the compiler inlines ThinLock's thin fast-path
+# helpers (lockThin, unlockThin, unlockThinCAS) into (*ThinLocks).Lock
+# and Unlock at every call site (scripts/fastpath_check.sh reads
+# `go build -gcflags=-m ./internal/core`), so an uncontended lock or
+# unlock cannot grow a Go call past the interface unnoticed.
+fastpath:
+	GO="$(GO)" scripts/fastpath_check.sh
 
 # lockvet runs the project's own static lock checker end to end:
 # scripts/lockvet_smoke.sh builds bin/lockvet, runs the go/analysis
@@ -39,8 +47,10 @@ race:
 # its disabled/enabled overhead contract are race-sensitive by design.
 # So does internal/lockevent, ten times over: observer registration
 # racing with emits is its one concurrent structure. internal/monitor
-# runs ten times over too: its entry spin, which polls the monitor
-# between back-off pauses before it queues, races exits and handoffs.
+# runs ten times over too: its entry spin, which polls the monitor's
+# state word between back-off pauses before it queues, races exits and
+# handoffs, and race builds check the state word against the entry
+# queue at every latch release.
 # So does internal/vm: concurrent Runs on one VM hand its frame stack
 # between them through one atomic pointer, and a Run that finds it
 # taken builds its own. Core's compact-monitor tests run ten times over

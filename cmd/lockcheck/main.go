@@ -26,8 +26,8 @@
 // lot-dropwake) — and checks that instead, demonstrating (in a few
 // seconds) that the checker actually detects broken lock protocols;
 // these runs are expected to FAIL. The lot mutations first run the
-// hand-written lot corpus (check.LotCorpus), which exposes both at
-// schedule seed 0.
+// hand-written lot corpus (check.LotCorpus), and overflow first runs
+// check.OverflowProgram; each exposes its mutation at schedule seed 0.
 package main
 
 import (
@@ -85,18 +85,18 @@ func main() {
 		os.Exit(2)
 	}
 
-	// The lot mutations break protocol steps that random programs only
-	// trip over occasionally; the hand-written lot corpus exposes them at
+	// Some mutations break protocol steps that random programs only
+	// trip over occasionally; a hand-written corpus exposes them at
 	// schedule seed 0, so those runs check it first.
-	corpusFirst := strings.HasPrefix(*mutate, "lot-")
+	corpus, corpusConfig := corpusFor(*mutate)
 
 	failed := false
 	for _, name := range sortedNames(impls) {
 		mk := impls[name]
-		if corpusFirst {
-			fmt.Printf("%-18s lot corpus (%d programs × %d schedule seeds) ... ",
-				name, len(check.LotCorpus()), corpusSeeds)
-			if bad := checkCorpus(mk, *timeout); bad != nil {
+		if corpus != nil {
+			fmt.Printf("%-18s corpus (%d programs × %d schedule seeds) ... ",
+				name, len(corpus), corpusSeeds)
+			if bad := checkCorpus(mk, corpus, corpusConfig, *timeout); bad != nil {
 				failed = true
 				fmt.Println("FAIL")
 				fmt.Print(bad)
@@ -119,20 +119,34 @@ func main() {
 	}
 }
 
-// corpusSeeds is how many schedule seeds each lot corpus program runs
-// under; the seeded lot mutations fall to seed 0.
+// corpusSeeds is how many schedule seeds each corpus program runs
+// under; the seeded mutations fall to seed 0.
 const corpusSeeds = 4
 
-// checkCorpus runs the hand-written lot corpus against one
-// implementation, every program at a schedule seed before the next
-// seed, and returns a report (nil when clean). The corpus programs are
-// already minimal, so failures are reported as-is without delta
-// debugging — which also keeps mutation runs fast when the failure kind
-// is a stuck schedule (each stuck probe costs a full watchdog timeout).
-func checkCorpus(mk func() lockapi.Locker, timeout time.Duration) error {
+// corpusFor returns the hand-written programs a -mutate run checks
+// before its random rounds, with the Config they are tuned for, or nil.
+func corpusFor(mutate string) ([]check.NamedProgram, func(seed int64, timeout time.Duration) check.Config) {
+	switch {
+	case strings.HasPrefix(mutate, "lot-"):
+		return check.LotCorpus(), check.LotCorpusConfig
+	case mutate == "overflow":
+		return []check.NamedProgram{check.OverflowProgram()}, func(seed int64, timeout time.Duration) check.Config {
+			return check.Config{Schedule: seed, Timeout: timeout}
+		}
+	}
+	return nil, nil
+}
+
+// checkCorpus runs a hand-written corpus against one implementation,
+// every program at a schedule seed before the next seed, and returns a
+// report (nil when clean). The corpus programs are already minimal, so
+// failures are reported as-is without delta debugging — which also
+// keeps mutation runs fast when the failure kind is a stuck schedule
+// (each stuck probe costs a full watchdog timeout).
+func checkCorpus(mk func() lockapi.Locker, corpus []check.NamedProgram, config func(seed int64, timeout time.Duration) check.Config, timeout time.Duration) error {
 	for seed := int64(0); seed < corpusSeeds; seed++ {
-		for _, tc := range check.LotCorpus() {
-			cfg := check.LotCorpusConfig(seed, timeout)
+		for _, tc := range corpus {
+			cfg := config(seed, timeout)
 			fs := check.CheckProgram(mk, tc.P, cfg)
 			if len(fs) == 0 {
 				continue

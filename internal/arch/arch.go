@@ -134,7 +134,10 @@ func (b *Backoff) Pause() {
 	case b.round < spinsBeforeYield+4:
 		runtime.Gosched()
 	default:
-		d := time.Microsecond << (b.round - spinsBeforeYield - 4)
+		// The shift stops at 20 (about a second): a Duration shifted
+		// much further overflows to zero or less, and a Sleep that
+		// short returns at once.
+		d := time.Microsecond << min(b.round-spinsBeforeYield-4, 20)
 		if d > maxSleep {
 			d = maxSleep
 		}

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestCPUString(t *testing.T) {
@@ -107,6 +108,22 @@ func TestBackoffRoundsSaturate(t *testing.T) {
 	b.Pause()
 	if b.Rounds() != 63 {
 		t.Errorf("rounds = %d, want saturation at 63", b.Rounds())
+	}
+}
+
+// TestBackoffLateRoundsSleep: every pause past the first few sleeps,
+// and from the round whose doubling passes maxSleep on it sleeps
+// maxSleep, up to and at the cap. A sleep never returns early, so a
+// pause shorter than maxSleep means the duration overflowed.
+func TestBackoffLateRoundsSleep(t *testing.T) {
+	t.Parallel()
+	for _, r := range []uint{18, 40, 53, 54, 55, 62, 63} {
+		b := Backoff{round: r}
+		start := time.Now()
+		b.Pause()
+		if d := time.Since(start); d < maxSleep {
+			t.Errorf("pause at round %d took %v, want at least %v", r, d, maxSleep)
+		}
 	}
 }
 

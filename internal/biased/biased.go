@@ -506,11 +506,7 @@ func (l *Locker) HolderIndex(o *object.Object) uint16 {
 	if !core.IsInflated(w) {
 		return core.ThinOwner(w)
 	}
-	owner := l.table.Get(core.FatIndex(w)).Owner()
-	if owner == nil {
-		return 0
-	}
-	return owner.Index()
+	return l.table.Get(core.FatIndex(w)).OwnerIndex()
 }
 
 // Monitor returns the fat lock of an inflated object, or nil. Intended

@@ -195,7 +195,7 @@ func (l *Locker) reconcileLock(t *threading.Thread, o *object.Object, s *threadi
 	}
 	if core.IsInflated(w) {
 		m := l.table.Get(core.FatIndex(w))
-		if m.Owner() == t {
+		if m.OwnerIndex() == t.Index() {
 			if uint64(m.Count())+1 == intended {
 				m.Enter(t, o)
 			}
@@ -232,7 +232,7 @@ func (l *Locker) reconcileUnlock(t *threading.Thread, o *object.Object, s *threa
 	}
 	if core.IsInflated(w) {
 		m := l.table.Get(core.FatIndex(w))
-		if m.Owner() == t && uint64(m.Count()) == intended+1 {
+		if m.OwnerIndex() == t.Index() && uint64(m.Count()) == intended+1 {
 			m.Exit(t)
 		}
 		return

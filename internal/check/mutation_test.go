@@ -30,14 +30,7 @@ func TestCheckerCatchesOverflowOffByOne(t *testing.T) {
 	}
 	clean := func() lockapi.Locker { return core.New(core.Options{CountBits: 2}) }
 
-	var ops []Op
-	for i := 0; i < 5; i++ {
-		ops = append(ops, Op{OpLock, 0})
-	}
-	for i := 0; i < 5; i++ {
-		ops = append(ops, Op{OpUnlock, 0})
-	}
-	p := Program{Objects: 1, Threads: [][]Op{ops}}
+	p := OverflowProgram().P
 	cfg := Config{Timeout: 10 * time.Second}
 
 	killTest(t, "OverflowOffByOne", func() {

@@ -39,7 +39,7 @@ func TestPropertyBalancedNesting(t *testing.T) {
 			}
 			if wantInflated {
 				// Stays inflated but unowned.
-				if !IsInflated(o.Header()) || l.Monitor(o).Owner() != nil {
+				if !IsInflated(o.Header()) || l.Monitor(o).OwnerIndex() != 0 {
 					return false
 				}
 			} else if o.Header() != misc {

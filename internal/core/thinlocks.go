@@ -233,78 +233,87 @@ func (l *ThinLocks) Stats() Stats {
 	return s
 }
 
-// Lock acquires o's monitor for t (§2.3.1, §2.3.3, §2.3.4). The
-// Acquire event follows the acquisition so an observer sees every lock
-// exactly when it is held; unobserved it costs one atomic load and a
-// not-taken branch (tested before the variant, which only matters to
-// an observer).
+// Lock acquires o's monitor for t (§2.3.1, §2.3.3, §2.3.4). The outer
+// switch picks the Figure 6 variant; the Standard variant's inner switch
+// is §3.5.1's dynamic machine-type test, one predictable branch per
+// operation. The thin fast path (lockThin) is inlined into every arm
+// with a user-level CAS, so an uncontended lock makes no Go call past
+// the interface. FnCall's out-of-line routine is that variant, and on
+// POWER the CAS itself is a call into the simulated kernel. The Acquire
+// event follows the acquisition so an observer sees every lock exactly
+// when it is held; unobserved it costs one atomic load and a not-taken
+// branch.
 func (l *ThinLocks) Lock(t *threading.Thread, o *object.Object) {
-	l.lockDispatch(t, o)
-	if lockevent.Wants(lockevent.Acquire) && l.variant != VariantNOP {
+	switch l.variant {
+	case VariantStandard:
+		switch l.cpu {
+		case arch.PowerPCMP:
+			if lockThin(t, o) {
+				arch.ISync()
+			} else {
+				l.lockSlow(t, o, arch.PowerPCMP, true)
+			}
+		case arch.POWER:
+			l.lockKernel(t, o)
+		default:
+			if !lockThin(t, o) {
+				l.lockSlow(t, o, arch.PowerPCUP, false)
+			}
+		}
+	case VariantInline, VariantUnlockCAS:
+		if !lockThin(t, o) {
+			l.lockSlow(t, o, arch.PowerPCUP, false)
+		}
+	case VariantFnCall:
+		lockFn(l, t, o)
+	case VariantMPSync:
+		if lockThin(t, o) {
+			arch.ISync()
+		} else {
+			l.lockSlow(t, o, arch.PowerPCMP, true)
+		}
+	case VariantKernelCAS:
+		l.lockKernel(t, o)
+	case VariantNOP:
+		return // locking removed: the speed of light
+	}
+	if lockevent.Wants(lockevent.Acquire) {
 		lockevent.Emit(lockevent.Acquire, t, o)
 	}
 }
 
-func (l *ThinLocks) lockDispatch(t *threading.Thread, o *object.Object) {
-	switch l.variant {
-	case VariantStandard:
-		// The dynamic machine-type test of §3.5.1: selected on every
-		// operation, costing one predictable branch.
-		switch l.cpu {
-		case arch.PowerPCMP:
-			l.lockFast(t, o, arch.PowerPCMP, true)
-		case arch.POWER:
-			l.lockFast(t, o, arch.POWER, false)
-		default:
-			l.lockFast(t, o, arch.PowerPCUP, false)
-		}
-	case VariantInline, VariantUnlockCAS:
-		l.lockInline(t, o)
-	case VariantFnCall:
-		lockFn(l, t, o)
-	case VariantMPSync:
-		l.lockFast(t, o, arch.PowerPCMP, true)
-	case VariantKernelCAS:
-		l.lockFast(t, o, arch.POWER, false)
-	case VariantNOP:
-		// Locking removed: the speed of light.
-	}
-}
-
-// lockInline is the leanest fast path: load, compare with the unlocked
-// image, compare-and-swap. This is the paper's 17-instruction common
-// case. The compare comes before the CAS, as in the paper's PowerPC
-// sequence (lwarx; cmpw; bne; stwcx.), which stores nothing when the
-// compare fails: a nested lock or an inflated header goes to the slow
-// path without a locked write to the header's cache line.
-func (l *ThinLocks) lockInline(t *threading.Thread, o *object.Object) {
+// lockThin is the paper's fast path, its 17-instruction common case:
+// load, compare with the unlocked image, compare-and-swap. It reports
+// false for every other case (a nested lock, an inflated header,
+// contention, a lost CAS), which lockSlow handles. The compare comes
+// before the CAS, as in the paper's PowerPC sequence (lwarx; cmpw; bne;
+// stwcx.), so a failed compare stores nothing: a nested lock or an
+// inflated header goes to the slow path without a locked write to the
+// header's cache line. It must stay small enough to inline; `make
+// fastpath` checks that it is.
+func lockThin(t *threading.Thread, o *object.Object) bool {
 	hp := o.HeaderAddr()
 	w := atomic.LoadUint32(hp)
-	if w&^MiscMask == 0 && atomic.CompareAndSwapUint32(hp, w, w|t.Shifted()) {
-		return
+	return w&^MiscMask == 0 && atomic.CompareAndSwapUint32(hp, w, w|t.Shifted())
+}
+
+// lockKernel is lockThin on a machine whose compare-and-swap is a
+// kernel service (§3.5.1), slow path included.
+func (l *ThinLocks) lockKernel(t *threading.Thread, o *object.Object) {
+	hp := o.HeaderAddr()
+	w := atomic.LoadUint32(hp)
+	if w&^MiscMask != 0 || !arch.CAS(arch.POWER, hp, w, w|t.Shifted()) {
+		l.lockSlow(t, o, arch.POWER, false)
 	}
-	l.lockSlow(t, o, arch.PowerPCUP, false)
 }
 
 // lockFn is the out-of-line lock routine of the FnCall variant.
 //
 //go:noinline
 func lockFn(l *ThinLocks, t *threading.Thread, o *object.Object) {
-	l.lockInline(t, o)
-}
-
-// lockFast is the machine-parameterized fast path, with lockInline's
-// header compare before the CAS.
-func (l *ThinLocks) lockFast(t *threading.Thread, o *object.Object, cpu arch.CPU, fence bool) {
-	hp := o.HeaderAddr()
-	w := atomic.LoadUint32(hp)
-	if w&^MiscMask == 0 && arch.CAS(cpu, hp, w, w|t.Shifted()) {
-		if fence {
-			arch.ISync()
-		}
-		return
+	if !lockThin(t, o) {
+		l.lockSlow(t, o, arch.PowerPCUP, false)
 	}
-	l.lockSlow(t, o, cpu, fence)
 }
 
 // lockSlow handles every case except an initial lock of an unlocked
@@ -416,117 +425,140 @@ func (l *ThinLocks) inflate(t *threading.Thread, o *object.Object, locks uint32)
 	return m
 }
 
-// Unlock releases one level of o's monitor (§2.3.2).
+// Unlock releases one level of o's monitor (§2.3.2). It has Lock's
+// shape: the variant switch, the Standard variant's machine test, and
+// an inlined thin fast path (unlockThin, or unlockThinCAS for UnlkC&S)
+// in every arm but FnCall's.
 func (l *ThinLocks) Unlock(t *threading.Thread, o *object.Object) error {
-	err := l.unlockDispatch(t, o)
-	if err == nil && lockevent.Wants(lockevent.Release) && l.variant != VariantNOP {
+	var err error
+	switch l.variant {
+	case VariantStandard:
+		fence := l.cpu == arch.PowerPCMP
+		if !l.unlockThin(t, o, fence) {
+			err = l.unlockSlow(t, o, fence, false)
+		}
+	case VariantInline, VariantKernelCAS:
+		if !l.unlockThin(t, o, false) {
+			err = l.unlockSlow(t, o, false, false)
+		}
+	case VariantFnCall:
+		err = unlockFn(l, t, o)
+	case VariantMPSync:
+		if !l.unlockThin(t, o, true) {
+			err = l.unlockSlow(t, o, true, false)
+		}
+	case VariantUnlockCAS:
+		if !l.unlockThinCAS(t, o) {
+			err = l.unlockSlow(t, o, false, true)
+		}
+	case VariantNOP:
+		return nil
+	}
+	if err == nil && lockevent.Wants(lockevent.Release) {
 		lockevent.Emit(lockevent.Release, t, o)
 	}
 	return err
 }
 
-func (l *ThinLocks) unlockDispatch(t *threading.Thread, o *object.Object) error {
-	switch l.variant {
-	case VariantStandard:
-		switch l.cpu {
-		case arch.PowerPCMP:
-			return l.unlockStore(t, o, true)
-		default:
-			return l.unlockStore(t, o, false)
-		}
-	case VariantInline, VariantKernelCAS:
-		return l.unlockStore(t, o, false)
-	case VariantFnCall:
-		return unlockFn(l, t, o)
-	case VariantMPSync:
-		return l.unlockStore(t, o, true)
-	case VariantUnlockCAS:
-		return l.unlockCAS(t, o)
-	case VariantNOP:
-		return nil
-	default:
-		return l.unlockStore(t, o, false)
+// unlockThin is the paper's unlock: a load, a compare, and a store. No
+// read-modify-write is needed because lock ownership is a stable
+// property — if this thread owns the lock the loaded value cannot be
+// stale, and if it does not, any stale value still shows that it does
+// not (§2.3.2). On a multiprocessor the sync barrier before the store
+// makes the critical section's writes visible first (§3.5.1). It
+// reports false, having stored nothing, unless o is thin and held once
+// by t with no lot parkers to wake (l.parks off); unlockSlow does the
+// rest. It must stay small enough to inline; `make fastpath` checks
+// that it is.
+//
+// The store is atomic.StoreUint32, an XCHG on amd64, not the paper's
+// plain store. With a plain release store the thin pair would cost one
+// locked instruction and the biased reservation's reacquire two,
+// because its depth stores must stay sequentially consistent, so the
+// reservation would lose the race it exists to win
+// (TestBiasedReacquireBeatsThinCAS). Which of the two gives way is
+// ROADMAP item 5's decision.
+func (l *ThinLocks) unlockThin(t *threading.Thread, o *object.Object, fence bool) bool {
+	hp := o.HeaderAddr()
+	w := atomic.LoadUint32(hp) ^ t.Shifted()
+	if w >= CountUnit || l.parks {
+		return false
 	}
+	if fence {
+		arch.Sync()
+	}
+	atomic.StoreUint32(hp, w)
+	return true
 }
 
-// unlockStore is the paper's unlock: a load, a compare, and a plain
-// store. No atomic operation is needed because lock ownership is a
-// stable property — if this thread owns the lock the loaded value cannot
-// be stale, and if it does not, any stale value still shows that it does
-// not (§2.3.2).
-func (l *ThinLocks) unlockStore(t *threading.Thread, o *object.Object, fence bool) error {
+// unlockThinCAS is unlockThin for the UnlkC&S variant: the release uses
+// a compare-and-swap, paying the atomic-operation cost the discipline
+// makes unnecessary.
+func (l *ThinLocks) unlockThinCAS(t *threading.Thread, o *object.Object) bool {
 	hp := o.HeaderAddr()
 	w := atomic.LoadUint32(hp)
-	if w^t.Shifted() < CountUnit {
-		// Thin, owned by this thread, count 0: the common case.
-		// On a multiprocessor the sync barrier makes the critical
-		// section's writes visible before the release (§3.5.1).
-		if fence {
-			arch.Sync()
-		}
-		atomic.StoreUint32(hp, w^t.Shifted())
-		if l.parks {
-			l.wakeAfterUnlock(o)
-		}
-		return nil
+	if w^t.Shifted() >= CountUnit || l.parks {
+		return false
 	}
-	return l.unlockSlow(t, o, fence, false)
-}
-
-// unlockCAS is the UnlkC&S variant: the release uses a compare-and-swap,
-// paying the atomic-operation cost the discipline makes unnecessary.
-func (l *ThinLocks) unlockCAS(t *threading.Thread, o *object.Object) error {
-	hp := o.HeaderAddr()
-	w := atomic.LoadUint32(hp)
-	if w^t.Shifted() < CountUnit {
-		if !atomic.CompareAndSwapUint32(hp, w, w^t.Shifted()) {
-			// Unreachable: we own the lock, so no other thread may
-			// write the word.
-			panic("core: unlock CAS failed while owning the lock")
-		}
-		if l.parks {
-			l.wakeAfterUnlock(o)
-		}
-		return nil
+	if !atomic.CompareAndSwapUint32(hp, w, w^t.Shifted()) {
+		// Unreachable: we own the lock, so no other thread may
+		// write the word.
+		panic("core: unlock CAS failed while owning the lock")
 	}
-	return l.unlockSlow(t, o, false, true)
+	return true
 }
 
 // unlockFn is the out-of-line unlock routine of the FnCall variant.
 //
 //go:noinline
 func unlockFn(l *ThinLocks, t *threading.Thread, o *object.Object) error {
-	return l.unlockStore(t, o, false)
+	if l.unlockThin(t, o, false) {
+		return nil
+	}
+	return l.unlockSlow(t, o, false, false)
 }
 
-// unlockSlow handles nested thin unlocks, fat unlocks, and errors.
+// unlockSlow handles everything unlockThin leaves: the final release
+// when contenders may park, nested thin unlocks, fat unlocks, and
+// errors.
 func (l *ThinLocks) unlockSlow(t *threading.Thread, o *object.Object, fence, useCAS bool) error {
-	lockevent.Emit(lockevent.SlowUnlock, t, o)
 	hp := o.HeaderAddr()
 	w := atomic.LoadUint32(hp)
 	x := w ^ t.Shifted()
-	if x>>IndexShift == 0 {
-		// Thin and owned by this thread.
-		var nw uint32
-		if x < CountUnit {
-			nw = w ^ t.Shifted() // final release: clear the thread index
-			if fence {
-				arch.Sync()
-			}
-		} else if l.compact && ThinCount(w) == l.maxCount && l.deep.shallower(o) {
-			return nil // released a level of the side count
-		} else {
-			nw = w - CountUnit // nested release: decrement the count
+	if x < CountUnit {
+		// A final release that unlockThin left because contenders may
+		// park on the lot: queued inflation's and compact monitors'
+		// fast path, not a slow-path entry. Its store stays
+		// sequentially consistent, because the flags load after it is
+		// one side of the flc Dekker handshake (queued.go).
+		if fence {
+			arch.Sync()
 		}
+		if useCAS {
+			if !atomic.CompareAndSwapUint32(hp, w, x) {
+				panic("core: unlock CAS failed while owning the lock")
+			}
+		} else {
+			atomic.StoreUint32(hp, x)
+		}
+		if l.parks {
+			l.wakeAfterUnlock(o)
+		}
+		return nil
+	}
+	lockevent.Emit(lockevent.SlowUnlock, t, o)
+	if x>>IndexShift == 0 {
+		// Thin, owned by this thread, nested.
+		if l.compact && ThinCount(w) == l.maxCount && l.deep.shallower(o) {
+			return nil // released a level of the side count
+		}
+		nw := w - CountUnit
 		if useCAS {
 			if !atomic.CompareAndSwapUint32(hp, w, nw) {
 				panic("core: unlock CAS failed while owning the lock")
 			}
 		} else {
 			atomic.StoreUint32(hp, nw)
-		}
-		if l.parks && x < CountUnit {
-			l.wakeAfterUnlock(o)
 		}
 		return nil
 	}
@@ -601,11 +633,7 @@ func (l *ThinLocks) HolderIndex(o *object.Object) uint16 {
 	if !IsInflated(w) {
 		return ThinOwner(w)
 	}
-	owner := l.table.Get(FatIndex(w)).Owner()
-	if owner == nil {
-		return 0
-	}
-	return owner.Index()
+	return l.table.Get(FatIndex(w)).OwnerIndex()
 }
 
 // Monitor returns the fat lock of an inflated object, or nil if the

@@ -119,7 +119,7 @@ func TestCountOverflowInflates(t *testing.T) {
 	if m.Count() != 257 {
 		t.Fatalf("fat count = %d, want 257", m.Count())
 	}
-	if m.Owner() != th {
+	if m.OwnerIndex() != th.Index() {
 		t.Fatal("fat owner is not the inflating thread")
 	}
 	if s := f.l.Stats(); s.InflationsOverflow != 1 {
@@ -134,7 +134,7 @@ func TestCountOverflowInflates(t *testing.T) {
 	if !IsInflated(o.Header()) {
 		t.Fatal("lock deflated; paper's locks stay inflated")
 	}
-	if m.Owner() != nil {
+	if m.OwnerIndex() != 0 {
 		t.Fatal("owner after full unwind")
 	}
 }
@@ -192,8 +192,8 @@ func TestContentionInflates(t *testing.T) {
 		t.Fatal("contention did not inflate the lock")
 	}
 	m := f.l.Monitor(o)
-	if m.Owner() != b || m.Count() != 1 {
-		t.Fatalf("fat owner=%v count=%d, want B with 1", m.Owner(), m.Count())
+	if m.OwnerIndex() != b.Index() || m.Count() != 1 {
+		t.Fatalf("fat owner=%d count=%d, want B with 1", m.OwnerIndex(), m.Count())
 	}
 	s := f.l.Stats()
 	if s.InflationsContention != 1 {

@@ -8,16 +8,23 @@
 // operations. Such a system will represent a monitor as a multi-word
 // structure which includes space for a thread pointer, a nested lock
 // count, and the necessary queues." (§2.1). This package is that system:
-// a Monitor holds an owner thread pointer, the lock count (the number of
-// locks, not the number minus one as in a thin lock — Figure 2), a FIFO
-// entry queue and a wait set. The queues are intrusive lists of the
-// blocked threads' own park nodes (threading.ParkNode), each thread
-// sleeps on its own Parker, and a Monitor is 64 bytes: blocking
-// allocates nothing, and a monitor whose queues have emptied references
-// no thread.
+// a Monitor holds an owner word, the lock count (the number of locks,
+// not the number minus one as in a thin lock — Figure 2), a FIFO entry
+// queue and a wait set. The queues are intrusive lists of the blocked
+// threads' own park nodes (threading.ParkNode), each thread sleeps on
+// its own Parker, and a Monitor is 56 bytes: blocking allocates nothing,
+// and a monitor whose queues have emptied references no thread.
 //
-// Entry spins, then queues. A thread that finds the monitor owned
-// re-checks it under the latch between arch.Backoff pauses, for a fixed
+// The owner word, state, names the owner by its thread index shifted
+// left by one, with the low bit (queuedBit) set while the entry queue is
+// non-empty; 0 is a free monitor. As in HotSpot's ObjectMonitor, an
+// uncontended Enter is one CAS of state from 0 and an uncontended Exit
+// one CAS back to 0; the latch is taken only to queue, to hand off, and
+// for wait and notify. It guards the two queues and the queued bit, so
+// an Exit that finds the bit set goes to the latch and hands off.
+//
+// Entry spins, then queues. A thread that finds the monitor owned polls
+// state, without the latch, between arch.Backoff pauses for a fixed
 // number of rounds (arch.SpinRounds), and only then joins the entry queue
 // and parks. The paper keeps a contended object inflated (§2.3.4), so
 // every later contention for it meets a monitor; when holds are short,
@@ -26,16 +33,19 @@
 // ownership is transferred to the head of the entry queue before that
 // thread resumes, which keeps the queue FIFO-fair.
 //
-// The two compose through one invariant: owner == nil implies the entry
-// queue is empty. A spinner takes the monitor only when it finds the
-// owner nil, so it can never overtake a queued thread; it competes only
-// with other arrivals.
+// The two compose through one invariant: state == 0 implies the entry
+// queue is empty. A spinner takes the monitor only by a CAS from 0, so it
+// can never overtake a queued thread; it competes only with other
+// arrivals. Race builds check the invariant after every change made
+// under the latch, so every latch release publishes a checked state
+// (invariant_race.go).
 package monitor
 
 import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"thinlock/internal/arch"
@@ -58,14 +68,22 @@ const (
 	stateGranted                  // ownership handed to this node
 )
 
+// queuedBit is set in state while the entry queue is non-empty.
+const queuedBit uint32 = 1
+
 // Monitor is a heavy-weight recursive lock with condition-variable
 // semantics. The zero value is unusable; create monitors with New or
 // Table.Allocate.
 type Monitor struct {
+	// state is the owner's thread index << 1 | queuedBit, or 0 when the
+	// monitor is free (and so its entry queue is empty). The owner
+	// half changes by CAS outside the latch (a free monitor taken, an
+	// unqueued one released) and by handoff under it; the queued bit
+	// changes only under the latch.
+	state atomic.Uint32
+	count uint32 // the owner's lock count; only the owner touches it
+	index uint32 // index in the owning Table (0 if table-less)
 	latch sync.Mutex
-	owner *threading.Thread
-	count uint32
-	index uint32          // index in the owning Table (0 if table-less)
 	entry threading.Queue // FIFO entry queue
 	waits threading.Queue // wait set, notified in FIFO order
 }
@@ -78,12 +96,35 @@ func New() *Monitor { return &Monitor{} }
 // with New.
 func (m *Monitor) Index() uint32 { return m.index }
 
+// ownerState is t's owner half of state. Thread index 0 is reserved, so
+// it is never 0.
+func ownerState(t *threading.Thread) uint32 { return uint32(t.Index()) << 1 }
+
 // String implements fmt.Stringer.
 func (m *Monitor) String() string {
 	m.latch.Lock()
 	defer m.latch.Unlock()
-	return fmt.Sprintf("monitor(idx=%d owner=%v count=%d entry=%d wait=%d)",
-		m.index, m.owner, m.count, m.entry.Len(), m.waits.Len())
+	return fmt.Sprintf("monitor(idx=%d owner=%d count=%d entry=%d wait=%d)",
+		m.index, m.OwnerIndex(), m.count, m.entry.Len(), m.waits.Len())
+}
+
+// checkLocked panics unless state == 0 implies an empty entry queue and
+// the queued bit is set exactly when the queue is non-empty. It runs in
+// race builds only (invariant_race.go), after every change to the entry
+// queue, the queued bit or the owner under the latch, so it sees the
+// state each latch release publishes. Caller holds the latch.
+func (m *Monitor) checkLocked() {
+	if !checkInvariants {
+		return
+	}
+	s := m.state.Load()
+	queued := !m.entry.Empty()
+	if s == 0 && queued {
+		panic("monitor: free with a non-empty entry queue")
+	}
+	if (s&queuedBit != 0) != queued {
+		panic(fmt.Sprintf("monitor: queued bit %d with %d queued threads", s&queuedBit, m.entry.Len()))
+	}
 }
 
 // Enter acquires the monitor for t, blocking until it is available.
@@ -91,37 +132,43 @@ func (m *Monitor) String() string {
 // monitor guards: the spin rounds report it, so an observer knows what
 // t waits for.
 //
-// A contender first spins: it polls the monitor under the latch between
-// back-off pauses, emitting one Spin event on o per pause, and takes the
-// monitor if it finds the owner nil (which implies an empty entry
-// queue). Only when the rounds run out does it queue and park.
+// A free monitor is taken with one CAS. A contender first spins: it
+// polls state between back-off pauses, emitting one Spin event on o per
+// pause, and takes the monitor if it finds state 0 (which implies an
+// empty entry queue). Only when the rounds run out does it queue and
+// park.
 func (m *Monitor) Enter(t *threading.Thread, o *object.Object) {
+	me := ownerState(t)
+	if m.state.CompareAndSwap(0, me) {
+		m.count = 1
+		return
+	}
+	m.enterSlow(t, o, me)
+}
+
+// enterSlow is Enter past its CAS: re-entry, the spin and the queue.
+func (m *Monitor) enterSlow(t *threading.Thread, o *object.Object, me uint32) {
+	if m.state.Load()&^queuedBit == me {
+		m.count++
+		return
+	}
 	var b arch.Backoff
-	m.latch.Lock()
-	for {
-		switch {
-		case m.owner == nil:
-			m.owner = t
-			m.count = 1
-			m.latch.Unlock()
-			return
-		case m.owner == t:
-			m.count++
-			m.latch.Unlock()
-			return
-		}
-		if b.Spent() {
-			break
-		}
-		m.latch.Unlock()
+	for !b.Spent() {
 		lockevent.EmitValue(lockevent.Spin, t, o, int64(lockevent.WaitFat))
 		b.Pause()
-		m.latch.Lock()
+		if m.state.Load() == 0 && m.state.CompareAndSwap(0, me) {
+			m.count = 1
+			return
+		}
 	}
 	n := t.ParkNode()
 	n.Count = 1
-	n.State.Store(stateEntryQueue)
-	m.entry.Push(n)
+	m.latch.Lock()
+	if m.queueLocked(n, me) {
+		m.count = 1
+		m.latch.Unlock()
+		return
+	}
 	depth := 0
 	if lockevent.Wants(lockevent.Enqueue) {
 		depth = m.entry.Len()
@@ -129,8 +176,33 @@ func (m *Monitor) Enter(t *threading.Thread, o *object.Object) {
 	m.latch.Unlock()
 	lockevent.EmitValue(lockevent.Enqueue, t, nil, int64(depth))
 	start := lockevent.Start(lockevent.Unpark)
-	awaitGrant(n) // direct handoff: owner/count already set for us
+	awaitGrant(n) // direct handoff: state and count already set for us
 	lockevent.End(lockevent.Unpark, t, nil, start)
+}
+
+// queueLocked appends n, whose thread's owner half is me, to the entry
+// queue and sets the queued bit, so that the owner's Exit hands off
+// under the latch. If it finds the monitor free it takes it instead and
+// reports true; the caller sets the count. Caller holds the latch.
+func (m *Monitor) queueLocked(n *threading.ParkNode, me uint32) bool {
+	for {
+		s := m.state.Load()
+		if s == 0 {
+			if m.state.CompareAndSwap(0, me) {
+				m.checkLocked()
+				return true
+			}
+			continue
+		}
+		// The owner may release by CAS meanwhile, so the bit goes in
+		// by CAS too; once it is set the owner must take the latch.
+		if s&queuedBit != 0 || m.state.CompareAndSwap(s, s|queuedBit) {
+			n.State.Store(stateEntryQueue)
+			m.entry.Push(n)
+			m.checkLocked()
+			return false
+		}
+	}
 }
 
 // awaitGrant parks n's thread until an exiting owner hands it the
@@ -145,14 +217,12 @@ func awaitGrant(n *threading.ParkNode) {
 // TryEnter acquires the monitor only if it can do so without blocking,
 // reporting whether it succeeded.
 func (m *Monitor) TryEnter(t *threading.Thread) bool {
-	m.latch.Lock()
-	defer m.latch.Unlock()
-	switch {
-	case m.owner == nil:
-		m.owner = t
+	me := ownerState(t)
+	if m.state.CompareAndSwap(0, me) {
 		m.count = 1
 		return true
-	case m.owner == t:
+	}
+	if m.state.Load()&^queuedBit == me {
 		m.count++
 		return true
 	}
@@ -167,29 +237,38 @@ func (m *Monitor) TryEnter(t *threading.Thread) bool {
 func (m *Monitor) SeedOwner(t *threading.Thread, count uint32) {
 	m.latch.Lock()
 	defer m.latch.Unlock()
-	if m.owner != nil || !m.entry.Empty() || !m.waits.Empty() {
+	if m.state.Load() != 0 || !m.entry.Empty() || !m.waits.Empty() {
 		panic("monitor: SeedOwner on a monitor in use")
 	}
 	if count == 0 {
 		panic("monitor: SeedOwner with zero count")
 	}
-	m.owner = t
 	m.count = count
+	m.state.Store(ownerState(t))
+	m.checkLocked()
 }
 
-// Exit releases one level of the monitor. Releasing the last level hands
-// the monitor to the head of the entry queue, if any.
+// Exit releases one level of the monitor. Releasing the last level of a
+// monitor nobody queues for is one CAS; with the queued bit set it hands
+// the monitor to the head of the entry queue under the latch.
 func (m *Monitor) Exit(t *threading.Thread) error {
-	m.latch.Lock()
-	if m.owner != t {
-		m.latch.Unlock()
+	me := ownerState(t)
+	s := m.state.Load()
+	if s&^queuedBit != me {
 		return ErrIllegalMonitorState
 	}
-	m.count--
-	var next *threading.Thread
-	if m.count == 0 {
-		next = m.handoffLocked()
+	if m.count > 1 {
+		m.count--
+		return nil
 	}
+	m.count = 0
+	if s == me && m.state.CompareAndSwap(me, 0) {
+		return nil
+	}
+	// A thread queued: the bit is set and stays set until the latch is
+	// ours, because only a latch holder clears it.
+	m.latch.Lock()
+	next := m.handoffLocked()
 	m.latch.Unlock()
 	unpark(next)
 	return nil
@@ -197,17 +276,24 @@ func (m *Monitor) Exit(t *threading.Thread) error {
 
 // handoffLocked transfers ownership to the head of the entry queue and
 // returns its thread, for the caller to unpark once it has released the
-// latch; with an empty queue it marks the monitor unowned and returns
-// nil. Caller holds the latch and has already set count to 0.
+// latch; with an empty queue it frees the monitor and returns nil.
+// Caller holds the latch and owns the monitor, whose count it has set to
+// 0; no other thread can change state until this store.
 func (m *Monitor) handoffLocked() *threading.Thread {
 	n := m.entry.Pop()
 	if n == nil {
-		m.owner = nil
+		m.state.Store(0)
+		m.checkLocked()
 		return nil
 	}
 	th := n.Thread()
-	m.owner = th
+	s := ownerState(th)
+	if !m.entry.Empty() {
+		s |= queuedBit
+	}
 	m.count = n.Count
+	m.state.Store(s)
+	m.checkLocked()
 	lockevent.Emit(lockevent.Handoff, th, nil)
 	n.State.Store(stateGranted) // from here on n belongs to its thread
 	return th
@@ -233,21 +319,20 @@ func unpark(t *threading.Thread) {
 // it left the wait set (the status is cleared, as in Java), and nil for a
 // timeout. err is ErrIllegalMonitorState if t does not own the monitor.
 func (m *Monitor) Wait(t *threading.Thread, d time.Duration) (notified bool, err error) {
-	m.latch.Lock()
-	if m.owner != t {
-		m.latch.Unlock()
+	me := ownerState(t)
+	if m.state.Load()&^queuedBit != me {
 		return false, ErrIllegalMonitorState
 	}
 	if t.Interrupted() { // clears the status, as Java does when throwing
-		m.latch.Unlock()
 		return false, threading.ErrInterrupted
 	}
 	lockevent.Emit(lockevent.MonitorWait, t, nil)
 	n := t.ParkNode()
 	n.Count = m.count
+	m.count = 0
+	m.latch.Lock()
 	n.State.Store(stateWaitSet)
 	m.waits.Push(n)
-	m.count = 0
 	next := m.handoffLocked()
 	m.latch.Unlock()
 	unpark(next)
@@ -271,14 +356,11 @@ func (m *Monitor) Wait(t *threading.Thread, d time.Duration) (notified bool, err
 	if t.Interrupted() {
 		err = threading.ErrInterrupted
 	}
-	if m.owner == nil {
-		m.owner = t
+	if m.queueLocked(n, me) {
 		m.count = n.Count
 		n.State.Store(stateGranted)
 		m.latch.Unlock()
 	} else {
-		n.State.Store(stateEntryQueue)
-		m.entry.Push(n)
 		m.latch.Unlock()
 		awaitGrant(n)
 	}
@@ -310,31 +392,33 @@ func sleep(t *threading.Thread, n *threading.ParkNode, d time.Duration) {
 // Notify moves the longest-waiting thread from the wait set to the entry
 // queue. Waking a monitor with no waiters is a no-op, as in Java.
 func (m *Monitor) Notify(t *threading.Thread) error {
-	m.latch.Lock()
-	defer m.latch.Unlock()
-	if m.owner != t {
+	if m.state.Load()&^queuedBit != ownerState(t) {
 		return ErrIllegalMonitorState
 	}
 	lockevent.Emit(lockevent.Notify, t, nil)
+	m.latch.Lock()
 	m.notifyOneLocked()
+	m.latch.Unlock()
 	return nil
 }
 
 // NotifyAll moves every waiting thread to the entry queue.
 func (m *Monitor) NotifyAll(t *threading.Thread) error {
-	m.latch.Lock()
-	defer m.latch.Unlock()
-	if m.owner != t {
+	if m.state.Load()&^queuedBit != ownerState(t) {
 		return ErrIllegalMonitorState
 	}
 	lockevent.Emit(lockevent.Notify, t, nil)
+	m.latch.Lock()
 	for m.notifyOneLocked() {
 	}
+	m.latch.Unlock()
 	return nil
 }
 
 // notifyOneLocked moves the head of the wait set to the entry queue,
-// reporting whether there was one. Caller holds the latch.
+// reporting whether there was one. Caller holds the latch and owns the
+// monitor, so only the queued bit can change in state, and only under
+// the latch: a plain read-then-store sets it.
 func (m *Monitor) notifyOneLocked() bool {
 	n := m.waits.Pop()
 	if n == nil {
@@ -342,22 +426,21 @@ func (m *Monitor) notifyOneLocked() bool {
 	}
 	n.State.Store(stateEntryQueue)
 	m.entry.Push(n)
+	if s := m.state.Load(); s&queuedBit == 0 {
+		m.state.Store(s | queuedBit)
+	}
+	m.checkLocked()
 	return true
 }
 
-// Owner returns the current owning thread, or nil.
-func (m *Monitor) Owner() *threading.Thread {
-	m.latch.Lock()
-	defer m.latch.Unlock()
-	return m.owner
-}
+// OwnerIndex returns the owning thread's index, or 0 if the monitor is
+// free.
+func (m *Monitor) OwnerIndex() uint16 { return uint16(m.state.Load() >> 1) }
 
-// Count returns the current lock count.
-func (m *Monitor) Count() uint32 {
-	m.latch.Lock()
-	defer m.latch.Unlock()
-	return m.count
-}
+// Count returns the current lock count, 0 when the monitor is free.
+// Only the owner changes it, so it is exact for the owner and for a
+// caller that has synchronized with the owner's last operation.
+func (m *Monitor) Count() uint32 { return m.count }
 
 // EntryQueueLen reports how many threads are blocked entering.
 func (m *Monitor) EntryQueueLen() int {
@@ -377,5 +460,5 @@ func (m *Monitor) WaitSetLen() int {
 func (m *Monitor) Quiescent() bool {
 	m.latch.Lock()
 	defer m.latch.Unlock()
-	return m.owner == nil && m.entry.Empty() && m.waits.Empty()
+	return m.state.Load() == 0 && m.entry.Empty() && m.waits.Empty()
 }

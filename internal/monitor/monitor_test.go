@@ -31,8 +31,8 @@ func TestEnterExitBasic(t *testing.T) {
 	ths := newThreads(t, 1)
 	m := New()
 	m.Enter(ths[0], nil)
-	if m.Owner() != ths[0] {
-		t.Fatalf("owner = %v, want %v", m.Owner(), ths[0])
+	if m.OwnerIndex() != ths[0].Index() {
+		t.Fatalf("owner = %d, want %d", m.OwnerIndex(), ths[0].Index())
 	}
 	if m.Count() != 1 {
 		t.Fatalf("count = %d, want 1", m.Count())
@@ -40,8 +40,8 @@ func TestEnterExitBasic(t *testing.T) {
 	if err := m.Exit(ths[0]); err != nil {
 		t.Fatal(err)
 	}
-	if m.Owner() != nil {
-		t.Fatalf("owner = %v after exit, want nil", m.Owner())
+	if m.OwnerIndex() != 0 {
+		t.Fatalf("owner = %d after exit, want 0", m.OwnerIndex())
 	}
 }
 
@@ -63,7 +63,7 @@ func TestRecursiveEnter(t *testing.T) {
 			t.Fatalf("count = %d, want %d", m.Count(), i)
 		}
 	}
-	if m.Owner() != nil {
+	if m.OwnerIndex() != 0 {
 		t.Fatal("owner survives balanced exit")
 	}
 }
@@ -79,7 +79,7 @@ func TestExitWithoutOwnership(t *testing.T) {
 	if err := m.Exit(ths[1]); err != ErrIllegalMonitorState {
 		t.Fatalf("exit by non-owner: err = %v", err)
 	}
-	if m.Owner() != ths[0] || m.Count() != 1 {
+	if m.OwnerIndex() != ths[0].Index() || m.Count() != 1 {
 		t.Fatal("failed exit perturbed monitor state")
 	}
 }
@@ -136,8 +136,8 @@ func TestContendedEnterBlocksAndHandsOff(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("handoff never happened")
 	}
-	if m.Owner() != ths[1] || m.Count() != 1 {
-		t.Fatalf("owner=%v count=%d after handoff", m.Owner(), m.Count())
+	if m.OwnerIndex() != ths[1].Index() || m.Count() != 1 {
+		t.Fatalf("owner=%d count=%d after handoff", m.OwnerIndex(), m.Count())
 	}
 	if n := tel.Counter(telemetry.CtrMonitorContendedEntries); n != 1 {
 		t.Errorf("contended entries = %d, want 1", n)
@@ -219,15 +219,15 @@ func TestSeedOwner(t *testing.T) {
 	ths := newThreads(t, 1)
 	m := New()
 	m.SeedOwner(ths[0], 7)
-	if m.Owner() != ths[0] || m.Count() != 7 {
-		t.Fatalf("owner=%v count=%d after seed", m.Owner(), m.Count())
+	if m.OwnerIndex() != ths[0].Index() || m.Count() != 7 {
+		t.Fatalf("owner=%d count=%d after seed", m.OwnerIndex(), m.Count())
 	}
 	for i := 0; i < 7; i++ {
 		if err := m.Exit(ths[0]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if m.Owner() != nil {
+	if m.OwnerIndex() != 0 {
 		t.Fatal("owner after unwinding seeded count")
 	}
 }
@@ -367,8 +367,8 @@ func TestWaitTimeout(t *testing.T) {
 		t.Fatalf("wait returned after %v, want >= ~30ms", elapsed)
 	}
 	// Lock must be re-held after a timed-out wait.
-	if m.Owner() != ths[0] || m.Count() != 1 {
-		t.Fatalf("owner=%v count=%d after timeout", m.Owner(), m.Count())
+	if m.OwnerIndex() != ths[0].Index() || m.Count() != 1 {
+		t.Fatalf("owner=%d count=%d after timeout", m.OwnerIndex(), m.Count())
 	}
 	if m.WaitSetLen() != 0 {
 		t.Fatal("stale node left in wait set")
@@ -552,7 +552,7 @@ func TestWaitWithPendingInterrupt(t *testing.T) {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
 	}
 	// The monitor must still be held.
-	if m.Owner() != ths[0] {
+	if m.OwnerIndex() != ths[0].Index() {
 		t.Fatal("pending-interrupt wait released the monitor")
 	}
 	if err := m.Exit(ths[0]); err != nil {

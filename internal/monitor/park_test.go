@@ -8,7 +8,7 @@ import (
 	"thinlock/internal/threading"
 )
 
-// TestMonitorIs64Bytes pins the layout: latch, owner, count, index and
+// TestMonitorIs64Bytes pins the layout: state, count, index, latch and
 // two queue head/tail pairs, 56 bytes that the allocator rounds up to
 // its 64-byte size class. A field added here is paid by every monitor an
 // inflate-forever implementation keeps for life.
@@ -136,8 +136,8 @@ func TestDoubleInterruptWakesWaiterOnce(t *testing.T) {
 	go func() {
 		m.Enter(w, nil)
 		_, err := m.Wait(w, 0)
-		if m.Owner() != w || m.Count() != 1 {
-			t.Errorf("after interrupted wait: owner %v count %d", m.Owner(), m.Count())
+		if m.OwnerIndex() != w.Index() || m.Count() != 1 {
+			t.Errorf("after interrupted wait: owner %d count %d", m.OwnerIndex(), m.Count())
 		}
 		errCh <- err
 		<-both

@@ -46,8 +46,8 @@ func TestQueuedThreadOwnsBeforeSpinner(t *testing.T) {
 		if err := m.Exit(ths[0]); err != nil {
 			t.Fatal(err)
 		}
-		if got := m.Owner(); got != ths[1] {
-			t.Fatalf("delay %v: owner after exit = %v, want the queued thread %v", delay, got, ths[1])
+		if got := m.OwnerIndex(); got != ths[1].Index() {
+			t.Fatalf("delay %v: owner after exit = %d, want the queued thread %d", delay, got, ths[1].Index())
 		}
 		<-queuedIn
 		select {
