@@ -16,9 +16,11 @@ vet:
 
 # fastpath fails unless the compiler inlines ThinLock's thin fast-path
 # helpers (lockThin, unlockThin, unlockThinCAS) into (*ThinLocks).Lock
-# and Unlock at every call site (scripts/fastpath_check.sh reads
-# `go build -gcflags=-m ./internal/core`), so an uncontended lock or
-# unlock cannot grow a Go call past the interface unnoticed.
+# and Unlock, and Biased's slot accessor (slotFor, with the slot index
+# and slot read under it) into (*Locker).lockBody and unlockBody, at
+# every call site (scripts/fastpath_check.sh reads
+# `go build -gcflags=-m` of ./internal/core and ./internal/biased), so
+# an uncontended lock or unlock cannot grow a Go call unnoticed.
 fastpath:
 	GO="$(GO)" scripts/fastpath_check.sh
 

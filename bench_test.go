@@ -9,6 +9,8 @@
 //	BenchmarkMacro              — Figure 5 macro-benchmark comparison
 //	BenchmarkDirectLockUnlock   — the raw fast path (no interpreter),
 //	                              the paper's "17 instructions" claim
+//	BenchmarkBiasedReacquire    — Biased vs ThinLock owner reacquire
+//	                              over 1 and 8 locked objects
 //	BenchmarkWaitNotifyRoundTrip — unit cost of a wait/notify handoff
 //	BenchmarkInflationAblation  — extension: inflate for life vs compact monitors
 //
@@ -19,6 +21,7 @@ package thinlock
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -198,6 +201,54 @@ func BenchmarkDirectLockUnlock(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkBiasedReacquire splits the owner's reacquire path, the
+// benchmark's reacquire workload in miniature: lock/unlock pairs by one
+// thread over 1 object and over 8, each locked once before timing (for
+// Biased, one reservation per bias slot), visited in a fixed seeded
+// order. Both sizes run the same loop, so the 8-object case adds only
+// what finding an object's lock state costs beyond the first: for
+// Biased, finding the slot that holds its depth.
+func BenchmarkBiasedReacquire(b *testing.B) {
+	for _, f := range bench.StandardImpls() {
+		if f.Name != "Biased" && f.Name != "ThinLock" {
+			continue
+		}
+		for _, n := range []int{1, threading.BiasSlots} {
+			f, n := f, n
+			b.Run(fmt.Sprintf("%s/objects=%d", f.Name, n), func(b *testing.B) {
+				l := f.New()
+				heap := object.NewHeap()
+				reg := threading.NewRegistry()
+				t, err := reg.Attach("bench")
+				if err != nil {
+					b.Fatal(err)
+				}
+				objs := make([]*object.Object, n)
+				for i := range objs {
+					objs[i] = heap.New("X")
+					l.Lock(t, objs[i])
+					if err := l.Unlock(t, objs[i]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				rng := rand.New(rand.NewSource(1))
+				order := make([]*object.Object, 1024)
+				for i := range order {
+					order[i] = objs[rng.Intn(n)]
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					o := order[i%len(order)]
+					l.Lock(t, o)
+					if err := l.Unlock(t, o); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

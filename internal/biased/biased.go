@@ -6,18 +6,20 @@
 //
 // An unlocked object's first locker does not take the lock so much as
 // *reserve* it: it installs a biased word (core.BiasedWord) carrying its
-// thread index and a small class epoch, and records the reservation in
-// one of its per-thread bias slots (threading.BiasSlot). From then on
+// thread index, a small class epoch and the index of the per-thread bias
+// slot (threading.BiasSlot) that records the reservation. From then on
 // the owner's lock and unlock are a header load that finds the word
-// biased to it, a slot lookup, one atomic store of the new recursion
-// depth into the slot, and one validating load of the header; the owner
-// never writes the shared lock word. The depth store followed by the
-// header load is the owner's half of a Dekker-style handshake with
-// revokers, so it must be sequentially consistent: Go compiles it to
-// XCHG on amd64, a locked instruction just like the CAS it replaces.
+// biased to it, one compare of the object id in the slot the word names
+// (no search of the thread's slots), one atomic store of the new
+// recursion depth into the slot, and one validating load of the header;
+// the owner never writes the shared lock word. The depth store followed
+// by the header load is the owner's half of a Dekker-style handshake
+// with revokers, so it must be sequentially consistent: Go compiles it
+// to XCHG on amd64, a locked instruction just like the CAS it replaces.
 // The saving over a thin lock is therefore not the atomic itself but
 // the shared-word write, and on the benchmark's reacquire workload it
-// does not show (DESIGN.md §7, EXPERIMENTS.md).
+// does not show: Biased stays below ThinLock in most runs (DESIGN.md
+// §7, EXPERIMENTS.md).
 //
 // Lock and Unlock load the header once and dispatch on it. A word
 // biased to the caller takes the reservation path above. An unlocked
@@ -28,15 +30,15 @@
 // internal/core. Everything else goes to the slow path.
 //
 // Revocation. When another thread needs a reserved object it CASes the
-// biased word to a revocation sentinel (owner index 0), which makes it
-// the only writer of the word. It then finds the reserving thread
-// through the registry (threading.Registry.Lookup), reads the depth the
-// owner last published in its bias slot — the revocation's
-// linearization point — and rewrites the header to a conventional
-// word: thin owned-by-reserver at that depth, or unlocked when the
-// depth was 0. Finally it wakes every thread parked on the object in
-// the parking lot (threading.UnparkAll): the reserver stalled
-// mid-handshake, and anyone else waiting the sentinel out. Because the
+// biased word to a revocation sentinel (owner index 0, slot index
+// kept), which makes it the only writer of the word. It then finds the
+// reserving thread through the registry (threading.Registry.Lookup),
+// reads the depth the owner last published in the slot the word names
+// — the revocation's linearization point — and rewrites the header to
+// a conventional word: thin owned-by-reserver at that depth, or
+// unlocked when the depth was 0. Finally it wakes every thread parked
+// on the object in the parking lot (threading.UnparkAll): the reserver
+// stalled mid-handshake, and anyone else waiting the sentinel out. Because the
 // revoker's CAS and depth read bracket the owner's depth store and
 // header load under Go's sequentially consistent atomics, one side
 // always observes the other: either the revoker's depth read includes
@@ -311,15 +313,16 @@ func (l *Locker) Lock(t *threading.Thread, o *object.Object) {
 }
 
 func (l *Locker) lockBody(t *threading.Thread, o *object.Object) {
-	if l.mut.SkipOwnerValidation && lockTrustingSlot(t, o) {
-		return
-	}
 	hp := o.HeaderAddr()
 	w := atomic.LoadUint32(hp)
+	if l.mut.SkipOwnerValidation && lockTrustingSlot(t, o, w) {
+		return
+	}
 	switch {
 	case w&biasOwnerMask == core.BiasBit|t.Shifted():
-		// Reserved by this thread: the owner's half of the handshake.
-		if s := t.BiasSlotFor(o.ID()); s != nil {
+		// Reserved by this thread: the owner's half of the handshake,
+		// through the slot the word names.
+		if s := slotFor(t, o, w); s != nil {
 			if d := s.Depth(); d < maxBiasDepth {
 				s.SetDepth(d + 1) // Dekker publish
 				if atomic.LoadUint32(hp) == s.Word() {
@@ -364,11 +367,11 @@ func (l *Locker) Unlock(t *threading.Thread, o *object.Object) error {
 }
 
 func (l *Locker) unlockBody(t *threading.Thread, o *object.Object) error {
-	if l.mut.SkipOwnerValidation && unlockTrustingSlot(t, o) {
-		return nil
-	}
 	hp := o.HeaderAddr()
 	w := atomic.LoadUint32(hp)
+	if l.mut.SkipOwnerValidation && unlockTrustingSlot(t, o, w) {
+		return nil
+	}
 	x := w ^ t.Shifted()
 	switch {
 	case x < core.CountUnit:
@@ -377,8 +380,8 @@ func (l *Locker) unlockBody(t *threading.Thread, o *object.Object) error {
 		return nil
 	case x&biasOwnerMask == core.BiasBit || w&biasOwnerMask == core.BiasBit:
 		// Reserved by this thread, or mid-revocation (possibly of our
-		// own held reservation).
-		if s := t.BiasSlotFor(o.ID()); s != nil {
+		// own held reservation: the sentinel keeps the slot index).
+		if s := slotFor(t, o, w); s != nil {
 			if d := s.Depth(); d > 0 {
 				s.SetDepth(d - 1) // Dekker publish
 				if atomic.LoadUint32(hp) == s.Word() {
@@ -406,12 +409,16 @@ func (l *Locker) unlockBody(t *threading.Thread, o *object.Object) error {
 func (l *Locker) Wait(t *threading.Thread, o *object.Object, d time.Duration) (bool, error) {
 	lockevent.Emit(lockevent.WaitBegin, t, o)
 	defer lockevent.Emit(lockevent.WaitEnd, t, o)
-	if s := t.BiasSlotFor(o.ID()); s != nil && s.Depth() > 0 {
-		if m := l.waitRevoke(t, o, s); m != nil {
-			return m.Wait(t, d)
+	if w := o.Header(); core.IsBiased(w) {
+		// A held reservation of ours, live or mid-revocation, is in the
+		// slot the word names.
+		if s := slotFor(t, o, w); s != nil && s.Depth() > 0 {
+			if m := l.waitRevoke(t, o, s); m != nil {
+				return m.Wait(t, d)
+			}
+			// A concurrent revoker walked the reservation to a
+			// conventional word first; fall through to the header.
 		}
-		// A concurrent revoker walked the reservation to a
-		// conventional word first; fall through to the header.
 	}
 	for {
 		w := o.Header()
@@ -455,8 +462,23 @@ func (l *Locker) NotifyAll(t *threading.Thread, o *object.Object) error {
 // notifyFast reports whether t holds o through a live reservation — in
 // which case o can have no waiters and the notify is a no-op.
 func (l *Locker) notifyFast(t *threading.Thread, o *object.Object) bool {
-	s := t.BiasSlotFor(o.ID())
-	return s != nil && s.Depth() > 0 && atomic.LoadUint32(o.HeaderAddr()) == s.Word()
+	w := atomic.LoadUint32(o.HeaderAddr())
+	if !core.IsBiased(w) {
+		return false
+	}
+	s := slotFor(t, o, w)
+	return s != nil && s.Depth() > 0 && w == s.Word()
+}
+
+// slotFor returns t's bias slot that the biased word w names when that
+// slot holds o's reservation, or nil: one index and one id compare, no
+// search. The slot is t's own to read at any time, and another thread's
+// to read only while it holds o's revocation sentinel.
+func slotFor(t *threading.Thread, o *object.Object, w uint32) *threading.BiasSlot {
+	if s := t.BiasSlot(core.BiasSlotIndex(w)); s.ObjectID() == o.ID() {
+		return s
+	}
+	return nil
 }
 
 // notifySlow resolves the header conventionally.

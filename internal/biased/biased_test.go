@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"thinlock/internal/core"
 	"thinlock/internal/object"
 	"thinlock/internal/telemetry"
 	"thinlock/internal/testutil"
@@ -193,6 +194,193 @@ func TestContenderRevokesHeldReservation(t *testing.T) {
 			}
 			if uint64(s.FatLocks) != s.Inflations() {
 				t.Fatalf("FatLocks = %d, Inflations = %d: monitor accounting broken", s.FatLocks, s.Inflations())
+			}
+		})
+	}
+}
+
+// TestTransferBackNamesTheSlotHoldingItsID: a reservation transferred
+// to another thread and back names, in each owner's biased word, the
+// slot of that owner's table that holds its id. Back home it reuses the
+// slot its id never left, not the first free one, and the owner's
+// reacquisitions then run through that slot without writing the word.
+func TestTransferBackNamesTheSlotHoldingItsID(t *testing.T) {
+	t.Parallel()
+	w := newWorld(t, Options{RebiasThreshold: 1})
+	a, b := w.thread(t, "a"), w.thread(t, "b")
+	lockUnlock := func(th *threading.Thread, o *object.Object) {
+		t.Helper()
+		w.l.Lock(th, o)
+		if err := w.l.Unlock(th, o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// named returns the slot o's header names, after checking that the
+	// header is th's reservation and that the slot holds o and the word.
+	named := func(th *threading.Thread, o *object.Object) int {
+		t.Helper()
+		h := o.Header()
+		if !w.l.Biased(o) || core.BiasOwner(h) != th.Index() {
+			t.Fatalf("header %#08x is not a reservation of %s", h, th)
+		}
+		i := core.BiasSlotIndex(h)
+		if s := th.BiasSlot(i); s.ObjectID() != o.ID() || s.Word() != h {
+			t.Fatalf("slot %d of %s holds id %d, word %#08x; want id %d, word %#08x",
+				i, th, s.ObjectID(), s.Word(), o.ID(), h)
+		}
+		return i
+	}
+	// bump revokes a fresh reservation of target's class, which moves
+	// the class epoch on (threshold 1) and makes target's stale.
+	bump := func() {
+		c := w.heap.New("cls")
+		lockUnlock(b, c)
+		lockUnlock(a, c)
+	}
+
+	f, target := w.heap.New("filler"), w.heap.New("cls")
+	lockUnlock(a, f)
+	lockUnlock(a, target)
+	if i := named(a, target); i != 1 {
+		t.Fatalf("a reserved target in slot %d, want 1", i)
+	}
+	// Wait self-revokes f's reservation, which frees a's slot 0.
+	w.l.Lock(a, f)
+	if _, err := w.l.Wait(a, f, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.l.Unlock(a, f); err != nil {
+		t.Fatal(err)
+	}
+	if id := a.BiasSlot(0).ObjectID(); id != 0 {
+		t.Fatalf("a's slot 0 still holds id %d after Wait self-revoked it", id)
+	}
+
+	// Two fillers and the bump's reservation occupy b's slots 0..2, so
+	// the transfer lands in b's slot 3.
+	lockUnlock(b, w.heap.New("filler"))
+	lockUnlock(b, w.heap.New("filler"))
+	bump()
+	lockUnlock(b, target)
+	if i := named(b, target); i != 3 {
+		t.Fatalf("transfer to b named slot %d, want 3", i)
+	}
+	if id := a.BiasSlot(1).ObjectID(); id != target.ID() {
+		t.Fatalf("a's slot 1 holds id %d after the transfer away, want target's %d", id, target.ID())
+	}
+
+	bump()
+	lockUnlock(a, target)
+	if i := named(a, target); i != 1 {
+		t.Fatalf("transfer back to a named slot %d, want 1, the slot holding its id", i)
+	}
+	if id := a.BiasSlot(0).ObjectID(); id != 0 {
+		t.Fatalf("the transfer back also claimed a's free slot 0 (id %d)", id)
+	}
+	if s := w.l.Stats(); s.BiasTransfers != 2 {
+		t.Fatalf("BiasTransfers = %d, want 2", s.BiasTransfers)
+	}
+	h := target.Header()
+	for i := 0; i < 20; i++ {
+		w.l.Lock(a, target)
+		w.l.Lock(a, target)
+		if d := a.BiasSlot(1).Depth(); d != 2 {
+			t.Fatalf("nested reacquire left depth %d in slot 1, want 2", d)
+		}
+		for j := 0; j < 2; j++ {
+			if err := w.l.Unlock(a, target); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := target.Header(); got != h {
+		t.Fatalf("the owner's reacquisitions wrote the header: %#08x → %#08x", h, got)
+	}
+}
+
+// TestUnlockMeetsOwnSentinel: an owner whose Unlock meets the
+// revocation sentinel of its own held reservation publishes the release
+// through the slot the sentinel names and, once the revoker publishes
+// the walked word, reconciles to the right depth, whichever depth the
+// revoker read. The test plays the revoker by hand so that it holds the
+// sentinel while the owner unlocks, and the reservation sits in slot 2
+// so that a sentinel without its slot field would send the owner to
+// slot 0.
+func TestUnlockMeetsOwnSentinel(t *testing.T) {
+	t.Parallel()
+	for _, readAfter := range []bool{false, true} {
+		readAfter := readAfter
+		name := "revoker-reads-depth-before-release"
+		if readAfter {
+			name = "revoker-reads-depth-after-release"
+		}
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			w := newWorld(t, Options{DisableRebias: true})
+			a := w.thread(t, "a")
+			for j := 0; j < 2; j++ {
+				f := w.heap.New("filler")
+				w.l.Lock(a, f)
+				if err := w.l.Unlock(a, f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			o := w.heap.New("obj")
+			w.l.Lock(a, o)
+			w.l.Lock(a, o)
+			h := o.Header()
+			i := core.BiasSlotIndex(h)
+			if i != 2 {
+				t.Fatalf("reservation in slot %d, want 2", i)
+			}
+			s := a.BiasSlot(i)
+
+			// The revoker wins the sentinel; it names the owner's slot.
+			sentinel := core.BiasRevokingWord(h)
+			if core.BiasSlotIndex(sentinel) != i || !core.IsBiasRevoking(sentinel) {
+				t.Fatalf("sentinel %#08x of %#08x does not name slot %d", sentinel, h, i)
+			}
+			if !o.CASHeader(h, sentinel) {
+				t.Fatal("sentinel CAS failed")
+			}
+			var depth uint64
+			if !readAfter {
+				depth = s.Depth()
+			}
+			unlocked := make(chan error, 1)
+			go func() { unlocked <- w.l.Unlock(a, o) }()
+			testutil.Eventually(t, testutil.DefaultWaitTimeout, "the owner publishes depth 1 in the slot the sentinel names",
+				func() bool { return s.Depth() == 1 })
+			if readAfter {
+				depth = s.Depth()
+			}
+			// The revoker publishes the walked word, as revoke does.
+			misc := h & core.MiscMask
+			o.SetFlagBits(FlagBiasDead)
+			publishRevoked(o, core.ThinWord(a.Index(), uint32(depth-1), misc))
+
+			select {
+			case err := <-unlocked:
+				if err != nil {
+					t.Fatalf("unlock across the sentinel: %v", err)
+				}
+			case <-time.After(testutil.DefaultWaitTimeout):
+				t.Fatal("the owner's unlock never returned after the walked word was published")
+			}
+			if got, want := o.Header(), core.ThinWord(a.Index(), 0, misc); got != want {
+				t.Fatalf("header %#08x after the reconciled unlock, want %#08x (held once)", got, want)
+			}
+			if id := s.ObjectID(); id != 0 {
+				t.Fatalf("the slot still holds id %d after its reservation was revoked", id)
+			}
+			if err := w.l.Unlock(a, o); err != nil {
+				t.Fatalf("last unlock: %v", err)
+			}
+			if hi := w.l.HolderIndex(o); hi != 0 {
+				t.Fatalf("HolderIndex = %d after both unlocks, want 0", hi)
+			}
+			if err := w.l.Unlock(a, o); err != ErrIllegalMonitorState {
+				t.Fatalf("extra unlock err = %v, want ErrIllegalMonitorState", err)
 			}
 		})
 	}

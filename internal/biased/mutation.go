@@ -21,23 +21,29 @@ type Mutations struct {
 	RevokeOffByOne bool
 
 	// SkipOwnerValidation makes the owner's biased fast path trust its
-	// bias slot without consulting the object header at all: Lock and
-	// Unlock look the slot up before the header dispatch, and a slot
-	// found is used without validating the header after publishing the
-	// new depth — it breaks the owner's half of the Dekker store/load
-	// handshake. An owner that keeps using a revoked reservation
-	// updates only its private slot, so its nested locks and unlocks
-	// never reach the shared word: the final release is lost and a
-	// contender waits forever (a stuck schedule), or the leaked lock
-	// word surfaces as a quiescence failure.
+	// bias slot without validating the object header: Lock and Unlock
+	// take the slot that the header's slot field names, exactly as the
+	// fast path does, and when that slot holds the object they use it
+	// without checking that the header is this thread's reservation,
+	// neither at dispatch nor after publishing the new depth — it breaks
+	// the owner's half of the Dekker store/load handshake. A walked thin
+	// or unlocked word names slot 0 through its count bits while the
+	// count is below 16, and slot 0 holds a thread's first reservation,
+	// so an owner keeps using a reservation revoked under it. It updates
+	// only its private slot, so its nested locks and unlocks never reach
+	// the shared word: the final release is lost and a contender waits
+	// forever (a stuck schedule), or the leaked lock word surfaces as a
+	// quiescence failure.
 	SkipOwnerValidation bool
 }
 
-// lockTrustingSlot is the SkipOwnerValidation mutant's Lock: it reports
-// true after taking a level through t's slot for o, if there is one
-// below the depth cap, without reading o's header.
-func lockTrustingSlot(t *threading.Thread, o *object.Object) bool {
-	if s := t.BiasSlotFor(o.ID()); s != nil {
+// lockTrustingSlot is the SkipOwnerValidation mutant's Lock: given the
+// header word w it reports true after taking a level through the slot
+// w's slot field names, if that slot holds o below the depth cap,
+// without checking that w is this thread's reservation, before or after
+// publishing the new depth.
+func lockTrustingSlot(t *threading.Thread, o *object.Object, w uint32) bool {
+	if s := slotFor(t, o, w); s != nil {
 		if d := s.Depth(); d < maxBiasDepth {
 			s.SetDepth(d + 1)
 			return true
@@ -47,10 +53,10 @@ func lockTrustingSlot(t *threading.Thread, o *object.Object) bool {
 }
 
 // unlockTrustingSlot is the mutant's Unlock: it reports true after
-// releasing a level through t's slot for o, if that slot is held,
-// without reading o's header.
-func unlockTrustingSlot(t *threading.Thread, o *object.Object) bool {
-	if s := t.BiasSlotFor(o.ID()); s != nil {
+// releasing a level through the slot w's slot field names, if that slot
+// holds o and is held, without checking the word.
+func unlockTrustingSlot(t *threading.Thread, o *object.Object, w uint32) bool {
+	if s := slotFor(t, o, w); s != nil {
 		if d := s.Depth(); d > 0 {
 			s.SetDepth(d - 1)
 			return true

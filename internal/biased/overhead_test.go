@@ -85,10 +85,19 @@ func TestFastPathZeroAllocWhenProfilingDisabled(t *testing.T) {
 }
 
 // TestBiasedReacquireBeatsThinCAS is the acceptance microbenchmark: the
-// reservation's whole justification is that a same-owner reacquire (one
-// plain depth store + one validating load) undercuts the thin lock's
-// compare-and-swap fast path. Medians over several rounds; a generous
-// margin and retries keep scheduler noise from flaking CI.
+// reservation's whole justification is that a same-owner reacquire
+// undercuts the thin lock's compare-and-swap fast path. A reacquire is
+// a header load, one id compare in the bias slot the word names, a depth
+// store and a validating header load, and the release the same. The
+// depth store is the owner's Dekker publish, which must be ordered
+// before the validating load, so it is a sequentially consistent atomic
+// store: XCHG on amd64, a locked instruction. The biased pair therefore
+// makes two locked instructions, as many as the thin pair's CAS and its
+// unlock's atomic store (also an XCHG; a release-store unlock would
+// leave the thin pair one, and this test would fail). What the
+// reservation saves is the write to the shared header word, not an
+// atomic. The best of several rounds, and retries, keep scheduler noise
+// from flaking CI.
 func TestBiasedReacquireBeatsThinCAS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive; skipped under -short")

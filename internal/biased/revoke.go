@@ -16,20 +16,20 @@ import (
 // acquired at depth 1.
 //
 // The protocol: CAS the biased word to the revocation sentinel (owner
-// index 0), which no fast path validates against, making this thread
-// the word's only writer. Find the reserving thread through the
-// registry and read the recursion depth it last published in its bias
-// slot; that single read is the revocation's linearization point — the
-// owner's Dekker discipline (publish depth, then validate the header)
-// guarantees any operation the read misses will reconcile against the
-// word we publish. Then rewrite the header: the owner's exact depth as
-// a conventional thin word, or — when unheld — unlocked, or
-// transferred to us if the reservation's epoch was stale — and wake
-// every thread parked on the object to wait the sentinel out, the owner
-// stalled mid-reconciliation among them.
+// index 0, slot index kept), which no fast path validates against,
+// making this thread the word's only writer. Find the reserving thread
+// through the registry and read the recursion depth it last published
+// in the bias slot the word names; that single read is the revocation's
+// linearization point — the owner's Dekker discipline (publish depth,
+// then validate the header) guarantees any operation the read misses
+// will reconcile against the word we publish. Then rewrite the header:
+// the owner's exact depth as a conventional thin word, or — when
+// unheld — unlocked, or transferred to us if the reservation's epoch
+// was stale — and wake every thread parked on the object to wait the
+// sentinel out, the owner stalled mid-reconciliation among them.
 func (l *Locker) revoke(t *threading.Thread, o *object.Object, w uint32) bool {
 	misc := w & core.MiscMask
-	if !o.CASHeader(w, core.BiasRevokingWord(misc)) {
+	if !o.CASHeader(w, core.BiasRevokingWord(w)) {
 		return false // lost the race to another revoker or state change
 	}
 
@@ -40,18 +40,20 @@ func (l *Locker) revoke(t *threading.Thread, o *object.Object, w uint32) bool {
 	}
 	var depth uint64
 	if ownerT != nil {
-		if s := ownerT.BiasSlotFor(o.ID()); s != nil && s.Word() == w {
+		if s := slotFor(ownerT, o, w); s != nil && s.Word() == w {
 			depth = s.Depth() // linearization point
 		}
-		// A missing or mismatched slot means the reservation is a stale
-		// image (the index was recycled, or the thread moved on): no
-		// lock is held through it, so depth 0 is exact.
+		// A slot w names that holds another object or another word
+		// means the reservation is a stale image (the index was
+		// recycled, or the thread moved on): no lock is held through
+		// it, so depth 0 is exact.
 	}
 
 	cls := l.classFor(o.Class())
 	if depth == 0 && l.canTransfer(cls, o, w) {
-		if s := t.ClaimBiasSlot(o.ID()); s != nil {
-			nw := core.BiasedWord(t.Index(), cls.epoch.Load(), l.epochBits, misc)
+		if i := t.ClaimBiasSlot(o.ID()); i >= 0 {
+			s := t.BiasSlot(i)
+			nw := core.BiasedWord(t.Index(), i, cls.epoch.Load(), l.epochBits, misc)
 			s.SetWord(nw)
 			s.SetDepth(1)
 			publishRevoked(o, nw)
@@ -118,7 +120,7 @@ func (l *Locker) bumpClassRevocation(t *threading.Thread, cls *classBias) {
 // level deeper. Reports false if a concurrent revoker won the sentinel
 // first (the caller retries against the new header).
 func (l *Locker) selfRevokeOverflow(t *threading.Thread, o *object.Object, s *threading.BiasSlot, w uint32) bool {
-	if !o.CASHeader(w, core.BiasRevokingWord(w&core.MiscMask)) {
+	if !o.CASHeader(w, core.BiasRevokingWord(w)) {
 		return false
 	}
 	d := s.Depth()
@@ -153,7 +155,7 @@ func (l *Locker) waitRevoke(t *threading.Thread, o *object.Object, s *threading.
 			t.ReleaseBiasSlot(s)
 			return nil
 		}
-		if !o.CASHeader(w, core.BiasRevokingWord(w&core.MiscMask)) {
+		if !o.CASHeader(w, core.BiasRevokingWord(w)) {
 			continue
 		}
 		d := s.Depth()

@@ -52,7 +52,7 @@ func (l *Locker) lockSlowBody(t *threading.Thread, o *object.Object) {
 			b.Pause()
 
 		case core.IsBiased(w):
-			if s := t.BiasSlotFor(o.ID()); s != nil && w == s.Word() {
+			if s := slotFor(t, o, w); s != nil && w == s.Word() {
 				// Our own reservation at the depth cap (the fast path
 				// declines at maxBiasDepth): self-revoke straight to a
 				// fat lock carrying the full depth.
@@ -119,8 +119,12 @@ func (l *Locker) tryInstallBias(t *threading.Thread, o *object.Object, w uint32)
 	if cls.unbiasable.Load() {
 		return false
 	}
-	s := t.ClaimBiasSlot(o.ID()) // not nil: mayReserve saw a free slot
-	nw := core.BiasedWord(t.Index(), cls.epoch.Load(), l.epochBits, w&core.MiscMask)
+	i := t.ClaimBiasSlot(o.ID())
+	if i < 0 {
+		return false // a zero-value object, whose id 0 marks a free slot
+	}
+	s := t.BiasSlot(i)
+	nw := core.BiasedWord(t.Index(), i, cls.epoch.Load(), l.epochBits, w&core.MiscMask)
 	s.SetWord(nw)
 	s.SetDepth(1)
 	if o.CASHeader(w, nw) {

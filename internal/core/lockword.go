@@ -99,11 +99,19 @@ func InflatedWord(idx uint32, misc uint32) uint32 {
 // 24-bit lock field: shape bit 0 (so inflated-word tests are unchanged),
 // the reserving thread's 15-bit index in the usual owner position, and
 // the top bit of the count field — BiasBit — set to mark the word as a
-// reservation rather than a held thin lock. The remaining low bits of
-// the count field carry a small bias epoch. The recursion depth of a
-// biased lock is NOT stored in the word (it lives in the owner's
-// per-thread bias slot, see threading.BiasSlot), which is what lets the
-// owner reacquire and release without ever writing shared memory.
+// reservation rather than a held thin lock. The seven count bits below
+// BiasBit carry a small bias epoch in the low bits (up to
+// MaxBiasEpochBits wide) and, at a fixed position above the widest
+// epoch, the index of the reserving thread's bias slot:
+//
+//	bit 15   14..12  11..8  7..0
+//	BiasBit  slot    epoch  misc
+//
+// The recursion depth of a biased lock is NOT stored in the word (it
+// lives in the owner's per-thread bias slot, see threading.BiasSlot),
+// which is what lets the owner reacquire and release without ever
+// writing shared memory. Because the word names the slot, every path
+// that holds the header in hand reads that one slot.
 //
 // An implementation that installs biased words must cap its own thin
 // counts at BiasMaxThinCount so bit 15 unambiguously distinguishes the
@@ -118,9 +126,28 @@ const (
 	// leaving 7 count bits: up to 128 nested locks).
 	BiasMaxThinCount = 127
 
-	// MaxBiasEpochBits bounds the epoch width: the count field below
-	// BiasBit has 7 bits.
-	MaxBiasEpochBits = 7
+	// MaxBiasEpochBits bounds the epoch width: of the 7 count bits below
+	// BiasBit, the top BiasSlotBits name the bias slot.
+	MaxBiasEpochBits = 4
+
+	// BiasSlotBits is the width of the slot field: one value per
+	// threading.BiasSlots slot.
+	BiasSlotBits = 3
+
+	// BiasSlotShift positions the slot field above the widest epoch.
+	BiasSlotShift = CountShift + MaxBiasEpochBits
+
+	// BiasSlotMask selects the slot field of a biased word.
+	BiasSlotMask uint32 = (1<<BiasSlotBits - 1) << BiasSlotShift
+)
+
+// Compile-time checks (a negative array length does not compile): the
+// slot field names exactly the threading.BiasSlots slots a thread has,
+// and it stays below BiasBit (bit 15).
+var (
+	_ [threading.BiasSlots - 1<<BiasSlotBits]struct{}
+	_ [1<<BiasSlotBits - threading.BiasSlots]struct{}
+	_ [15 - BiasSlotShift - BiasSlotBits]struct{}
 )
 
 // IsBiased reports whether w is a bias reservation word (for either a
@@ -135,18 +162,29 @@ func IsBiasRevoking(w uint32) bool { return IsBiased(w) && w&TIDMask == 0 }
 // BiasOwner returns the reserving thread index of a biased word.
 func BiasOwner(w uint32) uint16 { return ThinOwner(w) }
 
+// BiasSlotIndex returns the bias-slot index a biased word names: the
+// slot of its reserving thread (or, for the revocation sentinel, of the
+// thread whose reservation is being revoked) that holds its depth.
+func BiasSlotIndex(w uint32) int { return int((w & BiasSlotMask) >> BiasSlotShift) }
+
 // BiasEpoch extracts the epoch of a biased word given the configured
 // epoch width in bits.
 func BiasEpoch(w uint32, epochBits int) uint32 {
 	return (w >> CountShift) & (1<<epochBits - 1)
 }
 
-// BiasedWord assembles a bias reservation word for the given owner,
-// epoch (masked to epochBits) and misc bits.
-func BiasedWord(owner uint16, epoch uint32, epochBits int, misc uint32) uint32 {
+// BiasedWord assembles a bias reservation word for the given owner, bias
+// slot index (masked to BiasSlotBits), epoch (masked to epochBits) and
+// misc bits.
+func BiasedWord(owner uint16, slot int, epoch uint32, epochBits int, misc uint32) uint32 {
 	return uint32(owner)<<IndexShift | BiasBit |
+		uint32(slot)<<BiasSlotShift&BiasSlotMask |
 		(epoch&(1<<epochBits-1))<<CountShift | misc&MiscMask
 }
 
-// BiasRevokingWord assembles the revocation sentinel preserving misc.
-func BiasRevokingWord(misc uint32) uint32 { return BiasBit | misc&MiscMask }
+// BiasRevokingWord assembles the revocation sentinel for the biased
+// word w: the owner index cleared, the slot, epoch and misc bits kept,
+// so the owner of a held reservation that meets the sentinel still
+// finds its slot. Given only misc bits, it returns the sentinel with
+// slot and epoch 0.
+func BiasRevokingWord(w uint32) uint32 { return BiasBit | w&^(ShapeBit|TIDMask) }

@@ -476,8 +476,8 @@ func (l *ThinLocks) Unlock(t *threading.Thread, o *object.Object) error {
 // locked instruction and the biased reservation's reacquire two,
 // because its depth stores must stay sequentially consistent, so the
 // reservation would lose the race it exists to win
-// (TestBiasedReacquireBeatsThinCAS). Which of the two gives way is
-// ROADMAP item 5's decision.
+// (TestBiasedReacquireBeatsThinCAS). ROADMAP item 5's verdict is that
+// the reservation gives way: the plain store lands once it is deleted.
 func (l *ThinLocks) unlockThin(t *threading.Thread, o *object.Object, fence bool) bool {
 	hp := o.HeaderAddr()
 	w := atomic.LoadUint32(hp) ^ t.Shifted()

@@ -5,13 +5,17 @@
 // writing the word. Instead each Thread carries a small table
 // of bias slots; a slot records one object the thread has reserved, the
 // exact biased header word it installed, and the current recursion
-// depth. The owning goroutine is the only writer of a slot; a revoking
-// thread reads it (after winning the revocation sentinel CAS on the
-// object header) to learn the depth at which the bias must be walked to
-// a conventional thin or fat lock. The depth store is a full atomic
-// store so the owner's store→load sequence and the revoker's
-// store(CAS)→load sequence form a Dekker-style handshake: at least one
-// side observes the other.
+// depth. The biased word names its slot by index (core.BiasSlotIndex),
+// so whoever holds the header word in hand — the owner locking or
+// unlocking, or a revoker that has just read it — reads that one slot
+// and checks its object id, without searching the table. The owning
+// goroutine is the only writer of a slot; a revoking thread reads it
+// (after winning the revocation sentinel CAS on the object header) to
+// learn the depth at which the bias must be walked to a conventional
+// thin or fat lock. The depth store is a full atomic store so the
+// owner's store→load sequence and the revoker's store(CAS)→load
+// sequence form a Dekker-style handshake: at least one side observes
+// the other.
 
 package threading
 
@@ -32,6 +36,9 @@ import "sync/atomic"
 // A reservation revoked or transferred while its owner is between
 // operations keeps its slot too: the owner's later locks and unlocks
 // dispatch on the conventional word and never look at the slot.
+//
+// A biased word names its slot in core.BiasSlotBits bits, and core
+// checks at compile time that BiasSlots is 1 << core.BiasSlotBits.
 const BiasSlots = 8
 
 // BiasSlot is one reservation held by a thread. Only the owning
@@ -55,56 +62,51 @@ func (s *BiasSlot) SetWord(w uint32) { s.word.Store(w) }
 // Depth returns the recursion depth published in the slot.
 func (s *BiasSlot) Depth() uint64 { return s.depth.Load() }
 
-// SetDepth publishes a new recursion depth. Owner only. The atomic
-// store is the owner's half of the revocation handshake.
+// SetDepth publishes a new recursion depth. Owner only. The store is
+// the owner's half of the revocation handshake, so it must be ordered
+// before the owner's validating header load: it is a sequentially
+// consistent atomic store, which Go compiles to XCHG on amd64, a locked
+// instruction.
 func (s *BiasSlot) SetDepth(d uint64) { s.depth.Store(d) }
 
-// BiasSlotFor returns the slot this thread holds for the object with
-// the given allocation id, or nil. Safe to call from any goroutine
-// (revokers scan the owner's table); the result is meaningful to a
-// revoker only while it holds the object's revocation sentinel.
-func (t *Thread) BiasSlotFor(id uint64) *BiasSlot {
-	if id == 0 {
-		return nil
-	}
-	for i := range t.biasSlots {
-		if t.biasSlots[i].id.Load() == id {
-			return &t.biasSlots[i]
-		}
-	}
-	return nil
-}
+// BiasSlot returns slot i of this thread's table (i taken modulo
+// BiasSlots). Safe to call from any goroutine: a revoker reads the slot
+// a biased word names, and what it reads is meaningful only while it
+// holds the object's revocation sentinel.
+func (t *Thread) BiasSlot(i int) *BiasSlot { return &t.biasSlots[uint(i)%BiasSlots] }
 
 // ClaimBiasSlot reserves a slot for the object with the given id and
-// returns it, or nil when the table is full. Owner only. A slot already
-// holding the same id is reused — the table must never hold two slots
-// for one object, or BiasSlotFor becomes ambiguous (possible when a
-// transferred-away reservation left a stale slot behind and the object
-// is re-reserved). The caller must SetWord/SetDepth before publishing
-// the biased header word, and ReleaseBiasSlot when the reservation
-// dies.
-func (t *Thread) ClaimBiasSlot(id uint64) *BiasSlot {
-	var free *BiasSlot
+// returns its index, or -1 when the table is full or id is 0. Owner
+// only. A slot already holding the same id is reused, so the table
+// never holds two slots for one object and a reservation that comes
+// back to this thread (a transfer away and back) keeps the slot that
+// holds its id. The caller must SetWord/SetDepth before publishing the
+// biased header word naming the slot, and ReleaseBiasSlot when the
+// reservation dies.
+func (t *Thread) ClaimBiasSlot(id uint64) int {
+	if id == 0 {
+		return -1 // id 0 marks a free slot, so it cannot be claimed
+	}
+	free := -1
 	for i := range t.biasSlots {
-		s := &t.biasSlots[i]
-		switch s.id.Load() {
+		switch t.biasSlots[i].id.Load() {
 		case id:
-			return s
+			return i
 		case 0:
-			if free == nil {
-				free = s
+			if free < 0 {
+				free = i
 			}
 		}
 	}
-	if free != nil {
-		free.id.Store(id)
+	if free >= 0 {
+		t.biasSlots[free].id.Store(id)
 		t.biasClaimed++
 	}
 	return free
 }
 
 // ReleaseBiasSlot frees s, one of this thread's slots. Owner only. The
-// depth and word are cleared before the id so a concurrent scanner
+// depth and word are cleared before the id so a concurrent reader
 // never pairs a recycled id with stale state. Releasing a free slot
 // does nothing.
 func (t *Thread) ReleaseBiasSlot(s *BiasSlot) {
