@@ -14,9 +14,9 @@
 //	BenchmarkWaitNotifyRoundTrip — unit cost of a wait/notify handoff
 //	BenchmarkInflationAblation  — extension: inflate for life vs compact monitors
 //
-// The cmd/microbench, cmd/macrobench, cmd/tradeoffs
-// binaries produce the paper-formatted tables; these benches expose the
-// same kernels through the standard Go tooling.
+// cmd/macrobench produces the paper-formatted tables (-fig4, -fig6 and
+// the default Figure 5 run among them); these benches expose the same
+// kernels through the standard Go tooling.
 package thinlock
 
 import (

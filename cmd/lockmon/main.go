@@ -53,9 +53,9 @@
 // stall watchdog: any blocking episode longer than D dumps the flight
 // recorder to stderr and exits with status 3 — run the deliberately
 // deadlocking hazard workloads (see -list) under it to see a full
-// deadlock diagnosis. The hazard workloads park their contenders only
-// on the queued-inflation thin-lock build, selectable as
-// -impl ThinLock-queued.
+// deadlock diagnosis. Run them under an implementation whose contenders
+// park, such as -impl ThinLock-compact, so a deadlocked table idles
+// instead of spinning.
 package main
 
 import (
@@ -73,7 +73,6 @@ import (
 	"time"
 
 	"thinlock/internal/bench"
-	"thinlock/internal/core"
 	"thinlock/internal/jcl"
 	"thinlock/internal/lockapi"
 	"thinlock/internal/lockdep"
@@ -132,7 +131,6 @@ func main() {
 		for _, f := range bench.StandardImpls() {
 			fmt.Printf("    %s\n", f.Name)
 		}
-		fmt.Println("    ThinLock-queued (thin locks with parking queues; required for hazard workloads)")
 		return
 	}
 
@@ -142,15 +140,7 @@ func main() {
 	}
 	f, ok := bench.Lookup(bench.StandardImpls(), *impl)
 	if !ok {
-		// The hazard workloads need contenders that park rather than
-		// spin, so a deadlocked table idles instead of pegging cores.
-		if *impl == "ThinLock-queued" {
-			f = bench.Factory{Name: *impl, New: func() lockapi.Locker {
-				return core.New(core.Options{QueuedInflation: true})
-			}}
-		} else {
-			fail("unknown implementation %q (try -list)", *impl)
-		}
+		fail("unknown implementation %q (try -list)", *impl)
 	}
 	n := *size
 	if n <= 0 {
@@ -209,7 +199,7 @@ func main() {
 	}
 	var ld *lockdep.Lockdep
 	if *useLockdep {
-		ld = lockdep.Enable(lockdep.New(lockdep.Config{}))
+		ld = lockdep.Enable(lockdep.New())
 		defer lockdep.Disable()
 	}
 	if *watchdog > 0 {

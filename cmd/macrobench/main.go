@@ -1,16 +1,28 @@
-// Command macrobench regenerates the paper's macro-benchmark experiments:
-// the Table 1 characterization, the Figure 3 nesting profile, and the
-// Figure 5 speedup comparison across ThinLock, IBM112 and JDK111. The
-// -predict flag reproduces the §3.4 arithmetic cross-checking macro
-// speedups against micro-benchmark costs.
+// Command macrobench regenerates the paper's evaluation, one table or
+// figure per mode:
+//
+//	-table1   Table 1 workload characterization
+//	-table2   Table 2 micro-benchmark definitions
+//	-fig3     Figure 3 nesting profile
+//	-fig4     Figure 4 micro-benchmarks under ThinLock, IBM112 and JDK111
+//	(none)    Figure 5 macro speedups over JDK111
+//	-fig6     Figure 6 thin-lock implementation variants
+//	-predict  the §3.4 cross-check of macro speedups against micro costs
+//	-space    the lock-storage footprint comparison
+//	-policy   spin, queued inflation and compact monitors on the §2.3.4
+//	          long-hold case (an extension)
 //
 // Usage:
 //
-//	macrobench [-scale F] [-samples N] [-only name,name] [-table1] [-fig3] [-space]
-//	           [-predict] [-telemetry] [-timeseries] [-v]
+//	macrobench [-scale F] [-samples N] [-iters N] [-only name,name]
+//	           [-table1] [-table2] [-fig3] [-fig4] [-fig6] [-predict] [-space]
+//	           [-policy] [-telemetry] [-timeseries] [-v]
 //
-// -only restricts every mode except -predict (which always compares
-// javalex and jax) to the named workloads; an unknown name is an error.
+// Every timing except -policy's (one run per policy) is the median of
+// -samples runs (§3). -iters sets the loop count of the micro-benchmark
+// kernels behind -fig4 and -fig6. -scale and -only size and select the
+// workloads behind -table1, -fig3, -space and Figure 5; an unknown
+// workload name is an error. -predict always compares javalex and jax.
 //
 // -timeseries records a lockscope contention timeline during the
 // Figure 5 run: the sampler captures windowed rates at the
@@ -54,11 +66,16 @@ type timeseriesFile struct {
 func main() {
 	scale := flag.Float64("scale", 1, "workload size multiplier")
 	samples := flag.Int("samples", bench.Samples, "samples per measurement (median reported)")
+	iters := flag.Int64("iters", 1_000_000, "loop iterations per micro-benchmark kernel (-fig4, -fig6)")
 	only := flag.String("only", "", "comma-separated workload subset")
 	table1 := flag.Bool("table1", false, "print the Table 1 characterization and exit")
+	table2 := flag.Bool("table2", false, "print the Table 2 micro-benchmark definitions and exit")
 	fig3 := flag.Bool("fig3", false, "print the Figure 3 nesting profile and exit")
+	fig4 := flag.Bool("fig4", false, "run the Figure 4 micro-benchmarks and exit")
+	fig6 := flag.Bool("fig6", false, "run the Figure 6 implementation variants and exit")
 	predict := flag.Bool("predict", false, "run the §3.4 micro-to-macro prediction cross-check")
 	space := flag.Bool("space", false, "print the lock-storage footprint comparison and exit")
+	policy := flag.Bool("policy", false, "compare spin, queued inflation and compact monitors on the long-hold pathological case")
 	withTelemetry := flag.Bool("telemetry", false, "record lock telemetry during the Figure 5 run and write per-workload snapshots to -telemetry-dir")
 	telemetryDir := flag.String("telemetry-dir", "results", "directory for -telemetry snapshot JSON files")
 	withTimeseries := flag.Bool("timeseries", false, "record a lockscope contention timeline during the Figure 5 run and write per-workload phase timelines to -timeseries-dir")
@@ -70,6 +87,31 @@ func main() {
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "macrobench:", err)
 		os.Exit(1)
+	}
+	var progress func(string)
+	if *verbose {
+		progress = func(s string) { fmt.Fprintln(os.Stderr, "running:", s) }
+	}
+
+	// The modes that run no workload.
+	var mode func() error
+	switch {
+	case *table2:
+		mode = func() error { fmt.Print(bench.FormatKernelList()); return nil }
+	case *fig4:
+		mode = func() error { return runFigure4(*iters, *samples, progress) }
+	case *fig6:
+		mode = func() error { return runFigure6(*iters, *samples, progress) }
+	case *predict:
+		mode = func() error { return runPredict(*samples) }
+	case *policy:
+		mode = runPolicy
+	}
+	if mode != nil {
+		if err := mode(); err != nil {
+			fail(err)
+		}
+		return
 	}
 
 	selected := workloads.All()
@@ -123,20 +165,11 @@ func main() {
 		return
 	}
 
-	if *predict {
-		runPredict(*samples)
-		return
-	}
-
 	cfg := bench.DefaultFigure5Config()
 	cfg.SizeScale = *scale
 	cfg.Samples = *samples
 	if *only != "" {
 		cfg.Only = strings.Split(*only, ",")
-	}
-	var progress func(string)
-	if *verbose {
-		progress = func(s string) { fmt.Fprintln(os.Stderr, "running:", s) }
 	}
 
 	// With -telemetry, the always-on counter layer records every
@@ -262,25 +295,84 @@ func main() {
 	fmt.Printf("IBM112   vs JDK111: median %.2fx, max %.2fx (paper: 1.04x / —)\n", medIBM, maxIBM)
 }
 
+// runFigure4 prints the Figure 4 micro-benchmark table, every Table 2
+// kernel under ThinLock, IBM112 and JDK111 (and the extensions), and
+// their speedups over JDK111.
+func runFigure4(iters int64, samples int, progress func(string)) error {
+	cfg := bench.DefaultFigure4Config()
+	cfg.Iters = iters
+	cfg.Samples = samples
+	rs, err := bench.RunFigure4(cfg, progress)
+	if err != nil {
+		return err
+	}
+	fmt.Print(bench.FormatTable(rs, fmt.Sprintf(
+		"Figure 4: micro-benchmark performance (%d iterations, median of %d)",
+		cfg.Iters, cfg.Samples)))
+	fmt.Println()
+	fmt.Print(bench.FormatSpeedups(rs, "JDK111", "Figure 4 speedups"))
+	return nil
+}
+
+// runFigure6 prints the Figure 6 variant study: Sync, MixedSync,
+// CallSync and Threads under each thin-lock code-path variant, with
+// IBM112 as the reference.
+func runFigure6(iters int64, samples int, progress func(string)) error {
+	cfg := bench.DefaultFigure6Config()
+	cfg.Iters = iters
+	cfg.Samples = samples
+	rs, err := bench.RunFigure6(cfg, progress)
+	if err != nil {
+		return err
+	}
+	fmt.Print(bench.FormatTable(rs, fmt.Sprintf(
+		"Figure 6: implementation variants (%d iterations, median of %d; Threads n=%d)",
+		cfg.Iters, cfg.Samples, cfg.Threads)))
+	fmt.Println("\nExpected ordering (paper): NOP < Inline < FnCall ≈ ThinLock < MP Sync;")
+	fmt.Println("UnlkC&S pays an extra atomic per unlock; KernelC&S pays a kernel call per lock.")
+	return nil
+}
+
+// runPolicy prints the contention-policy comparison on the §2.3.4
+// pathological case: an owner holds the lock long while others contend.
+func runPolicy() error {
+	const (
+		rounds     = 200
+		contenders = 3
+		hold       = 500 * time.Microsecond
+	)
+	rs, err := bench.RunContentionPolicyComparison(rounds, contenders, hold)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("Contention policy on the §2.3.4 pathological case\n")
+	fmt.Printf("(%d rounds, %d contenders, %v hold per round;\n", rounds, contenders, hold)
+	fmt.Printf(" wall clock, then process user+system CPU time):\n")
+	for _, r := range rs {
+		fmt.Println(" ", r)
+	}
+	fmt.Println("Queued inflation (Tasuki extension) replaces busy back-off with precise parks;")
+	fmt.Println("compact monitors spin a bounded budget, then park, and inflate nothing.")
+	return nil
+}
+
 // runPredict reproduces §3.4: predict a workload's absolute speedup from
 // the per-operation micro-benchmark cost difference times the workload's
 // synchronized-operation count, then compare against the measured
 // difference (the paper predicts 6.5s for javalex's 2.4M synchronized
 // calls and measures 6.6s).
-func runPredict(samples int) {
+func runPredict(samples int) error {
 	const microIters = 500_000
 	thin, _ := bench.Lookup(bench.StandardImpls(), "ThinLock")
 	jdk, _ := bench.Lookup(bench.StandardImpls(), "JDK111")
 
 	fastSync, err := bench.RunKernel(thin, "Sync", 0, microIters, samples)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "macrobench:", err)
-		os.Exit(1)
+		return err
 	}
 	slowSync, err := bench.RunKernel(jdk, "Sync", 0, microIters, samples)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "macrobench:", err)
-		os.Exit(1)
+		return err
 	}
 
 	fmt.Printf("micro cost: Sync %s %.0f ns/op, %s %.0f ns/op\n",
@@ -290,23 +382,21 @@ func runPredict(samples int) {
 		w, _ := workloads.ByName(name)
 		c, err := bench.Characterize(w, w.DefaultSize)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "macrobench:", err)
-			os.Exit(1)
+			return err
 		}
 		predicted := bench.Predict(fastSync, slowSync, int64(c.Report.TotalSyncs))
 
 		rThin, _, err := bench.RunMacro(thin, w, w.DefaultSize, samples)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "macrobench:", err)
-			os.Exit(1)
+			return err
 		}
 		rJDK, _, err := bench.RunMacro(jdk, w, w.DefaultSize, samples)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "macrobench:", err)
-			os.Exit(1)
+			return err
 		}
 		measured := rJDK.Elapsed.Seconds() - rThin.Elapsed.Seconds()
 		fmt.Printf("%-10s %8d syncs: predicted saving %.3fs, measured %.3fs\n",
 			name, c.Report.TotalSyncs, predicted, measured)
 	}
+	return nil
 }

@@ -113,5 +113,8 @@ func main() {
 		}
 		fmt.Printf("%-9s balance=%d want=%d %s in %v%s\n",
 			f.Name, res.I, want, status, elapsed.Round(time.Millisecond), extra)
+		if res.I != want {
+			log.Fatal("lost updates: mutual exclusion violated")
+		}
 	}
 }

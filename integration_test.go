@@ -43,9 +43,6 @@ func lockerConfigs() []struct {
 		{"ThinLock-queued", func() lockapi.Locker {
 			return core.New(core.Options{QueuedInflation: true})
 		}},
-		{"ThinLock-queued-deflate", func() lockapi.Locker {
-			return core.New(core.Options{QueuedInflation: true, Compact: true})
-		}},
 		{"ThinLock-2bit", func() lockapi.Locker {
 			return core.New(core.Options{CountBits: 2})
 		}},

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -163,23 +165,39 @@ func TestResultSetQueries(t *testing.T) {
 }
 
 func TestMedianOf(t *testing.T) {
-	calls := 0
-	d, err := MedianOf(5, func() error {
-		calls++
-		time.Sleep(time.Millisecond)
-		return nil
+	setups, runs := 0, 0
+	d, err := MedianOf(5, func() (func() error, error) {
+		setups++
+		time.Sleep(20 * time.Millisecond) // untimed
+		return func() error {
+			runs++
+			time.Sleep(time.Millisecond)
+			return nil
+		}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 5 {
-		t.Errorf("calls = %d", calls)
+	if setups != 5 || runs != 5 {
+		t.Errorf("setups = %d, runs = %d, want 5 each", setups, runs)
 	}
-	if d < time.Millisecond/2 {
-		t.Errorf("median = %v", d)
+	if d < time.Millisecond/2 || d >= 20*time.Millisecond {
+		t.Errorf("median = %v, want the run alone (~1ms), not its setup", d)
 	}
-	if _, err := MedianOf(0, func() error { return nil }); err != nil {
-		t.Error("samples=0 should clamp to 1")
+	runs = 0
+	if _, err := MedianOf(0, func() (func() error, error) {
+		return func() error { runs++; return nil }, nil
+	}); err != nil || runs != 1 {
+		t.Errorf("samples=0: err = %v, runs = %d; want one sample", err, runs)
+	}
+	bad := errors.New("bad")
+	if _, err := MedianOf(3, func() (func() error, error) { return nil, bad }); !errors.Is(err, bad) {
+		t.Errorf("setup error = %v, want %v", err, bad)
+	}
+	if _, err := MedianOf(3, func() (func() error, error) {
+		return func() error { return bad }, nil
+	}); !errors.Is(err, bad) {
+		t.Errorf("run error = %v, want %v", err, bad)
 	}
 }
 
@@ -187,18 +205,31 @@ func TestFormatTableAndSpeedups(t *testing.T) {
 	rs := &ResultSet{}
 	rs.Add(Result{Benchmark: "Sync", Impl: "ThinLock", Elapsed: time.Second, Ops: 1_000_000})
 	rs.Add(Result{Benchmark: "Sync", Impl: "JDK111", Elapsed: 4 * time.Second, Ops: 1_000_000})
+	// A 16-character name after another must not run into it.
+	rs.Add(Result{Benchmark: "Sync", Impl: "Biased", Elapsed: time.Second, Ops: 1_000_000})
+	rs.Add(Result{Benchmark: "Sync", Impl: "ThinLock-compact", Elapsed: 2 * time.Second, Ops: 1_000_000})
 	table := FormatTable(rs, "Figure 4")
-	for _, want := range []string{"Figure 4", "ThinLock", "JDK111", "Sync", "1000.0", "4000.0"} {
+	for _, want := range []string{"Figure 4", "ThinLock", "JDK111", "Sync", "1000.0", "4000.0", "2000.0"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("table missing %q:\n%s", want, table)
 		}
 	}
+	checkHeader(t, table, 1, "benchmark", "ThinLock", "JDK111", "Biased", "ThinLock-compact")
 	sp := FormatSpeedups(rs, "JDK111", "Figure 5")
 	if !strings.Contains(sp, "4.00x") {
 		t.Errorf("speedups missing 4.00x:\n%s", sp)
 	}
-	if strings.Contains(strings.Split(sp, "\n")[1], "JDK111") {
-		t.Error("baseline column not suppressed")
+	checkHeader(t, sp, 1, "benchmark", "ThinLock", "Biased", "ThinLock-compact")
+	if fields := strings.Fields(strings.Split(sp, "\n")[2]); !slices.Equal(fields, []string{"Sync", "4.00x", "4.00x", "2.00x"}) {
+		t.Errorf("speedup row = %q", fields)
+	}
+}
+
+// checkHeader fails unless line n of table splits into exactly want.
+func checkHeader(t *testing.T, table string, n int, want ...string) {
+	t.Helper()
+	if got := strings.Fields(strings.Split(table, "\n")[n]); !slices.Equal(got, want) {
+		t.Errorf("header = %q, want %q:\n%s", got, want, table)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"thinlock/internal/core"
 	"thinlock/internal/jcl"
@@ -18,34 +17,22 @@ import (
 // median-of-samples Result (Ops = sync operations are not known without
 // instrumentation, so Ops is 1 and Elapsed carries the comparison).
 func RunMacro(f Factory, w workloads.Workload, size, samples int) (Result, uint64, error) {
-	if samples < 1 {
-		samples = 1
-	}
 	var checksum uint64
-	ds := make([]time.Duration, 0, samples)
-	for s := 0; s < samples; s++ {
+	d, err := MedianOf(samples, func() (func() error, error) {
 		ctx := jcl.NewContext(f.New(), object.NewHeap())
-		reg := threading.NewRegistry()
-		t, err := reg.Attach("macro")
+		t, err := threading.NewRegistry().Attach("macro")
 		if err != nil {
-			return Result{}, 0, err
+			return nil, err
 		}
-		d, err := Measure(func() error {
+		return func() error {
 			checksum = w.Run(ctx, t, size)
 			return nil
-		})
-		if err != nil {
-			return Result{}, 0, err
-		}
-		ds = append(ds, d)
+		}, nil
+	})
+	if err != nil {
+		return Result{}, 0, err
 	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	return Result{
-		Benchmark: w.Name,
-		Impl:      f.Name,
-		Elapsed:   ds[len(ds)/2],
-		Ops:       1,
-	}, checksum, nil
+	return Result{Benchmark: w.Name, Impl: f.Name, Elapsed: d, Ops: 1}, checksum, nil
 }
 
 // Characterization is one row of the paper's Table 1 plus the Figure 3

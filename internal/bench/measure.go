@@ -2,7 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -11,28 +11,24 @@ import (
 // for quick runs.
 const Samples = 10
 
-// Measure times fn once.
-func Measure(fn func() error) (time.Duration, error) {
-	start := time.Now()
-	err := fn()
-	return time.Since(start), err
-}
-
-// MedianOf runs fn samples times and returns the median duration,
-// mirroring the paper's methodology.
-func MedianOf(samples int, fn func() error) (time.Duration, error) {
-	if samples < 1 {
-		samples = 1
-	}
-	ds := make([]time.Duration, 0, samples)
-	for i := 0; i < samples; i++ {
-		d, err := Measure(fn)
+// MedianOf times samples runs and returns their median duration, the
+// paper's methodology. Before each run it calls setup, untimed, for the
+// run to time, so every sample can start from a fresh implementation
+// instance.
+func MedianOf(samples int, setup func() (run func() error, err error)) (time.Duration, error) {
+	ds := make([]time.Duration, max(samples, 1))
+	for i := range ds {
+		run, err := setup()
 		if err != nil {
 			return 0, err
 		}
-		ds = append(ds, d)
+		start := time.Now()
+		if err := run(); err != nil {
+			return 0, err
+		}
+		ds[i] = time.Since(start)
 	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	slices.Sort(ds)
 	return ds[len(ds)/2], nil
 }
 

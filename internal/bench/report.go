@@ -9,88 +9,81 @@ import (
 // per benchmark, one column per implementation, values in ms per million
 // operations (the unit of the paper's Figure 4 bars).
 func FormatTable(rs *ResultSet, title string) string {
-	var b strings.Builder
-	impls := rs.Impls()
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%-20s", "benchmark")
-	for _, impl := range impls {
-		fmt.Fprintf(&b, "%14s", impl)
-	}
-	b.WriteByte('\n')
-	b.WriteString(strings.Repeat("-", 20+14*len(impls)))
-	b.WriteByte('\n')
-	for _, key := range rs.Benchmarks() {
-		fmt.Fprintf(&b, "%-20s", key.Key())
-		for _, impl := range impls {
-			if r, ok := rs.Get(key.Benchmark, impl, key.Param); ok {
-				fmt.Fprintf(&b, "%14.1f", r.MsPerMillion())
-			} else {
-				fmt.Fprintf(&b, "%14s", "-")
-			}
-		}
-		b.WriteByte('\n')
-	}
-	b.WriteString("(ms per 10^6 operations; lower is better)\n")
-	return b.String()
+	return title + "\n" + layout(rs, rs.Benchmarks(), rs.Impls(), true, func(r Result) string {
+		return fmt.Sprintf("%.1f", r.MsPerMillion())
+	}) + "(ms per 10^6 operations; lower is better)\n"
 }
 
 // FormatMacroTable renders whole-run results (Ops == 1) in milliseconds
 // per run.
 func FormatMacroTable(rs *ResultSet, title string) string {
-	var b strings.Builder
-	impls := rs.Impls()
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%-20s", "benchmark")
-	for _, impl := range impls {
-		fmt.Fprintf(&b, "%14s", impl)
-	}
-	b.WriteByte('\n')
-	b.WriteString(strings.Repeat("-", 20+14*len(impls)))
-	b.WriteByte('\n')
-	for _, key := range rs.Benchmarks() {
-		fmt.Fprintf(&b, "%-20s", key.Key())
-		for _, impl := range impls {
-			if r, ok := rs.Get(key.Benchmark, impl, key.Param); ok {
-				fmt.Fprintf(&b, "%14.1f", float64(r.Elapsed.Microseconds())/1000)
-			} else {
-				fmt.Fprintf(&b, "%14s", "-")
-			}
-		}
-		b.WriteByte('\n')
-	}
-	b.WriteString("(ms per run; lower is better)\n")
-	return b.String()
+	return title + "\n" + layout(rs, rs.Benchmarks(), rs.Impls(), true, func(r Result) string {
+		return fmt.Sprintf("%.1f", float64(r.Elapsed.Microseconds())/1000)
+	}) + "(ms per run; lower is better)\n"
 }
 
 // FormatSpeedups renders each implementation's speedup over the named
 // baseline, the form of the paper's Figure 5 bars (speedup over JDK111).
+// Benchmarks without a baseline result are left out.
 func FormatSpeedups(rs *ResultSet, baseline, title string) string {
-	var b strings.Builder
-	impls := rs.Impls()
-	fmt.Fprintf(&b, "%s (speedup over %s; >1 is faster)\n", title, baseline)
-	fmt.Fprintf(&b, "%-20s", "benchmark")
-	for _, impl := range impls {
-		if impl == baseline {
-			continue
+	var impls []string
+	for _, impl := range rs.Impls() {
+		if impl != baseline {
+			impls = append(impls, impl)
 		}
-		fmt.Fprintf(&b, "%14s", impl)
+	}
+	var keys []Result
+	for _, key := range rs.Benchmarks() {
+		if _, ok := rs.Get(key.Benchmark, baseline, key.Param); ok {
+			keys = append(keys, key)
+		}
+	}
+	return fmt.Sprintf("%s (speedup over %s; >1 is faster)\n", title, baseline) +
+		layout(rs, keys, impls, false, func(r Result) string {
+			base, _ := rs.Get(r.Benchmark, baseline, r.Param)
+			return fmt.Sprintf("%.2fx", r.Speedup(base))
+		})
+}
+
+// layout is the one table layout of every report here: a 20-wide
+// column of benchmark keys, then one right-aligned column per
+// implementation, with "-" where rs holds no result. A column is 14
+// wide, or one wider than its name or widest cell, so neighbouring
+// columns always keep a space between them. With rule, a dashed line
+// sits under the header.
+func layout(rs *ResultSet, keys []Result, impls []string, rule bool, cell func(Result) string) string {
+	cells := make([][]string, len(keys))
+	widths := make([]int, len(impls))
+	for j, impl := range impls {
+		widths[j] = max(14, len(impl)+1)
+	}
+	for i, key := range keys {
+		cells[i] = make([]string, len(impls))
+		for j, impl := range impls {
+			c := "-"
+			if r, ok := rs.Get(key.Benchmark, impl, key.Param); ok {
+				c = cell(r)
+			}
+			cells[i][j] = c
+			widths[j] = max(widths[j], len(c)+1)
+		}
+	}
+	var b strings.Builder
+	width := 20
+	fmt.Fprintf(&b, "%-20s", "benchmark")
+	for j, impl := range impls {
+		fmt.Fprintf(&b, "%*s", widths[j], impl)
+		width += widths[j]
 	}
 	b.WriteByte('\n')
-	for _, key := range rs.Benchmarks() {
-		base, ok := rs.Get(key.Benchmark, baseline, key.Param)
-		if !ok {
-			continue
-		}
+	if rule {
+		b.WriteString(strings.Repeat("-", width))
+		b.WriteByte('\n')
+	}
+	for i, key := range keys {
 		fmt.Fprintf(&b, "%-20s", key.Key())
-		for _, impl := range impls {
-			if impl == baseline {
-				continue
-			}
-			if r, ok := rs.Get(key.Benchmark, impl, key.Param); ok {
-				fmt.Fprintf(&b, "%13.2fx", r.Speedup(base))
-			} else {
-				fmt.Fprintf(&b, "%14s", "-")
-			}
+		for j := range impls {
+			fmt.Fprintf(&b, "%*s", widths[j], cells[i][j])
 		}
 		b.WriteByte('\n')
 	}

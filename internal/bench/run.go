@@ -1,10 +1,6 @@
 package bench
 
-import (
-	"fmt"
-	"sort"
-	"time"
-)
+import "fmt"
 
 // KernelInfo describes one Table 2 micro-benchmark.
 type KernelInfo struct {
@@ -64,29 +60,17 @@ func dispatch(m *Micro, kernel string, param int, iters int64) error {
 // runs on a freshly constructed implementation instance (a fresh "JVM"),
 // matching the paper's per-run methodology, and the median is reported.
 func RunKernel(f Factory, kernel string, param int, iters int64, samples int) (Result, error) {
-	if samples < 1 {
-		samples = 1
-	}
-	ds := make([]time.Duration, 0, samples)
-	for s := 0; s < samples; s++ {
+	d, err := MedianOf(samples, func() (func() error, error) {
 		m, err := NewMicro(f.New())
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
-		d, err := Measure(func() error { return dispatch(m, kernel, param, iters) })
-		if err != nil {
-			return Result{}, err
-		}
-		ds = append(ds, d)
+		return func() error { return dispatch(m, kernel, param, iters) }, nil
+	})
+	if err != nil {
+		return Result{}, err
 	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	return Result{
-		Benchmark: kernel,
-		Impl:      f.Name,
-		Param:     param,
-		Elapsed:   ds[len(ds)/2],
-		Ops:       iters,
-	}, nil
+	return Result{Benchmark: kernel, Impl: f.Name, Param: param, Elapsed: d, Ops: iters}, nil
 }
 
 // Figure4Config controls the Figure 4 sweep.
@@ -104,7 +88,7 @@ type Figure4Config struct {
 	ThreadCounts []int
 }
 
-// DefaultFigure4Config returns the sweep used by cmd/microbench.
+// DefaultFigure4Config returns the sweep macrobench -fig4 runs.
 func DefaultFigure4Config() Figure4Config {
 	return Figure4Config{
 		Iters:          1_000_000,
@@ -160,7 +144,7 @@ type Figure6Config struct {
 	Threads int
 }
 
-// DefaultFigure6Config returns the sweep used by cmd/tradeoffs.
+// DefaultFigure6Config returns the sweep macrobench -fig6 runs.
 func DefaultFigure6Config() Figure6Config {
 	return Figure6Config{Iters: 1_000_000, Samples: Samples, Threads: 4}
 }

@@ -29,7 +29,7 @@ func TestLockdepHasNoFalsePositives(t *testing.T) {
 	if testing.Short() {
 		t.Skip("certification run; skipped in -short")
 	}
-	d := lockdep.Enable(lockdep.New(lockdep.Config{}))
+	d := lockdep.Enable(lockdep.New())
 	defer lockdep.Disable()
 
 	impls := Implementations()

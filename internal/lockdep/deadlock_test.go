@@ -24,7 +24,7 @@ const numPhilosophers = 5
 
 // Not parallel: owns the global lockdep registration.
 func TestDiningPhilosophersDeadlockIsDiagnosed(t *testing.T) {
-	d := lockdep.Enable(lockdep.New(lockdep.Config{}))
+	d := lockdep.Enable(lockdep.New())
 	defer lockdep.Disable()
 
 	l := core.New(core.Options{QueuedInflation: true})
@@ -135,7 +135,7 @@ func TestDiningPhilosophersDeadlockIsDiagnosed(t *testing.T) {
 // Not parallel: owns the global lockdep registration.
 func TestInflatedObjectsDeadlockIsDiagnosed(t *testing.T) {
 	const n = 3
-	d := lockdep.Enable(lockdep.New(lockdep.Config{}))
+	d := lockdep.Enable(lockdep.New())
 	defer lockdep.Disable()
 
 	l := core.New(core.Options{})
@@ -206,7 +206,7 @@ func TestInflatedObjectsDeadlockIsDiagnosed(t *testing.T) {
 // Not parallel: owns the global lockdep registration.
 func TestCompactDeadlockIsDiagnosed(t *testing.T) {
 	const n = 3
-	d := lockdep.Enable(lockdep.New(lockdep.Config{}))
+	d := lockdep.Enable(lockdep.New())
 	defer lockdep.Disable()
 
 	l := core.New(core.Options{Compact: true})
@@ -258,7 +258,7 @@ func TestCompactDeadlockIsDiagnosed(t *testing.T) {
 // must stay silent: no inversions and, once the run drains, no cycles.
 // Not parallel: owns the global lockdep registration.
 func TestOrderedForksProduceNoReports(t *testing.T) {
-	d := lockdep.Enable(lockdep.New(lockdep.Config{}))
+	d := lockdep.Enable(lockdep.New())
 	defer lockdep.Disable()
 
 	l := core.New(core.Options{QueuedInflation: true})

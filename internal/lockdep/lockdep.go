@@ -111,9 +111,6 @@ type threadSlot struct {
 	condSite  atomic.Uint32
 }
 
-// Config configures a Lockdep instance. The zero value is valid.
-type Config struct{}
-
 // Lockdep is one lock-order tracking state. Create with New, install
 // globally with Enable; all methods are safe for concurrent use.
 type Lockdep struct {
@@ -127,9 +124,8 @@ type Lockdep struct {
 	heldOverflows atomic.Uint64
 }
 
-// New returns an empty Lockdep with the given configuration.
-func New(cfg Config) *Lockdep {
-	_ = cfg
+// New returns an empty Lockdep.
+func New() *Lockdep {
 	return &Lockdep{startNs: lockevent.Now()}
 }
 

@@ -26,7 +26,7 @@ type fixture struct {
 func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	return &fixture{
-		d:    lockdep.New(lockdep.Config{}),
+		d:    lockdep.New(),
 		heap: object.NewHeap(),
 		reg:  threading.NewRegistry(),
 	}
@@ -458,7 +458,7 @@ func TestGlobalEnableDisable(t *testing.T) {
 	if lockdep.Enabled() || lockdep.Active() != nil {
 		t.Fatal("lockdep enabled at test start")
 	}
-	d := lockdep.Enable(lockdep.New(lockdep.Config{}))
+	d := lockdep.Enable(lockdep.New())
 	defer lockdep.Disable()
 	if lockdep.Active() != d || !lockdep.Enabled() {
 		t.Fatal("Enable did not install")
@@ -510,7 +510,7 @@ func main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := lockdep.Enable(lockdep.New(lockdep.Config{}))
+	d := lockdep.Enable(lockdep.New())
 	defer lockdep.Disable()
 	if _, err := machine.Run(th, "main"); err != nil {
 		t.Fatal(err)

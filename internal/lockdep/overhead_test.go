@@ -74,7 +74,7 @@ func TestDisabledLockdepDoesNotAllocate(t *testing.T) {
 func TestEnabledSteadyStateDoesNotAllocate(t *testing.T) {
 	lockprof.Disable()
 	telemetry.Disable()
-	d := lockdep.Enable(lockdep.New(lockdep.Config{}))
+	d := lockdep.Enable(lockdep.New())
 	defer lockdep.Disable()
 	f := newLockFixture(t)
 	// First pass interns the site, the graph nodes and the order edge.
@@ -133,7 +133,7 @@ func TestDisabledLockdepOverheadIsBounded(t *testing.T) {
 	telemetry.Disable()
 	medianCycle(f, 3, reps) // warm up
 	base := medianCycle(f, samples, reps)
-	lockdep.Enable(lockdep.New(lockdep.Config{}))
+	lockdep.Enable(lockdep.New())
 	medianCycle(f, 3, reps) // intern the site before timing
 	on := medianCycle(f, samples, reps)
 	lockdep.Disable()
@@ -167,7 +167,7 @@ func BenchmarkUncontendedLockUnlockLockdep(b *testing.B) {
 		run(b)
 	})
 	b.Run("Enabled", func(b *testing.B) {
-		lockdep.Enable(lockdep.New(lockdep.Config{}))
+		lockdep.Enable(lockdep.New())
 		defer lockdep.Disable()
 		run(b)
 	})
@@ -193,7 +193,7 @@ func BenchmarkNestedPairLockdep(b *testing.B) {
 		run(b)
 	})
 	b.Run("Enabled", func(b *testing.B) {
-		lockdep.Enable(lockdep.New(lockdep.Config{}))
+		lockdep.Enable(lockdep.New())
 		defer lockdep.Disable()
 		run(b)
 	})

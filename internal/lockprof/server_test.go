@@ -29,7 +29,7 @@ func newServerFixture(t *testing.T) *httptest.Server {
 	t.Cleanup(telemetry.Disable)
 	lockprof.Enable(lockprof.New(lockprof.Config{SampleEvery: 1}))
 	t.Cleanup(lockprof.Disable)
-	lockdep.Enable(lockdep.New(lockdep.Config{}))
+	lockdep.Enable(lockdep.New())
 	t.Cleanup(lockdep.Disable)
 
 	f := newLockFixture(t)
@@ -195,7 +195,7 @@ func TestLockdepEndpointsAnswer503WhenDisabled(t *testing.T) {
 
 // Not parallel: owns the global lockdep registration.
 func TestLockdepEndpointsRejectUnknownFormats(t *testing.T) {
-	lockdep.Enable(lockdep.New(lockdep.Config{}))
+	lockdep.Enable(lockdep.New())
 	t.Cleanup(lockdep.Disable)
 	srv := httptest.NewServer(lockprof.Handler())
 	t.Cleanup(srv.Close)

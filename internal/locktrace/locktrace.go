@@ -78,8 +78,9 @@ func (e Event) String() string {
 }
 
 // Tracer wraps a Locker and records every operation. Recording is
-// bounded: beyond capacity the earliest events are dropped (the analysis
-// notes truncation).
+// bounded: beyond capacity the earliest events are dropped, and Dropped
+// counts them. Analyze sees only the events passed to it, so a caller
+// that needs the whole run must check Dropped itself.
 type Tracer struct {
 	inner lockapi.Locker
 

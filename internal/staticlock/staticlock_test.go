@@ -190,7 +190,7 @@ func TestExportShapes(t *testing.T) {
 func TestDiffRuntime(t *testing.T) {
 	g := analyzeFile(t, "testdata/abba.mj")
 
-	d := lockdep.New(lockdep.Config{})
+	d := lockdep.New()
 	reg := threading.NewRegistry()
 	t1, err := reg.Attach("t1")
 	if err != nil {

@@ -42,7 +42,7 @@ fi
 echo "== 3/4 dining-deadlock: watchdog must dump the cycle and exit 3"
 STATUS=0
 timeout 120 "$BIN_DIR/lockmon" -workload dining-deadlock \
-    -impl ThinLock-queued -watchdog 2s -top 0 \
+    -impl ThinLock-compact -watchdog 2s -top 0 \
     >"$OUT/deadlock.log" 2>&1 || STATUS=$?
 [ "$STATUS" -eq 3 ] \
     || { echo "FAIL: watchdog run exited $STATUS, want 3"; cat "$OUT/deadlock.log"; exit 1; }
