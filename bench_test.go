@@ -321,8 +321,8 @@ func BenchmarkWaitNotifyRoundTrip(b *testing.B) {
 }
 
 // BenchmarkContentionPolicy compares the paper's spin-with-back-off
-// against the queued-inflation extension and compact monitors on the
-// pathological long-hold case of §2.3.4. b.N counts contention rounds
+// against compact monitors on the pathological long-hold case of
+// §2.3.4. b.N counts contention rounds
 // with a 200µs hold.
 func BenchmarkContentionPolicy(b *testing.B) {
 	for _, policy := range bench.ContentionPolicies {

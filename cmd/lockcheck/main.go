@@ -21,12 +21,12 @@
 // lock-word state machine for every implementation variant.
 //
 // -mutate seeds a known protocol bug — into a thin-lock instance
-// (overflow, dropwake), a biased-locking instance (biasdepth,
-// biasdekker) or a compact-monitor instance (lot-validate,
-// lot-dropwake) — and checks that instead, demonstrating (in a few
-// seconds) that the checker actually detects broken lock protocols;
-// these runs are expected to FAIL. The lot mutations first run the
-// hand-written lot corpus (check.LotCorpus), and overflow first runs
+// (overflow), a biased-locking instance (biasdepth, biasdekker) or a
+// compact-monitor instance (dropwake, lot-validate, lot-dropwake) — and
+// checks that instead, demonstrating (in a few seconds) that the
+// checker actually detects broken lock protocols; these runs are
+// expected to FAIL. The compact mutations first run the hand-written
+// lot corpus (check.LotCorpus), and overflow first runs
 // check.OverflowProgram; each exposes its mutation at schedule seed 0.
 package main
 
@@ -127,7 +127,7 @@ const corpusSeeds = 4
 // before its random rounds, with the Config they are tuned for, or nil.
 func corpusFor(mutate string) ([]check.NamedProgram, func(seed int64, timeout time.Duration) check.Config) {
 	switch {
-	case strings.HasPrefix(mutate, "lot-"):
+	case strings.HasPrefix(mutate, "lot-"), mutate == "dropwake":
 		return check.LotCorpus(), check.LotCorpusConfig
 	case mutate == "overflow":
 		return []check.NamedProgram{check.OverflowProgram()}, func(seed int64, timeout time.Duration) check.Config {
@@ -210,8 +210,8 @@ func selectImpls(names, mutate string) (map[string]func() lockapi.Locker, error)
 		return map[string]func() lockapi.Locker{
 			"ThinLock-mut-dropwake": func() lockapi.Locker {
 				return core.New(core.Options{
-					QueuedInflation: true,
-					TestMutations:   core.Mutations{DropQueuedWake: true},
+					Compact:       true,
+					TestMutations: core.Mutations{DropQueuedWake: true},
 				})
 			},
 		}, nil

@@ -9,8 +9,8 @@
 //	-fig6     Figure 6 thin-lock implementation variants
 //	-predict  the §3.4 cross-check of macro speedups against micro costs
 //	-space    the lock-storage footprint comparison
-//	-policy   spin, queued inflation and compact monitors on the §2.3.4
-//	          long-hold case (an extension)
+//	-policy   spin and compact monitors on the §2.3.4 long-hold case (an
+//	          extension)
 //
 // Usage:
 //
@@ -18,11 +18,13 @@
 //	           [-table1] [-table2] [-fig3] [-fig4] [-fig6] [-predict] [-space]
 //	           [-policy] [-telemetry] [-timeseries] [-v]
 //
-// Every timing except -policy's (one run per policy) is the median of
-// -samples runs (§3). -iters sets the loop count of the micro-benchmark
-// kernels behind -fig4 and -fig6. -scale and -only size and select the
-// workloads behind -table1, -fig3, -space and Figure 5; an unknown
-// workload name is an error. -predict always compares javalex and jax.
+// Every timing is the median of -samples runs (§3); -policy also prints
+// its CPU time's range. -iters sets the loop count of the
+// micro-benchmark kernels behind -fig4 and -fig6. -scale and -only size
+// and select the workloads behind -table1, -fig3, -space and Figure 5;
+// an unknown workload name is an error. -predict always compares
+// javalex and jax. A run picks one mode: two mode flags exit 2, except
+// -table1 with -fig3, which share one characterization run.
 //
 // -timeseries records a lockscope contention timeline during the
 // Figure 5 run: the sampler captures windowed rates at the
@@ -75,7 +77,7 @@ func main() {
 	fig6 := flag.Bool("fig6", false, "run the Figure 6 implementation variants and exit")
 	predict := flag.Bool("predict", false, "run the §3.4 micro-to-macro prediction cross-check")
 	space := flag.Bool("space", false, "print the lock-storage footprint comparison and exit")
-	policy := flag.Bool("policy", false, "compare spin, queued inflation and compact monitors on the long-hold pathological case")
+	policy := flag.Bool("policy", false, "compare spin and compact monitors on the long-hold pathological case")
 	withTelemetry := flag.Bool("telemetry", false, "record lock telemetry during the Figure 5 run and write per-workload snapshots to -telemetry-dir")
 	telemetryDir := flag.String("telemetry-dir", "results", "directory for -telemetry snapshot JSON files")
 	withTimeseries := flag.Bool("timeseries", false, "record a lockscope contention timeline during the Figure 5 run and write per-workload phase timelines to -timeseries-dir")
@@ -93,6 +95,25 @@ func main() {
 		progress = func(s string) { fmt.Fprintln(os.Stderr, "running:", s) }
 	}
 
+	// One mode per run; -table1 and -fig3 count as one, since they
+	// share one characterization run.
+	var picked []string
+	for _, m := range []struct {
+		name string
+		on   bool
+	}{
+		{"table1", *table1}, {"fig3", *fig3 && !*table1}, {"table2", *table2}, {"fig4", *fig4},
+		{"fig6", *fig6}, {"predict", *predict}, {"space", *space}, {"policy", *policy},
+	} {
+		if m.on {
+			picked = append(picked, "-"+m.name)
+		}
+	}
+	if len(picked) > 1 {
+		fmt.Fprintf(os.Stderr, "macrobench: %s select different modes; pass one\n", strings.Join(picked, " and "))
+		os.Exit(2)
+	}
+
 	// The modes that run no workload.
 	var mode func() error
 	switch {
@@ -105,7 +126,7 @@ func main() {
 	case *predict:
 		mode = func() error { return runPredict(*samples) }
 	case *policy:
-		mode = runPolicy
+		mode = func() error { return runPolicy(*samples) }
 	}
 	if mode != nil {
 		if err := mode(); err != nil {
@@ -335,24 +356,24 @@ func runFigure6(iters int64, samples int, progress func(string)) error {
 
 // runPolicy prints the contention-policy comparison on the §2.3.4
 // pathological case: an owner holds the lock long while others contend.
-func runPolicy() error {
+func runPolicy(samples int) error {
 	const (
 		rounds     = 200
 		contenders = 3
 		hold       = 500 * time.Microsecond
 	)
-	rs, err := bench.RunContentionPolicyComparison(rounds, contenders, hold)
+	rs, err := bench.RunContentionPolicyComparison(rounds, contenders, hold, samples)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("Contention policy on the §2.3.4 pathological case\n")
-	fmt.Printf("(%d rounds, %d contenders, %v hold per round;\n", rounds, contenders, hold)
-	fmt.Printf(" wall clock, then process user+system CPU time):\n")
+	fmt.Printf("(%d rounds, %d contenders, %v hold per round; median of %d runs:\n", rounds, contenders, hold, max(samples, 1))
+	fmt.Printf(" wall clock, then process user+system CPU time and its min–max):\n")
 	for _, r := range rs {
 		fmt.Println(" ", r)
 	}
-	fmt.Println("Queued inflation (Tasuki extension) replaces busy back-off with precise parks;")
-	fmt.Println("compact monitors spin a bounded budget, then park, and inflate nothing.")
+	fmt.Println("Spin is the paper's unbounded back-off, and the first contender inflates;")
+	fmt.Println("compact monitors spin a bounded, adaptive budget, then park, and inflate nothing.")
 	return nil
 }
 

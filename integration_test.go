@@ -37,11 +37,8 @@ func lockerConfigs() []struct {
 		{"ThinLock-MP", func() lockapi.Locker {
 			return core.New(core.Options{CPU: arch.PowerPCMP})
 		}},
-		{"ThinLock-deflate", func() lockapi.Locker {
+		{"ThinLock-compact", func() lockapi.Locker {
 			return core.New(core.Options{Compact: true})
-		}},
-		{"ThinLock-queued", func() lockapi.Locker {
-			return core.New(core.Options{QueuedInflation: true})
 		}},
 		{"ThinLock-2bit", func() lockapi.Locker {
 			return core.New(core.Options{CountBits: 2})

@@ -22,6 +22,8 @@
 // instruction. The thin unlock's store therefore costs more here than the
 // paper's plain store did, and the CAS-versus-store asymmetry the paper
 // measures is narrower on amd64 than on its PowerPC machines.
+//
+// Backoff and SpinBudget are the one policy for spinning before a park.
 package arch
 
 import (
@@ -110,9 +112,9 @@ func Sync() {
 	atomic.AddUint32(&fenceWord, 0)
 }
 
-// spinsBeforeYield is how many busy-wait rounds Backoff performs before
+// BusyRounds is how many busy-wait rounds Backoff performs before
 // starting to yield the processor.
-const spinsBeforeYield = 4
+const BusyRounds = 4
 
 // maxSleep caps the exponential back-off sleep.
 const maxSleep = time.Millisecond
@@ -129,15 +131,15 @@ type Backoff struct {
 // exponentially increasing duration.
 func (b *Backoff) Pause() {
 	switch {
-	case b.round < spinsBeforeYield:
+	case b.round < BusyRounds:
 		procYield(1 << b.round)
-	case b.round < spinsBeforeYield+4:
+	case b.round < BusyRounds+4:
 		runtime.Gosched()
 	default:
 		// The shift stops at 20 (about a second): a Duration shifted
 		// much further overflows to zero or less, and a Sleep that
 		// short returns at once.
-		d := time.Microsecond << min(b.round-spinsBeforeYield-4, 20)
+		d := time.Microsecond << min(b.round-BusyRounds-4, 20)
 		if d > maxSleep {
 			d = maxSleep
 		}
@@ -151,15 +153,38 @@ func (b *Backoff) Pause() {
 // Rounds reports how many times Pause has been called.
 func (b *Backoff) Rounds() uint { return b.round }
 
-// SpinRounds is how many Backoff pauses a contender spends re-checking a
-// lock another thread holds before it parks: a fat monitor's entry spin,
-// and ThinLock-compact's spin on a thin word. The first eight pauses are
-// busy spins and scheduler yields; the rest are short sleeps.
-// EXPERIMENTS.md has the sweep that chose it.
+// SpinRounds is the full budget of Backoff pauses a contender spends
+// re-checking a lock another thread holds before it parks: a fat
+// monitor's entry spin, and ThinLock-compact's spin on a thin word. The
+// first eight pauses are busy spins and scheduler yields; the rest are
+// short sleeps. EXPERIMENTS.md has the sweep that chose it.
 const SpinRounds = 12
 
-// Spent reports whether the pauses have used up the SpinRounds budget.
-func (b *Backoff) Spent() bool { return b.round >= SpinRounds }
+// SpinBudget is one thread's adaptive budget for those two bounded
+// spins, in the spin-briefly-then-park style of Compact Java Monitors.
+// A spin that runs out of pauses parks its thread, and the thread's
+// next spin makes only the BusyRounds busy pauses: the sleeps at the end
+// of the full budget cost more CPU than they return when holds are long
+// (§2.3.4's pathological case). A spin that acquires the lock restores
+// the full SpinRounds. The zero value is the full budget. Only its
+// thread touches it, so it needs no atomics. ThinLock's own spin on a
+// thin word is the paper's unbounded loop and takes no budget.
+type SpinBudget struct {
+	short bool // the last bounded spin ran out and parked
+}
+
+// Rounds returns how many pauses the thread's next bounded spin makes
+// before it parks.
+func (s *SpinBudget) Rounds() uint {
+	if s.short {
+		return BusyRounds
+	}
+	return SpinRounds
+}
+
+// Ended records how a bounded spin ended: it acquired the lock, or it
+// ran out of rounds and its thread went on to park.
+func (s *SpinBudget) Ended(acquired bool) { s.short = !acquired }
 
 // Reset restarts the back-off schedule.
 func (b *Backoff) Reset() { b.round = 0 }

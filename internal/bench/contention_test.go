@@ -27,22 +27,6 @@ func TestContentionPolicySpin(t *testing.T) {
 	}
 }
 
-func TestContentionPolicyQueued(t *testing.T) {
-	r, err := RunContentionPolicy("queued", 3, 2, 5*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Policy != "queued" {
-		t.Errorf("policy = %q", r.Policy)
-	}
-	if r.Parks == 0 {
-		t.Error("queued policy never parked under a long hold")
-	}
-	if r.SpinRounds != 0 {
-		t.Error("queued policy spun")
-	}
-}
-
 func TestContentionPolicyCompact(t *testing.T) {
 	const rounds, contenders = 3, 2
 	r, err := RunContentionPolicy("compact", rounds, contenders, 5*time.Millisecond)
@@ -52,26 +36,35 @@ func TestContentionPolicyCompact(t *testing.T) {
 	if r.Parks == 0 {
 		t.Error("compact policy never parked under a long hold")
 	}
-	// Each contender spins out at most its budget before it parks, and
-	// parks again without spinning if a wake does not get it the lock.
-	if max := uint64(rounds * contenders * arch.SpinRounds); r.SpinRounds > max {
+	// Each contender spins out its full budget in the first round and
+	// parks; having parked, it spins only the busy rounds in every later
+	// round. A wake that does not get it the lock parks it again
+	// without spinning.
+	max := uint64(contenders*arch.SpinRounds + (rounds-1)*contenders*arch.BusyRounds)
+	if r.SpinRounds > max {
 		t.Errorf("compact policy spun %d pauses, want at most %d", r.SpinRounds, max)
 	}
 }
 
 func TestContentionPolicyComparison(t *testing.T) {
-	rs, err := RunContentionPolicyComparison(2, 2, 3*time.Millisecond)
+	const samples = 3
+	rs, err := RunContentionPolicyComparison(2, 2, 3*time.Millisecond, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rs) != len(ContentionPolicies) {
 		t.Fatalf("%d results, want %d", len(rs), len(ContentionPolicies))
 	}
-	spin, queued := rs[0], rs[1]
-	// The headline claim: queued waiting replaces busy pauses with
-	// precise parks.
-	if spin.SpinRounds == 0 || queued.Parks == 0 {
-		t.Errorf("comparison lacks signal: spin=%+v queued=%+v", spin, queued)
+	spin, compact := rs[0], rs[1]
+	// The headline claim: compact monitors replace most busy pauses
+	// with parks.
+	if spin.SpinRounds == 0 || compact.Parks == 0 {
+		t.Errorf("comparison lacks signal: spin=%+v compact=%+v", spin, compact)
+	}
+	for _, r := range rs {
+		if r.CPUMin > r.CPU || r.CPU > r.CPUMax {
+			t.Errorf("%s: cpu %v outside its range %v–%v over %d samples", r.Policy, r.CPU, r.CPUMin, r.CPUMax, samples)
+		}
 	}
 	for _, want := range []string{"cpu=", "spin-pauses="} {
 		if !strings.Contains(spin.String(), want) {

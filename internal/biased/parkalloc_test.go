@@ -115,37 +115,8 @@ func TestBlockingAllocatesNothing(t *testing.T) {
 		t.Errorf("wait/notify handoff allocates %.2f objects", avg)
 	}
 
-	// Flat-lock contention: the parked contender wins the thin lock and
-	// inflates it (locality of contention), so each cycle allocates one
-	// Monitor and the park must add nothing to it.
-	q := core.New(core.Options{QueuedInflation: true})
-	thin := make([]*object.Object, runs+1)
-	for i := range thin {
-		thin[i] = w.heap.New("thin")
-	}
-	i := 0
-	lockContended := func() {
-		q.Lock(b, thin[i])
-		if err := q.Unlock(b, thin[i]); err != nil {
-			t.Error(err)
-		}
-	}
-	if avg := testing.AllocsPerRun(runs, func() {
-		parks := q.Stats().QueuedParks
-		q.Lock(a, thin[i])
-		p.steps <- lockContended
-		await(t, "b parks on the flc bit", func() bool { return q.Stats().QueuedParks > parks })
-		if err := q.Unlock(a, thin[i]); err != nil {
-			t.Fatal(err)
-		}
-		<-p.done
-		i++
-	}); avg != 1 {
-		t.Errorf("flc park cycle allocates %.2f objects, want 1 (the inflated monitor)", avg)
-	}
-
-	// Compact monitors: the same contended park, which inflates nothing,
-	// and an untimed wait/notify handoff on the lot.
+	// Compact monitors: a contended park on the lot, which inflates
+	// nothing, and an untimed wait/notify handoff there.
 	c := core.New(core.Options{Compact: true})
 	co := w.heap.New("compact")
 	lockCompact := func() {

@@ -13,24 +13,21 @@ import (
 
 // Implementations returns fresh-instance factories for every lock
 // implementation the checker certifies: the paper's thin locks plus the
-// queued-inflation, compact (never inflates: contenders and waiters
-// park on the lot) and narrow-count variants, the biased reservation
+// compact (never inflates: contenders and waiters park on the lot) and
+// narrow-count variants, the biased reservation
 // locker (with and without rebiasing), both historical baselines, and
 // the reference oracle itself (checked like any other implementation —
 // an oracle nobody checks is just a second opinion).
 func Implementations() map[string]func() lockapi.Locker {
 	return map[string]func() lockapi.Locker{
-		"ThinLock":        func() lockapi.Locker { return core.NewDefault() },
-		"ThinLock-queued": func() lockapi.Locker { return core.New(core.Options{QueuedInflation: true}) },
-		"ThinLock-compact": func() lockapi.Locker {
-			return core.New(core.Options{Compact: true})
-		},
-		"ThinLock-2bit":   func() lockapi.Locker { return core.New(core.Options{CountBits: 2}) },
-		"Biased":          func() lockapi.Locker { return biased.NewDefault() },
-		"Biased-norebias": func() lockapi.Locker { return biased.New(biased.Options{DisableRebias: true}) },
-		"JDK111":          func() lockapi.Locker { return monitorcache.New(monitorcache.Options{Capacity: 4}) },
-		"IBM112":          func() lockapi.Locker { return hotlocks.New(hotlocks.Options{Threshold: 2}) },
-		"Reference":       func() lockapi.Locker { return reference.New() },
+		"ThinLock":         func() lockapi.Locker { return core.NewDefault() },
+		"ThinLock-compact": func() lockapi.Locker { return core.New(core.Options{Compact: true}) },
+		"ThinLock-2bit":    func() lockapi.Locker { return core.New(core.Options{CountBits: 2}) },
+		"Biased":           func() lockapi.Locker { return biased.NewDefault() },
+		"Biased-norebias":  func() lockapi.Locker { return biased.New(biased.Options{DisableRebias: true}) },
+		"JDK111":           func() lockapi.Locker { return monitorcache.New(monitorcache.Options{Capacity: 4}) },
+		"IBM112":           func() lockapi.Locker { return hotlocks.New(hotlocks.Options{Threshold: 2}) },
+		"Reference":        func() lockapi.Locker { return reference.New() },
 	}
 }
 

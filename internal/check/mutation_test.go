@@ -52,56 +52,14 @@ func TestCheckerCatchesOverflowOffByOne(t *testing.T) {
 	})
 }
 
-// TestCheckerCatchesDropQueuedWake seeds the lost-wakeup bug (the
-// releasing owner skips the queued-contender wake of the Tasuki
-// protocol) into the queued-inflation variant. A contender that parked
-// during the owner's critical section then sleeps forever, which the
-// watchdog reports as a stuck schedule. The park is timing dependent
-// (the contender must arrive while the lock is held), so the test holds
-// the lock across two work ops and retries a few schedule seeds.
+// TestCheckerCatchesDropQueuedWake seeds the lost-wakeup bug (a compact
+// monitor's final unlock skips the flc wake of the lot's entry parkers)
+// and kills it with the lot corpus, as `lockcheck -mutate dropwake`
+// does. In notify-vs-release the notifier relabels the waiter as an
+// entry parker, and its final unlock then owes the waiter a wake it
+// never delivers: the waiter sleeps forever, which the watchdog
+// reports as a stuck schedule.
 func TestCheckerCatchesDropQueuedWake(t *testing.T) {
 	t.Parallel()
-	mutant := func() lockapi.Locker {
-		return core.New(core.Options{
-			QueuedInflation: true,
-			TestMutations:   core.Mutations{DropQueuedWake: true},
-		})
-	}
-	clean := func() lockapi.Locker { return core.New(core.Options{QueuedInflation: true}) }
-
-	p := Program{
-		Objects: 1,
-		Threads: [][]Op{
-			{{OpLock, 0}, {Kind: OpWork}, {Kind: OpWork}, {OpUnlock, 0}},
-			{{OpLock, 0}, {OpUnlock, 0}},
-		},
-	}
-	cfg := Config{
-		Timeout:      1500 * time.Millisecond,
-		WorkDuration: 5 * time.Millisecond,
-		SkipOracle:   true,
-	}
-
-	killTest(t, "DropQueuedWake", func() {
-		for seed := int64(0); seed < 4; seed++ {
-			cfg.Schedule = seed
-			if fs := CheckProgram(clean, p, cfg); len(fs) != 0 {
-				t.Fatalf("unmutated queued implementation failed (seed %d): %v", seed, fs)
-			}
-		}
-	}, func() mutantVerdict {
-		for seed := int64(0); seed < 8; seed++ {
-			cfg.Schedule = seed
-			if fs := CheckProgram(mutant, p, cfg); SameKind(fs, FailStuck) {
-				min := Minimize(p, func(q Program) bool {
-					c := cfg
-					c.Schedule = seed
-					return SameKind(CheckProgram(mutant, q, c), FailStuck)
-				})
-				return mutantVerdict{Caught: true, Seed: seed,
-					Detail: fmt.Sprintf("%v\nminimized failing schedule:\n%s", fs, min)}
-			}
-		}
-		return mutantVerdict{Detail: "no seed reported the dropped wakeup as a stuck schedule"}
-	})
+	killLotMutant(t, "DropQueuedWake", "notify-vs-release", core.Mutations{DropQueuedWake: true})
 }

@@ -18,12 +18,15 @@ import (
 // deflate, and lock memory is bounded by blocked threads rather than by
 // objects that were once contended.
 //
-//	contender:  spin arch.SpinRounds back-off rounds on the thin word;
-//	            then set flc in the flags word and park on the lot as
-//	            an entry parker (queueWait, as in the queued extension).
+//	contender:  spin the thread's budget (arch.SpinBudget) of back-off
+//	            rounds on the thin word; then set flc in the flags word,
+//	            re-read the lock word and park on the lot as an entry
+//	            parker (queueWait), whose validate re-reads the lock
+//	            word and flc with the object's lot bucket locked.
 //	final unlock: store the unlocked header, then load the flags word;
 //	            if flc is set, clear it and wake the object's entry
-//	            parkers (threading.UnparkAll). Waiters stay asleep.
+//	            parkers (threading.UnparkAll, under the same bucket
+//	            lock). Waiters stay asleep.
 //	wait:       with the lock still held, file the thread's park node on
 //	            the lot as a waiter carrying the full recursion depth
 //	            (threading.File); release the lock as a final unlock
@@ -42,25 +45,42 @@ import (
 // the notify made it owed, as a notified Java thread re-enters its
 // monitor whatever its timeout.
 //
-// The flags-word handshake is the queued extension's Dekker argument
-// (queued.go), and it needs the final unlock's header store to stay
-// sequentially consistent (atomic.StoreUint32, XCHG on amd64): a release
-// store would let the flags load pass it, and an entry parker could then
-// sleep through the release. Notify relabels before it sets flc. An
-// unlocker that read flc before the notifier acquired clears flc before
-// it wakes, so if its clear erases the notifier's flc, its wake comes
-// later still and finds the relabeled node; otherwise flc survives for
-// the notifier's own unlock.
+// The flc (flat lock contention) handshake is the Tasuki locks'
+// (Onodera & Kawachiya, OOPSLA'99), which answer the one pathological
+// case the paper names for spinning, a lock held for a long time
+// (§2.3.4). The bit lives in the flags word, where the owner's
+// lock-word stores can never clobber it. Both sides' lock-word and flag
+// operations are sequentially consistent atomics, so the Dekker
+// argument applies: if the contender parked, the owner's release either
+// preceded the contender's re-read (which then saw the lock free) or
+// the owner's flag load follows the contender's flag store (and the
+// owner wakes the parkers). The bucket lock closes the remaining
+// window: an owner whose flag load saw flc either finds the contender
+// parked or released before validate ran, and validate then sees the
+// lock free or flc cleared. No wakeup can be lost. The argument needs
+// the final unlock's header store to stay sequentially consistent
+// (atomic.StoreUint32, XCHG on amd64): a release store would let the
+// flags load pass it, and an entry parker could then sleep through the
+// release.
+//
+// Notify relabels before it sets flc. An unlocker that read flc before
+// the notifier acquired clears flc before it wakes, so if its clear
+// erases the notifier's flc, its wake comes later still and finds the
+// relabeled node; otherwise flc survives for the notifier's own unlock.
 //
 // Nesting past the thin count field goes to a side count (sideCounts)
 // that only the owner touches, so a thin word never overflows.
+
+// FlagFLC is the flat-lock-contention bit in the object's flags word.
+const FlagFLC uint32 = 1 << 0
 
 // lockCompact is lockSlowBody for compact monitors: it never inflates.
 func (l *ThinLocks) lockCompact(t *threading.Thread, o *object.Object, cpu arch.CPU, fence bool) {
 	hp := o.HeaderAddr()
 	shifted := t.Shifted()
 	var b arch.Backoff
-	spun := false
+	var rounds uint // t's spin budget, read when the spin starts
+	spun, ranOut := false, false
 	for {
 		w := atomic.LoadUint32(hp)
 		x := w ^ shifted
@@ -81,6 +101,9 @@ func (l *ThinLocks) lockCompact(t *threading.Thread, o *object.Object, cpu arch.
 			if arch.CAS(cpu, hp, w, w&MiscMask|shifted) {
 				if spun {
 					l.spinAcq.Add(1)
+					if !ranOut {
+						t.Spin().Ended(true)
+					}
 				}
 				if fence {
 					arch.ISync()
@@ -93,12 +116,17 @@ func (l *ThinLocks) lockCompact(t *threading.Thread, o *object.Object, cpu arch.
 			if !spun {
 				lockevent.EmitValue(lockevent.Block, t, o, int64(lockevent.WaitQueued))
 				spun = true
+				rounds = t.Spin().Rounds()
 			}
-			if !b.Spent() {
+			if b.Rounds() < rounds {
 				l.spinRounds.Add(1)
 				lockevent.EmitValue(lockevent.Spin, t, o, int64(lockevent.WaitSpin))
 				b.Pause()
 				continue
+			}
+			if !ranOut {
+				t.Spin().Ended(false)
+				ranOut = true
 			}
 			lockevent.EmitValue(lockevent.Block, t, o, int64(lockevent.WaitQueued))
 			l.queueWait(t, o)
@@ -154,6 +182,63 @@ func (l *ThinLocks) notifyCompact(t *threading.Thread, o *object.Object, max int
 		o.SetFlagBits(FlagFLC)
 	}
 	return nil
+}
+
+// queueWait blocks t until o's thin lock is released (or briefly, on any
+// wake). Returns immediately if the lock is observed free.
+func (l *ThinLocks) queueWait(t *threading.Thread, o *object.Object) {
+	// Publish contention before re-checking the lock word (store→load
+	// ordering is what makes the handshake safe).
+	o.SetFlagBits(FlagFLC)
+	hp := o.HeaderAddr()
+	skip := l.mut.LotSkipValidate
+	if skip {
+		time.Sleep(5 * time.Millisecond) // seeded bug: see mutation.go
+	} else if atomic.LoadUint32(hp)&TIDMask == 0 {
+		// Released in the window: no need to park.
+		return
+	}
+	start := lockevent.Start(lockevent.Unpark)
+	parked := threading.Park(t, o, func() bool {
+		if !skip && (atomic.LoadUint32(hp)&TIDMask == 0 || o.Flags()&FlagFLC == 0) {
+			return false
+		}
+		// Counted before the thread sleeps, so a watcher sees the park.
+		l.queuedParks.Add(1)
+		lockevent.Emit(lockevent.QueuedPark, t, o)
+		return true
+	})
+	if parked {
+		lockevent.End(lockevent.Unpark, t, o, start)
+	}
+}
+
+// wakeQueued clears the flc bit and releases every entry parker.
+// Called by the releasing owner after its unlock store.
+func (l *ThinLocks) wakeQueued(o *object.Object) {
+	o.ClearFlagBits(FlagFLC)
+	threading.UnparkAll(o)
+	l.flcWakeups.Add(1)
+	lockevent.Emit(lockevent.QueueWake, nil, o)
+}
+
+// maybeWakeQueued is the owner's post-release hook: one atomic load in
+// the common (uncontended) case.
+func (l *ThinLocks) maybeWakeQueued(o *object.Object) {
+	if o.Flags()&FlagFLC != 0 {
+		l.wakeQueued(o)
+	}
+}
+
+// wakeAfterUnlock is maybeWakeQueued behind the DropQueuedWake seeded
+// mutation (see mutation.go). A wait's release is deliberately not
+// routed through here: the mutation models a bug in the unlock path
+// only. It is small enough to inline, so a final unlock that finds flc
+// clear makes no call.
+func (l *ThinLocks) wakeAfterUnlock(o *object.Object) {
+	if o.Flags()&FlagFLC != 0 && !l.mut.DropQueuedWake {
+		l.wakeQueued(o)
+	}
 }
 
 // sideCounts holds, per object, the nesting levels past the thin count

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"thinlock/internal/arch"
+	"thinlock/internal/lockevent"
 	"thinlock/internal/object"
 	"thinlock/internal/threading"
 )
@@ -303,5 +305,206 @@ func TestCompactTimedWaitAndInterruptRemoveTheirNode(t *testing.T) {
 	}
 	if err := f.l.Unlock(th, o); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// spinProbe counts one thread's Spin events, and can stall that thread
+// inside its next one, between the event and the back-off pause after
+// it.
+type spinProbe struct {
+	th    *threading.Thread
+	spins atomic.Int64
+	stall atomic.Pointer[func()]
+}
+
+func (p *spinProbe) LockEvent(k lockevent.Kind, t *threading.Thread, _ *object.Object, _ int64) {
+	if k != lockevent.Spin || t != p.th {
+		return
+	}
+	p.spins.Add(1)
+	if f := p.stall.Swap(nil); f != nil {
+		(*f)()
+	}
+}
+
+// TestCompactSpinBudgetAdapts: a compact contender's spin follows its
+// thread's budget. A fresh thread spins arch.SpinRounds pauses and
+// parks; its next spin makes only the arch.BusyRounds busy pauses; a
+// spin that acquires restores the full budget. The test is not
+// parallel: its observer sees every Spin event in the process.
+func TestCompactSpinBudgetAdapts(t *testing.T) {
+	f := newFixture(t, Options{Compact: true})
+	a, b := f.thread(t), f.thread(t)
+	o := f.heap.New("X")
+	p := &spinProbe{th: b}
+	lockevent.Install(lockevent.SlotRecorder, p, lockevent.Of(lockevent.Spin))
+	t.Cleanup(func() { lockevent.Install(lockevent.SlotRecorder, nil, 0) })
+
+	// contend has b lock o while a holds it and returns b's spin
+	// pauses. a releases once b has parked, or, with stall, while b is
+	// stalled in its first pause, so that b acquires by its spin.
+	contend := func(stall bool) int64 {
+		base, parks := p.spins.Load(), f.l.Stats().QueuedParks
+		f.l.Lock(a, o)
+		stalled, released := make(chan struct{}), make(chan struct{})
+		if stall {
+			fn := func() { close(stalled); <-released }
+			p.stall.Store(&fn)
+		}
+		done := make(chan struct{})
+		go func() {
+			f.l.Lock(b, o)
+			if err := f.l.Unlock(b, o); err != nil {
+				t.Error(err)
+			}
+			close(done)
+		}()
+		if stall {
+			<-stalled
+		} else {
+			waitForStat(t, func() bool { return f.l.Stats().QueuedParks > parks })
+		}
+		if err := f.l.Unlock(a, o); err != nil {
+			t.Fatal(err)
+		}
+		close(released)
+		<-done
+		return p.spins.Load() - base
+	}
+	for i, tc := range []struct {
+		stall bool
+		want  int64
+	}{
+		{false, arch.SpinRounds}, // a fresh thread: the full budget, then a park
+		{false, arch.BusyRounds}, // after that park: the busy rounds only
+		{true, 1},                // acquires in its first pause
+		{false, arch.SpinRounds}, // which restored the full budget
+	} {
+		if got := contend(tc.stall); got != tc.want {
+			t.Fatalf("contention %d: b spun %d pauses, want %d", i+1, got, tc.want)
+		}
+	}
+}
+
+// TestQueuedMutualExclusionStress: eight threads hammer one object,
+// parking on the lot when their spin runs out; no update may be lost.
+func TestQueuedMutualExclusionStress(t *testing.T) {
+	t.Parallel()
+	f := newFixture(t, Options{Compact: true})
+	o := f.heap.New("X")
+	const goroutines, iters = 8, 400
+	var counter int64
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		th := f.thread(t)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				f.l.Lock(th, o)
+				counter++
+				if err := f.l.Unlock(th, o); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if counter != goroutines*iters {
+		t.Fatalf("counter = %d, want %d", counter, goroutines*iters)
+	}
+}
+
+// TestQueuedManyObjectsStress: contention across several objects parks
+// and wakes contenders of objects that may share a lot bucket.
+func TestQueuedManyObjectsStress(t *testing.T) {
+	t.Parallel()
+	f := newFixture(t, Options{Compact: true})
+	const objects, goroutines, iters = 4, 6, 300
+	objs := make([]*object.Object, objects)
+	counters := make([]int64, objects)
+	for i := range objs {
+		objs[i] = f.heap.New("X")
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		th := f.thread(t)
+		wg.Add(1)
+		go func(seed int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				k := (seed + i) % objects
+				f.l.Lock(th, objs[k])
+				counters[k]++
+				if err := f.l.Unlock(th, objs[k]); err != nil {
+					t.Error(err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	var total int64
+	for _, c := range counters {
+		total += c
+	}
+	if total != goroutines*iters {
+		t.Fatalf("total = %d, want %d", total, goroutines*iters)
+	}
+}
+
+// TestQueuedFlagClearedAfterWake: once a parked contender has been
+// woken and has finished, the flc bit is clear and nothing is parked.
+func TestQueuedFlagClearedAfterWake(t *testing.T) {
+	t.Parallel()
+	f := newFixture(t, Options{Compact: true})
+	a, b := f.thread(t), f.thread(t)
+	o := f.heap.New("X")
+	f.l.Lock(a, o)
+	done := make(chan struct{})
+	go func() {
+		f.l.Lock(b, o)
+		if err := f.l.Unlock(b, o); err != nil {
+			t.Error(err)
+		}
+		close(done)
+	}()
+	waitForStat(t, func() bool { return f.l.Stats().QueuedParks > 0 })
+	if o.Flags()&FlagFLC == 0 {
+		t.Error("flc bit not set while a contender parked")
+	}
+	if err := f.l.Unlock(a, o); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	if o.Flags()&FlagFLC != 0 {
+		t.Error("flc bit left set after contention resolved")
+	}
+	if s := f.l.Stats(); s.FLCWakeups == 0 {
+		t.Error("owner never performed an flc wakeup")
+	}
+	if n := threading.UnparkAll(o); n != 0 {
+		t.Errorf("%d contenders left parked on the object", n)
+	}
+}
+
+// TestQueuedNoOverheadWithoutContention: an uncontended compact lock
+// never parks, wakes or allocates a monitor.
+func TestQueuedNoOverheadWithoutContention(t *testing.T) {
+	t.Parallel()
+	f := newFixture(t, Options{Compact: true})
+	th := f.thread(t)
+	o := f.heap.New("X")
+	for i := 0; i < 100; i++ {
+		f.l.Lock(th, o)
+		if err := f.l.Unlock(th, o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := f.l.Stats()
+	if s.QueuedParks != 0 || s.FLCWakeups != 0 || s.FatLocks != 0 {
+		t.Errorf("uncontended run touched queues: %+v", s)
+	}
+	if threading.UnparkAll(o) != 0 {
+		t.Error("a thread parked without contention")
 	}
 }

@@ -70,17 +70,16 @@ func TestKernelCASContention(t *testing.T) {
 }
 
 // TestStandardMPQueuedDeflationComposition stacks every orthogonal
-// feature — MP machine model, queued inflation, compact monitors, a
-// narrow count field nested past its maximum into the side count — and
-// hammers one object; correctness must be preserved by the composition,
-// not just each feature alone.
+// feature — MP machine model, compact monitors (whose contenders queue
+// on the lot), a narrow count field nested past its maximum into the
+// side count — and hammers one object; correctness must be preserved by
+// the composition, not just each feature alone.
 func TestStandardMPQueuedDeflationComposition(t *testing.T) {
 	t.Parallel()
 	f := newFixture(t, Options{
-		CPU:             arch.PowerPCMP,
-		QueuedInflation: true,
-		Compact:         true,
-		CountBits:       3,
+		CPU:       arch.PowerPCMP,
+		Compact:   true,
+		CountBits: 3,
 	})
 	o := f.heap.New("X")
 	const goroutines, iters, depth = 6, 250, 10 // 10 > 2^3 thin levels

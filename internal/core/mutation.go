@@ -19,10 +19,10 @@ package core
 //     while the first still believes it holds the lock — a mutual
 //     exclusion violation.
 //
-//   - DropQueuedWake removes the owner-side contention-queue wakeup from
-//     the unlock paths of the queued-inflation (Tasuki) extension,
-//     breaking the Dekker handshake documented in queued.go. A contender
-//     that parked on the flat-lock-contention queue is never woken: a
+//   - DropQueuedWake removes the owner-side wake of the lot's entry
+//     parkers from a compact monitor's final unlock, breaking the flc
+//     Dekker handshake documented in compact.go. A contender parked on
+//     the lot, or a waiter a notify relabeled as one, is never woken: a
 //     lost wakeup that leaves the schedule permanently stuck.
 //
 //   - LotSkipValidate parks a contender on the lot without re-checking
@@ -47,8 +47,8 @@ type Mutations struct {
 	// locks instead of the correct maxCount+2.
 	OverflowOffByOne bool
 
-	// DropQueuedWake skips maybeWakeQueued after thin-lock releases,
-	// losing the wakeup the queued-inflation protocol depends on.
+	// DropQueuedWake skips the flc wake after a compact final unlock,
+	// losing the wakeup the lot handshake depends on.
 	DropQueuedWake bool
 
 	// LotSkipValidate parks lot contenders without validate.

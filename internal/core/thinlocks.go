@@ -86,12 +86,6 @@ type Options struct {
 	// files the waiter there and Notify relabels it. Nothing inflates,
 	// so the instance keeps no monitor table (compact.go).
 	Compact bool
-	// QueuedInflation turns on the queued-contention extension (the
-	// Tasuki-lock protocol; see queued.go): contenders park on a
-	// contention queue instead of spinning, signalled by a flat-lock-
-	// contention bit the owner checks after each final unlock. Compact
-	// contenders park that way already, so it changes nothing there.
-	QueuedInflation bool
 	// CountBits narrows the nested-count field for the §3.2 ablation
 	// ("our use of 8 bits for the lock count is highly conservative;
 	// 2 or 3 bits is probably sufficient"). Valid values are 1..8;
@@ -129,7 +123,7 @@ type Stats struct {
 	// into a thin one. It stays because benchmark reports read it.
 	Deflations uint64
 	// QueuedParks counts contenders that parked on the parking lot
-	// (always 0 unless queued inflation or compact monitors are on).
+	// (always 0 unless compact monitors are on).
 	QueuedParks uint64
 	// FLCWakeups counts owner-side wakeups of the lot's entry parkers.
 	FLCWakeups uint64
@@ -154,12 +148,10 @@ type ThinLocks struct {
 	table   *monitor.Table // nil under compact monitors
 	variant Variant
 	cpu     arch.CPU
-	compact bool // Options.Compact
-	queued  bool
-	// parks is set when contenders park on the lot (queued or
-	// compact), so a final unlock must check the flc bit.
-	parks bool
-	mut   Mutations
+	// compact is Options.Compact. Its contenders park on the lot, so
+	// a final unlock must check the flc bit.
+	compact bool
+	mut     Mutations
 	// nestedLimit is the XOR-check bound: maxCount << CountShift.
 	nestedLimit uint32
 	// maxCount is the largest encodable count, (1 << CountBits) - 1.
@@ -188,8 +180,6 @@ func New(opts Options) *ThinLocks {
 		variant:     opts.Variant,
 		cpu:         opts.CPU,
 		compact:     opts.Compact,
-		queued:      opts.QueuedInflation,
-		parks:       opts.QueuedInflation || opts.Compact,
 		mut:         opts.TestMutations,
 		nestedLimit: maxCount << CountShift,
 		maxCount:    maxCount,
@@ -392,18 +382,12 @@ func (l *ThinLocks) lockSlowBody(t *threading.Thread, o *object.Object, cpu arch
 
 		default:
 			// Thin-locked by another thread. Our discipline forbids
-			// writing the lock word, so either park on the contention
-			// queue (queued-inflation extension) or spin with
-			// exponential back-off until the owner releases (§2.3.4).
+			// writing the lock word, so spin with exponential back-off
+			// until the owner releases (§2.3.4).
 			spun = true
-			if l.queued {
-				lockevent.EmitValue(lockevent.Block, t, o, int64(lockevent.WaitQueued))
-				l.queueWait(t, o)
-			} else {
-				l.spinRounds.Add(1)
-				lockevent.EmitValue(lockevent.Spin, t, o, int64(lockevent.WaitSpin))
-				b.Pause()
-			}
+			l.spinRounds.Add(1)
+			lockevent.EmitValue(lockevent.Spin, t, o, int64(lockevent.WaitSpin))
+			b.Pause()
 		}
 	}
 }
@@ -416,12 +400,6 @@ func (l *ThinLocks) inflate(t *threading.Thread, o *object.Object, locks uint32)
 	m := l.table.Allocate()
 	m.SeedOwner(t, locks)
 	o.SetHeader(InflatedWord(m.Index(), o.Header()))
-	if l.queued {
-		// Contenders parked before the inflation would otherwise wait
-		// for a thin release that will never come; wake them so they
-		// re-read the header and queue on the fat lock.
-		l.maybeWakeQueued(o)
-	}
 	return m
 }
 
@@ -467,7 +445,7 @@ func (l *ThinLocks) Unlock(t *threading.Thread, o *object.Object) error {
 // not (§2.3.2). On a multiprocessor the sync barrier before the store
 // makes the critical section's writes visible first (§3.5.1). It
 // reports false, having stored nothing, unless o is thin and held once
-// by t with no lot parkers to wake (l.parks off); unlockSlow does the
+// by t with no lot parkers to wake (l.compact off); unlockSlow does the
 // rest. It must stay small enough to inline; `make fastpath` checks
 // that it is.
 //
@@ -481,7 +459,7 @@ func (l *ThinLocks) Unlock(t *threading.Thread, o *object.Object) error {
 func (l *ThinLocks) unlockThin(t *threading.Thread, o *object.Object, fence bool) bool {
 	hp := o.HeaderAddr()
 	w := atomic.LoadUint32(hp) ^ t.Shifted()
-	if w >= CountUnit || l.parks {
+	if w >= CountUnit || l.compact {
 		return false
 	}
 	if fence {
@@ -497,7 +475,7 @@ func (l *ThinLocks) unlockThin(t *threading.Thread, o *object.Object, fence bool
 func (l *ThinLocks) unlockThinCAS(t *threading.Thread, o *object.Object) bool {
 	hp := o.HeaderAddr()
 	w := atomic.LoadUint32(hp)
-	if w^t.Shifted() >= CountUnit || l.parks {
+	if w^t.Shifted() >= CountUnit || l.compact {
 		return false
 	}
 	if !atomic.CompareAndSwapUint32(hp, w, w^t.Shifted()) {
@@ -527,10 +505,10 @@ func (l *ThinLocks) unlockSlow(t *threading.Thread, o *object.Object, fence, use
 	x := w ^ t.Shifted()
 	if x < CountUnit {
 		// A final release that unlockThin left because contenders may
-		// park on the lot: queued inflation's and compact monitors'
-		// fast path, not a slow-path entry. Its store stays
-		// sequentially consistent, because the flags load after it is
-		// one side of the flc Dekker handshake (queued.go).
+		// park on the lot: compact monitors' fast path, not a
+		// slow-path entry. Its store stays sequentially consistent,
+		// because the flags load after it is one side of the flc
+		// Dekker handshake (compact.go).
 		if fence {
 			arch.Sync()
 		}
@@ -541,7 +519,7 @@ func (l *ThinLocks) unlockSlow(t *threading.Thread, o *object.Object, fence, use
 		} else {
 			atomic.StoreUint32(hp, x)
 		}
-		if l.parks {
+		if l.compact {
 			l.wakeAfterUnlock(o)
 		}
 		return nil

@@ -1,12 +1,13 @@
 package lockdep_test
 
 // End-to-end deadlock diagnosis through the real lock implementation.
-// The dining test runs five philosophers on queued-inflation thin locks
-// (contenders park on channels instead of burning CPU), all grabbing
-// their left fork and then reaching for the right one. The wait-for
-// detector must name the full cycle, and the watchdog must dump it. The
-// deadlocked goroutines stay parked for the life of the test binary —
-// that is what a deadlock is — so these tests leak them by design.
+// The dining test runs five philosophers on compact monitors, whose
+// contenders spin briefly and then park on the lot instead of burning
+// CPU, all grabbing their left fork and then reaching for the right
+// one. The wait-for detector must name the full cycle, and the watchdog
+// must dump it. The deadlocked goroutines stay parked for the life of
+// the test binary — that is what a deadlock is — so these tests leak
+// them by design.
 
 import (
 	"fmt"
@@ -27,7 +28,7 @@ func TestDiningPhilosophersDeadlockIsDiagnosed(t *testing.T) {
 	d := lockdep.Enable(lockdep.New())
 	defer lockdep.Disable()
 
-	l := core.New(core.Options{QueuedInflation: true})
+	l := core.New(core.Options{Compact: true})
 	heap := object.NewHeap()
 	reg := threading.NewRegistry()
 	forks := make([]*object.Object, numPhilosophers)
@@ -261,7 +262,7 @@ func TestOrderedForksProduceNoReports(t *testing.T) {
 	d := lockdep.Enable(lockdep.New())
 	defer lockdep.Disable()
 
-	l := core.New(core.Options{QueuedInflation: true})
+	l := core.New(core.Options{Compact: true})
 	heap := object.NewHeap()
 	reg := threading.NewRegistry()
 	forks := make([]*object.Object, numPhilosophers)

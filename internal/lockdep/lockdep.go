@@ -14,8 +14,8 @@
 //     cycle is reported as a *potential* deadlock (an ABBA inversion),
 //     even if no hang ever occurs;
 //   - maintains a live wait-for state fed from the slow paths of the
-//     lock implementations (thin-lock spinning, the queued-contention
-//     park, fat-monitor entry, bias revocation, and Object.wait), with
+//     lock implementations (thin-lock spinning, the compact monitors'
+//     lot park, fat-monitor entry, bias revocation, and Object.wait), with
 //     an on-demand cycle detector that names the deadlocked threads,
 //     the sites they hold and the site each blocks on;
 //   - keeps a flight recorder: a fixed ring of recent lock events that

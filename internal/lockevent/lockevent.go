@@ -55,7 +55,7 @@ const (
 	// for a monitor's entry spin).
 	Spin
 	// QueuedPark is a contender parking on the parking lot behind the
-	// flat-lock-contention bit (queued inflation, compact monitors).
+	// flat-lock-contention bit (compact monitors).
 	QueuedPark
 	// QueueWake is an owner waking the lot's entry parkers after its
 	// final unlock.
@@ -150,7 +150,7 @@ const (
 	// thread (§2.3.4 of the paper).
 	WaitSpin
 	// WaitQueued is a thread parked on the parking lot behind the
-	// flat-lock-contention bit (queued inflation, compact monitors).
+	// flat-lock-contention bit (compact monitors).
 	WaitQueued
 	// WaitFat is a thread entering a fat monitor that may be owned.
 	WaitFat

@@ -174,8 +174,8 @@ func (p *Profiler) CASFailure(t *threading.Thread) {
 }
 
 // Park attributes ns of parked (blocked) time to the in-flight sampled
-// site and object, if any. Called from the queued-contention park and
-// the monitor entry queue.
+// site and object, if any. Called from the compact monitors' lot park
+// and the monitor entry queue.
 func (p *Profiler) Park(t *threading.Thread, ns int64) {
 	if ns <= 0 {
 		return

@@ -24,11 +24,12 @@
 // an Exit that finds the bit set goes to the latch and hands off.
 //
 // Entry spins, then queues. A thread that finds the monitor owned polls
-// state, without the latch, between arch.Backoff pauses for a fixed
-// number of rounds (arch.SpinRounds), and only then joins the entry queue
-// and parks. The paper keeps a contended object inflated (§2.3.4), so
-// every later contention for it meets a monitor; when holds are short,
-// spinning first saves the park and the handoff.
+// state, without the latch, between arch.Backoff pauses for as many
+// rounds as its thread's spin budget allows (arch.SpinBudget), and only
+// then joins the entry queue and parks. The paper keeps a contended
+// object inflated (§2.3.4), so every later contention for it meets a
+// monitor; when holds are short, spinning first saves the park and the
+// handoff.
 // Queued threads are served by direct handoff: when the owner exits,
 // ownership is transferred to the head of the entry queue before that
 // thread resumes, which keeps the queue FIFO-fair.
@@ -135,8 +136,8 @@ func (m *Monitor) checkLocked() {
 // A free monitor is taken with one CAS. A contender first spins: it
 // polls state between back-off pauses, emitting one Spin event on o per
 // pause, and takes the monitor if it finds state 0 (which implies an
-// empty entry queue). Only when the rounds run out does it queue and
-// park.
+// empty entry queue). Only when its budget's rounds run out does it
+// queue and park.
 func (m *Monitor) Enter(t *threading.Thread, o *object.Object) {
 	me := ownerState(t)
 	if m.state.CompareAndSwap(0, me) {
@@ -152,15 +153,18 @@ func (m *Monitor) enterSlow(t *threading.Thread, o *object.Object, me uint32) {
 		m.count++
 		return
 	}
+	budget := t.Spin()
 	var b arch.Backoff
-	for !b.Spent() {
+	for rounds := budget.Rounds(); b.Rounds() < rounds; {
 		lockevent.EmitValue(lockevent.Spin, t, o, int64(lockevent.WaitFat))
 		b.Pause()
 		if m.state.Load() == 0 && m.state.CompareAndSwap(0, me) {
 			m.count = 1
+			budget.Ended(true)
 			return
 		}
 	}
+	budget.Ended(false)
 	n := t.ParkNode()
 	n.Count = 1
 	m.latch.Lock()

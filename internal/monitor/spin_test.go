@@ -1,8 +1,14 @@
 package monitor
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"thinlock/internal/arch"
+	"thinlock/internal/lockevent"
+	"thinlock/internal/object"
+	"thinlock/internal/threading"
 )
 
 // contenderDelays are the pauses between starting a contender and
@@ -60,6 +66,84 @@ func TestQueuedThreadOwnsBeforeSpinner(t *testing.T) {
 		case <-lateIn:
 		case <-time.After(5 * time.Second):
 			t.Fatalf("delay %v: late contender never entered", delay)
+		}
+	}
+}
+
+// spinProbe counts one thread's Spin events, and can stall that thread
+// inside its next one, between the event and the back-off pause after
+// it.
+type spinProbe struct {
+	th    *threading.Thread
+	spins atomic.Int64
+	stall atomic.Pointer[func()]
+}
+
+func (p *spinProbe) LockEvent(k lockevent.Kind, t *threading.Thread, _ *object.Object, _ int64) {
+	if k != lockevent.Spin || t != p.th {
+		return
+	}
+	p.spins.Add(1)
+	if f := p.stall.Swap(nil); f != nil {
+		(*f)()
+	}
+}
+
+// TestEntrySpinBudgetAdapts: a contender's entry spin follows its
+// thread's budget. A fresh thread spins arch.SpinRounds pauses and
+// parks; its next spin makes only the arch.BusyRounds busy pauses; a
+// spin that acquires restores the full budget. The test is not
+// parallel: its observer sees every Spin event in the process.
+func TestEntrySpinBudgetAdapts(t *testing.T) {
+	ths := newThreads(t, 2)
+	a, b := ths[0], ths[1]
+	m := New()
+	p := &spinProbe{th: b}
+	lockevent.Install(lockevent.SlotRecorder, p, lockevent.Of(lockevent.Spin))
+	t.Cleanup(func() { lockevent.Install(lockevent.SlotRecorder, nil, 0) })
+
+	// contend has b enter while a holds the monitor and returns b's
+	// spin pauses. a exits once b has queued, or, with stall, while b
+	// is stalled in its first pause, so that b acquires by its spin.
+	contend := func(stall bool) int64 {
+		base := p.spins.Load()
+		m.Enter(a, nil)
+		stalled, released := make(chan struct{}), make(chan struct{})
+		if stall {
+			f := func() { close(stalled); <-released }
+			p.stall.Store(&f)
+		}
+		done := make(chan struct{})
+		go func() {
+			m.Enter(b, nil)
+			if err := m.Exit(b); err != nil {
+				t.Error(err)
+			}
+			close(done)
+		}()
+		if stall {
+			<-stalled
+		} else {
+			waitFor(t, func() bool { return m.EntryQueueLen() == 1 })
+		}
+		if err := m.Exit(a); err != nil {
+			t.Fatal(err)
+		}
+		close(released)
+		<-done
+		return p.spins.Load() - base
+	}
+	for i, tc := range []struct {
+		stall bool
+		want  int64
+	}{
+		{false, arch.SpinRounds}, // a fresh thread: the full budget, then a park
+		{false, arch.BusyRounds}, // after that park: the busy rounds only
+		{true, 1},                // acquires in its first pause
+		{false, arch.SpinRounds}, // which restored the full budget
+	} {
+		if got := contend(tc.stall); got != tc.want {
+			t.Fatalf("contention %d: b spun %d pauses, want %d", i+1, got, tc.want)
 		}
 	}
 }

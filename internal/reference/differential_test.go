@@ -17,14 +17,11 @@ import (
 // implementations under differential test.
 func underTest() map[string]func() lockapi.Locker {
 	return map[string]func() lockapi.Locker{
-		"ThinLock":        func() lockapi.Locker { return core.NewDefault() },
-		"ThinLock-queued": func() lockapi.Locker { return core.New(core.Options{QueuedInflation: true}) },
-		"ThinLock-compact": func() lockapi.Locker {
-			return core.New(core.Options{Compact: true})
-		},
-		"ThinLock-2bit": func() lockapi.Locker { return core.New(core.Options{CountBits: 2}) },
-		"JDK111":        func() lockapi.Locker { return monitorcache.New(monitorcache.Options{Capacity: 4}) },
-		"IBM112":        func() lockapi.Locker { return hotlocks.New(hotlocks.Options{Threshold: 2}) },
+		"ThinLock":         func() lockapi.Locker { return core.NewDefault() },
+		"ThinLock-compact": func() lockapi.Locker { return core.New(core.Options{Compact: true}) },
+		"ThinLock-2bit":    func() lockapi.Locker { return core.New(core.Options{CountBits: 2}) },
+		"JDK111":           func() lockapi.Locker { return monitorcache.New(monitorcache.Options{Capacity: 4}) },
+		"IBM112":           func() lockapi.Locker { return hotlocks.New(hotlocks.Options{Threshold: 2}) },
 	}
 }
 

@@ -21,6 +21,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"thinlock/internal/arch"
 )
 
 // IndexBits is the width of a thread index in the lock word.
@@ -71,6 +73,11 @@ type Thread struct {
 	framePC     int32
 	frameSet    bool
 
+	// spin is the thread's adaptive bound on the bounded spins before
+	// a park (arch.SpinBudget); owner only. It sits in frameSet's
+	// padding, so the fields around it keep their offsets.
+	spin arch.SpinBudget
+
 	// biasSlots holds the thread's lock reservations (see bias.go).
 	// Written only by the owning goroutine; read by revoking threads.
 	// biasClaimed counts the claimed ones; owner only.
@@ -108,6 +115,10 @@ func (t *Thread) Parker() *Parker { return &t.parker }
 
 // ParkNode returns the thread's park node, for the queue it blocks in.
 func (t *Thread) ParkNode() *ParkNode { return &t.node }
+
+// Spin returns the thread's spin budget, for a lock's bounded spin
+// before it parks.
+func (t *Thread) Spin() *arch.SpinBudget { return &t.spin }
 
 // Interrupt sets the thread's interrupt status and unparks it. An
 // interruptible wait sees the status when it wakes; any other park

@@ -100,7 +100,6 @@ type Config struct {
 	variant   Variant
 	cpu       CPU
 	compact   bool
-	queued    bool
 	countBits int
 	stats     bool
 	traceCap  int
@@ -135,13 +134,6 @@ func WithCPU(cpu CPU) Option {
 // the blocked threads, not by the objects that were once contended.
 func WithDeflation() Option {
 	return func(c *Config) { c.compact = true }
-}
-
-// WithQueuedInflation enables the queued-contention extension (the
-// Tasuki-lock protocol): contenders park on a contention queue instead
-// of spinning, at the cost of one extra flag load per unlock.
-func WithQueuedInflation() Option {
-	return func(c *Config) { c.queued = true }
 }
 
 // WithCountBits narrows the thin lock's nested-count field to the given
@@ -217,11 +209,10 @@ func New(opts ...Option) *Runtime {
 		rt.locker = rt.hot
 	default:
 		rt.thin = core.New(core.Options{
-			Variant:         cfg.variant,
-			CPU:             cfg.cpu,
-			Compact:         cfg.compact,
-			QueuedInflation: cfg.queued,
-			CountBits:       cfg.countBits,
+			Variant:   cfg.variant,
+			CPU:       cfg.cpu,
+			Compact:   cfg.compact,
+			CountBits: cfg.countBits,
 		})
 		rt.locker = rt.thin
 	}

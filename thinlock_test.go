@@ -293,38 +293,6 @@ func TestConfigKnobs(t *testing.T) {
 	}
 }
 
-func TestQueuedInflationOption(t *testing.T) {
-	rt := New(WithQueuedInflation())
-	o := rt.NewObject("X")
-	a, _ := rt.AttachThread("a")
-
-	rt.Lock(a, o)
-	done := make(chan struct{})
-	if _, err := rt.Go("b", func(th *Thread) {
-		rt.Synchronized(th, o, func() {})
-		close(done)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for rt.ThinLockStats().QueuedParks == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("contender never parked on the contention queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if rt.ThinLockStats().SpinRounds != 0 {
-		t.Error("queued mode spun")
-	}
-	if err := rt.Unlock(a, o); err != nil {
-		t.Fatal(err)
-	}
-	<-done
-	if !rt.Inflated(o) {
-		t.Error("queued contention did not inflate")
-	}
-}
-
 func TestCountBitsOption(t *testing.T) {
 	rt := New(WithCountBits(2))
 	th, _ := rt.AttachThread("t")
