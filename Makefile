@@ -20,7 +20,10 @@ vet:
 # and slot read under it) into (*Locker).lockBody and unlockBody, at
 # every call site (scripts/fastpath_check.sh reads
 # `go build -gcflags=-m` of ./internal/core and ./internal/biased), so
-# an uncontended lock or unlock cannot grow a Go call unnoticed.
+# an uncontended lock or unlock cannot grow a Go call unnoticed. On
+# amd64, under the Go release the table names, it then disassembles the
+# fast-path functions and fails unless their locked instructions and
+# calls, by kind, match the committed table scripts/fastpath_amd64.txt.
 fastpath:
 	GO="$(GO)" scripts/fastpath_check.sh
 

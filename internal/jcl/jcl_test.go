@@ -1,6 +1,7 @@
 package jcl
 
 import (
+	"math/rand"
 	"testing"
 
 	"thinlock/internal/core"
@@ -279,6 +280,50 @@ func TestBitSetLogicalOps(t *testing.T) {
 	xor.Xor(th, b)
 	if !xor.Get(th, 1) || xor.Get(th, 2) || !xor.Get(th, 3) {
 		t.Fatal("Xor wrong")
+	}
+}
+
+// TestBitSetCardinalityMatchesBitCount checks the popcount Cardinality
+// against a count of Get over every bit, after each step of seeded
+// random Set, Clear, And, Or and Xor sequences on three sets. Indices
+// reach past the sets' initial 128 bits, so Set and Or grow them, and
+// sets of different lengths meet in the logical operations.
+func TestBitSetCardinalityMatchesBitCount(t *testing.T) {
+	t.Parallel()
+	ctx, th := newCtx(t)
+	sets := []*BitSet{ctx.NewBitSet(128), ctx.NewBitSet(128), ctx.NewBitSet(128)}
+	count := func(b *BitSet) int {
+		n := 0
+		for i := 0; i < b.Size(th); i++ {
+			if b.Get(th, i) {
+				n++
+			}
+		}
+		return n
+	}
+	rng := rand.New(rand.NewSource(1))
+	grown := false
+	for step := 0; step < 2000; step++ {
+		b, other := sets[rng.Intn(len(sets))], sets[rng.Intn(len(sets))]
+		switch op := rng.Intn(10); {
+		case op < 5:
+			b.Set(th, rng.Intn(600))
+		case op < 7:
+			b.Clear(th, rng.Intn(600))
+		case op == 7:
+			b.And(th, other)
+		case op == 8:
+			b.Or(th, other)
+		default:
+			b.Xor(th, other)
+		}
+		if got, want := b.Cardinality(th), count(b); got != want {
+			t.Fatalf("step %d: Cardinality = %d, bit-by-bit count = %d", step, got, want)
+		}
+		grown = grown || b.Size(th) > 128
+	}
+	if !grown {
+		t.Fatal("no set grew past its initial size")
 	}
 }
 

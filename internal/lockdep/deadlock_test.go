@@ -56,8 +56,29 @@ func TestDiningPhilosophersDeadlockIsDiagnosed(t *testing.T) {
 	}
 	close(proceed)
 
-	// The detector must find the full 5-thread cycle.
+	// A philosopher spins before it parks, and its blocking episode
+	// starts again when it parks. Wait until all five have been parked
+	// past the watchdog's threshold, so that the cycle shows every park
+	// and the watchdog's first dump names every philosopher.
 	deadline := time.Now().Add(10 * time.Second)
+	const threshold = 50 * time.Millisecond
+	for {
+		parked := 0
+		for _, n := range d.WaitingThreads() {
+			if n.Kind == "queued-park" && n.WaitNs >= threshold.Nanoseconds() {
+				parked++
+			}
+		}
+		if parked == numPhilosophers {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("philosophers never all parked past %v; waiters: %+v", threshold, d.WaitingThreads())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// The detector must find the full 5-thread cycle.
 	var cycle lockdep.WaitCycle
 	for {
 		var found bool
@@ -96,7 +117,7 @@ func TestDiningPhilosophersDeadlockIsDiagnosed(t *testing.T) {
 	// The watchdog must dump the same stall, once per episode.
 	dumps := make(chan lockdep.StallDump, 1)
 	w := d.StartWatchdog(lockdep.WatchdogOptions{
-		Threshold: 50 * time.Millisecond,
+		Threshold: threshold,
 		Interval:  10 * time.Millisecond,
 		OnStall: func(sd lockdep.StallDump) {
 			select {

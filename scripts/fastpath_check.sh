@@ -1,13 +1,21 @@
 #!/usr/bin/env bash
-# Fails unless the compiler inlines the lock fast-path helpers at every
-# call site: the thin helpers into (*ThinLocks).Lock and Unlock, so
-# ThinLock's one-call uncontended path cannot grow past Go's inlining
-# budget unnoticed, and Biased's slot accessor (with the index and the
-# slot read under it) into (*Locker).lockBody and unlockBody, so the
-# owner's direct slot index cannot quietly become a call. Run from the
-# repository root (`make fastpath` does):
+# Checks the lock fast paths in two halves. Run from the repository root
+# (`make fastpath` does):
 #
 #   scripts/fastpath_check.sh
+#
+# First, it fails unless the compiler inlines the lock fast-path helpers
+# at every call site: the thin helpers into (*ThinLocks).Lock and
+# Unlock, so ThinLock's one-call uncontended path cannot grow past Go's
+# inlining budget unnoticed, and Biased's slot accessor (with the index
+# and the slot read under it) into (*Locker).lockBody and unlockBody, so
+# the owner's direct slot index cannot quietly become a call.
+#
+# Second, on amd64, it disassembles the fast-path functions and fails
+# unless their locked instructions (LOCK-prefixed or XCHG) and their
+# calls of this module's functions, counted by kind, match the committed
+# table scripts/fastpath_amd64.txt. A change that adds a locked
+# instruction or a call to a fast path must update that table.
 set -euo pipefail
 
 GO="${GO:-go}"
@@ -70,4 +78,100 @@ for method in 'func (l *Locker) lockBody(' 'func (l *Locker) unlockBody('; do
 	expect "$biased" "$method" 'slotFor' 'core.BiasSlotIndex'
 	expect "$biased" "$method" 'slotFor' 'threading.(*Thread).BiasSlot'
 done
+
+# The disassembly table. Its rows name a function, a kind and a count.
+# A kind is a locked instruction's mnemonic, "CALL" and a callee in this
+# module, or "CALL indirect"; calls into the runtime and the standard
+# library (the stack check, panics, sync's slow paths) are left out. A
+# function with none of these has one row of kind "-". Symbols drop the
+# module's "thinlock/internal/" prefix, and the key leaves out source
+# lines: an inlined atomic is attributed to the standard library's line.
+# Code generation and inlining change between Go releases, so the table
+# names the release it was made with in its "# toolchain:" line (go.mod's
+# toolchain line selects it), and under another release this half is
+# skipped with a message.
+table=scripts/fastpath_amd64.txt
+goarch=$("$GO" env GOARCH)
+if [ "$goarch" != amd64 ]; then
+	echo "fastpath: the locked-instruction table is amd64's; skipped on $goarch"
+	exit "$fail"
+fi
+made=$(sed -n 's/^# toolchain: //p' "$table")
+if [ -z "$made" ]; then
+	echo "fastpath: $table has no '# toolchain:' line"
+	exit 1
+fi
+goversion=$("$GO" env GOVERSION)
+if [[ ! $goversion =~ ^go[0-9]+\.[0-9]+ ]] || [ "${BASH_REMATCH[0]}" != "$made" ]; then
+	echo "fastpath: $table was made with $made; skipped under $goversion"
+	exit "$fail"
+fi
+funcs=(
+	'core.(*ThinLocks).Lock'
+	'core.(*ThinLocks).Unlock'
+	'core.lockFn'
+	'core.unlockFn'
+	'core.(*ThinLocks).lockKernel'
+	'core.(*ThinLocks).unlockSlow'
+	'monitor.(*Monitor).Enter'
+	'monitor.(*Monitor).Exit'
+)
+syms=$(printf '%s\n' "${funcs[@]}" | sed 's/[().*]/\\&/g; s|^|^thinlock/internal/|; s/$/$/' | paste -sd'|')
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+"$GO" test -c -o "$tmp/core.test" ./internal/core
+"$GO" tool objdump -s "$syms" "$tmp/core.test" | awk -F'\t+' -v order="${funcs[*]}" '
+	/^TEXT / {
+		fn = $0
+		sub(/^TEXT thinlock\/internal\//, "", fn)
+		sub(/\(SB\).*/, "", fn)
+		next
+	}
+	{
+		ins = $4
+		kind = ""
+		if (ins ~ /^LOCK /) {
+			split(ins, w, " ")
+			kind = w[1] " " w[2]
+		} else if (ins ~ /^XCHG/) {
+			split(ins, w, " ")
+			kind = w[1]
+		} else if (ins ~ /^CALL thinlock\//) {
+			kind = ins
+			sub(/[ \t]+$/, "", kind)
+			sub(/\(SB\)$/, "", kind)
+			sub(/thinlock\/internal\//, "", kind)
+		} else if (ins ~ /^CALL [^a-z]/) {
+			kind = "CALL indirect"
+		}
+		if (kind != "") n[fn "\t" kind]++
+	}
+	END {
+		nf = split(order, fns, " ")
+		for (i = 1; i <= nf; i++) {
+			rows = 0
+			for (key in n) {
+				split(key, k, "\t")
+				if (k[1] == fns[i]) { line[++rows] = sprintf("%-30s %-44s %d", fns[i], k[2], n[key]) }
+			}
+			if (rows == 0) { printf "%-30s %-44s %d\n", fns[i], "-", 0; continue }
+			# insertion sort, so the order does not depend on awk
+			for (a = 2; a <= rows; a++) {
+				v = line[a]
+				for (b = a - 1; b >= 1 && line[b] > v; b--) line[b + 1] = line[b]
+				line[b + 1] = v
+			}
+			for (a = 1; a <= rows; a++) print line[a]
+		}
+	}
+' >"$tmp/table.txt"
+if diff -u <(grep -v '^#' "$table") "$tmp/table.txt" >"$tmp/diff.txt"; then
+	echo "fastpath: locked instructions and calls of ${#funcs[@]} fast-path functions match $table"
+else
+	echo "fastpath: the disassembly no longer matches $table (- table, + build):"
+	cat "$tmp/diff.txt"
+	echo "fastpath: if the change is intended, replace the table's rows with:"
+	cat "$tmp/table.txt"
+	fail=1
+fi
 exit "$fail"
