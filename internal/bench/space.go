@@ -3,11 +3,13 @@ package bench
 import (
 	"fmt"
 	"strings"
+	"unsafe"
 
 	"thinlock/internal/core"
 	"thinlock/internal/hotlocks"
 	"thinlock/internal/jcl"
 	"thinlock/internal/lockstat"
+	"thinlock/internal/monitor"
 	"thinlock/internal/monitorcache"
 	"thinlock/internal/object"
 	"thinlock/internal/threading"
@@ -20,10 +22,12 @@ import (
 // cache and hot locks keep multi-word monitor structures outside objects
 // for every (cached) synchronized object.
 
-// MonitorBytes models the size of one heavy-weight monitor structure:
-// a thread pointer, a lock count, two queue heads and a latch — the
-// "multi-word structure" of §2.1 — plus its table slot.
-const MonitorBytes = 48
+// MonitorBytes is the size of one heavy-weight monitor structure, the
+// "multi-word structure" of §2.1: an owner word, a lock count, a latch
+// and two one-word queues. The monitor table holds monitors by value,
+// so a monitor costs no table slot, and the baselines' standalone
+// monitors are the same structure.
+const MonitorBytes = int(unsafe.Sizeof(monitor.Monitor{}))
 
 // CacheEntryBytes models one monitor-cache binding (hash-table entry:
 // key, pointer, chain).
@@ -38,12 +42,13 @@ type SpaceRow struct {
 	// Structures is how many monitor structures exist at the end of the
 	// run.
 	Structures int
-	// Bytes is the modeled dedicated lock storage.
+	// Bytes is the dedicated lock storage: Structures monitors of
+	// MonitorBytes each, plus modeled cache bindings.
 	Bytes int
 }
 
 // SpaceUsage runs the workload once under each implementation and
-// reports the modeled lock-storage footprint.
+// reports its lock-storage footprint.
 func SpaceUsage(w workloads.Workload, size int) ([]SpaceRow, error) {
 	var rows []SpaceRow
 
@@ -117,7 +122,8 @@ func runWorkload(rec *lockstat.Recorder, w workloads.Workload, size int) (int, e
 // FormatSpace renders the space comparison for a set of workloads.
 func FormatSpace(results map[string][]SpaceRow, order []string) string {
 	var b strings.Builder
-	b.WriteString("Lock storage footprint (modeled; monitor=48B, cache entry=24B)\n")
+	fmt.Fprintf(&b, "Lock storage footprint (monitor=%dB measured, cache entry=%dB modeled)\n",
+		MonitorBytes, CacheEntryBytes)
 	fmt.Fprintf(&b, "%-12s %-10s %12s %12s %12s\n",
 		"program", "impl", "sync.obj", "structures", "bytes")
 	for _, name := range order {

@@ -125,10 +125,10 @@ func (l *Locker) selfRevokeOverflow(t *threading.Thread, o *object.Object, s *th
 	}
 	d := s.Depth()
 	o.SetFlagBits(FlagBiasDead)
-	m := l.table.Allocate()
+	m, idx := l.table.Allocate()
 	m.SeedOwner(t, uint32(d)+1)
 	t.ReleaseBiasSlot(s)
-	publishRevoked(o, core.InflatedWord(m.Index(), w))
+	publishRevoked(o, core.InflatedWord(idx, w))
 	l.revOverflow.Add(1)
 	l.inflOverflow.Add(1)
 	lockevent.Emit(lockevent.RevokeOverflow, t, o)
@@ -160,10 +160,10 @@ func (l *Locker) waitRevoke(t *threading.Thread, o *object.Object, s *threading.
 		}
 		d := s.Depth()
 		o.SetFlagBits(FlagBiasDead)
-		m := l.table.Allocate()
+		m, idx := l.table.Allocate()
 		m.SeedOwner(t, uint32(d))
 		t.ReleaseBiasSlot(s)
-		publishRevoked(o, core.InflatedWord(m.Index(), w))
+		publishRevoked(o, core.InflatedWord(idx, w))
 		l.revWait.Add(1)
 		l.inflWait.Add(1)
 		lockevent.Emit(lockevent.RevokeWait, t, o)

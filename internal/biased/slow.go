@@ -140,9 +140,9 @@ func (l *Locker) tryInstallBias(t *threading.Thread, o *object.Object, w uint32)
 // lock holding `locks` nested locks, as in core: the header store may
 // be plain because the inflating thread owns the thin word.
 func (l *Locker) inflate(t *threading.Thread, o *object.Object, locks uint32) *monitor.Monitor {
-	m := l.table.Allocate()
+	m, idx := l.table.Allocate()
 	m.SeedOwner(t, locks)
-	o.SetHeader(core.InflatedWord(m.Index(), o.Header()))
+	o.SetHeader(core.InflatedWord(idx, o.Header()))
 	return m
 }
 

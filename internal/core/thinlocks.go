@@ -397,9 +397,9 @@ func (l *ThinLocks) lockSlowBody(t *threading.Thread, o *object.Object, cpu arch
 // inflating thread owns the thin lock, and the discipline guarantees
 // exclusive write access to the lock word.
 func (l *ThinLocks) inflate(t *threading.Thread, o *object.Object, locks uint32) *monitor.Monitor {
-	m := l.table.Allocate()
+	m, idx := l.table.Allocate()
 	m.SeedOwner(t, locks)
-	o.SetHeader(InflatedWord(m.Index(), o.Header()))
+	o.SetHeader(InflatedWord(idx, o.Header()))
 	return m
 }
 

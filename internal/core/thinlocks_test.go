@@ -139,6 +139,42 @@ func TestCountOverflowInflates(t *testing.T) {
 	}
 }
 
+// TestInflationAllocatesOnlyChunks: the monitor table holds monitors by
+// value in chunks of 64, so inflating allocates at most a chunk and a
+// copy of the chunk directory per 64 monitors, and nothing per monitor.
+// Each object inflates by count overflow: with a 1-bit count its third
+// nested lock overflows. Deliberately not parallel: AllocsPerRun reads
+// global allocation counters.
+func TestInflationAllocatesOnlyChunks(t *testing.T) {
+	const perRun = 320 // five chunks
+	f := newFixture(t, Options{CountBits: 1})
+	th := f.thread(t)
+	objs := make([]*object.Object, 2*perRun) // AllocsPerRun's warm-up run, then the measured one
+	for i := range objs {
+		objs[i] = f.heap.New("X")
+	}
+	next := 0
+	avg := testing.AllocsPerRun(1, func() {
+		for _, o := range objs[next : next+perRun] {
+			for i := 0; i < 3; i++ {
+				f.l.Lock(th, o)
+			}
+			for i := 0; i < 3; i++ {
+				if err := f.l.Unlock(th, o); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		next += perRun
+	})
+	if s := f.l.Stats(); s.InflationsOverflow != 2*perRun || s.FatLocks != 2*perRun {
+		t.Fatalf("InflationsOverflow = %d, FatLocks = %d, want %d each", s.InflationsOverflow, s.FatLocks, 2*perRun)
+	}
+	if limit := 2.0 * perRun / 64; avg > limit {
+		t.Fatalf("%d inflations allocated %.0f objects, want at most %.0f (a chunk and a directory copy per 64)", perRun, avg, limit)
+	}
+}
+
 func TestUnlockWithoutOwnership(t *testing.T) {
 	t.Parallel()
 	f := newFixture(t, Options{})

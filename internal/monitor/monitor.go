@@ -9,11 +9,13 @@
 // structure which includes space for a thread pointer, a nested lock
 // count, and the necessary queues." (§2.1). This package is that system:
 // a Monitor holds an owner word, the lock count (the number of locks,
-// not the number minus one as in a thin lock — Figure 2), a FIFO entry
-// queue and a wait set. The queues are intrusive lists of the blocked
-// threads' own park nodes (threading.ParkNode), each thread sleeps on
-// its own Parker, and a Monitor is 56 bytes: blocking allocates nothing,
-// and a monitor whose queues have emptied references no thread.
+// not the number minus one as in a thin lock — Figure 2), a latch, a
+// FIFO entry queue and a wait set. The queues are intrusive circular
+// lists of the blocked threads' own park nodes (threading.ParkNode), one
+// word each, and each thread sleeps on its own Parker. So a Monitor is
+// 32 bytes, two to a cache line: blocking allocates nothing, and a
+// monitor whose queues have emptied references no thread. A Monitor
+// does not know its index; the Table that holds it by value does.
 //
 // The owner word, state, names the owner by its thread index shifted
 // left by one, with the low bit (queuedBit) set while the entry queue is
@@ -73,8 +75,8 @@ const (
 const queuedBit uint32 = 1
 
 // Monitor is a heavy-weight recursive lock with condition-variable
-// semantics. The zero value is unusable; create monitors with New or
-// Table.Allocate.
+// semantics. The zero value is a free monitor; Table.Allocate hands out
+// the ones a table holds, and New makes a standalone one.
 type Monitor struct {
 	// state is the owner's thread index << 1 | queuedBit, or 0 when the
 	// monitor is free (and so its entry queue is empty). The owner
@@ -83,19 +85,13 @@ type Monitor struct {
 	// changes only under the latch.
 	state atomic.Uint32
 	count uint32 // the owner's lock count; only the owner touches it
-	index uint32 // index in the owning Table (0 if table-less)
 	latch sync.Mutex
 	entry threading.Queue // FIFO entry queue
 	waits threading.Queue // wait set, notified in FIFO order
 }
 
-// New returns a fresh unowned monitor that is not registered in any
-// table (Index reports 0).
+// New returns a fresh unowned monitor that is not held in any table.
 func New() *Monitor { return &Monitor{} }
-
-// Index returns the monitor's index in its Table, or 0 if it was created
-// with New.
-func (m *Monitor) Index() uint32 { return m.index }
 
 // ownerState is t's owner half of state. Thread index 0 is reserved, so
 // it is never 0.
@@ -105,8 +101,8 @@ func ownerState(t *threading.Thread) uint32 { return uint32(t.Index()) << 1 }
 func (m *Monitor) String() string {
 	m.latch.Lock()
 	defer m.latch.Unlock()
-	return fmt.Sprintf("monitor(idx=%d owner=%d count=%d entry=%d wait=%d)",
-		m.index, m.OwnerIndex(), m.count, m.entry.Len(), m.waits.Len())
+	return fmt.Sprintf("monitor(owner=%d count=%d entry=%d wait=%d)",
+		m.OwnerIndex(), m.count, m.entry.Len(), m.waits.Len())
 }
 
 // checkLocked panics unless state == 0 implies an empty entry queue and

@@ -8,26 +8,28 @@ import (
 	"thinlock/internal/threading"
 )
 
-// TestMonitorIs64Bytes pins the layout: state, count, index, latch and
-// two queue head/tail pairs, 56 bytes that the allocator rounds up to
-// its 64-byte size class. A field added here is paid by every monitor an
-// inflate-forever implementation keeps for life.
-func TestMonitorIs64Bytes(t *testing.T) {
+// TestMonitorIs32Bytes pins the layout: state, count, latch and two
+// one-word queues, 32 bytes. A Table holds its monitors by value, so no
+// allocator size class absorbs a field added here: every monitor in the
+// table pays for it, and an inflate-forever implementation keeps each
+// one for life.
+func TestMonitorIs32Bytes(t *testing.T) {
 	t.Parallel()
-	if n := unsafe.Sizeof(Monitor{}); n != 56 {
-		t.Fatalf("sizeof(Monitor) = %d, want 56 (in the allocator's 64-byte size class)", n)
+	if n := unsafe.Sizeof(Monitor{}); n != 32 {
+		t.Fatalf("sizeof(Monitor) = %d, want 32", n)
 	}
 }
 
-// requireQueuesCleared fails unless both queues' head and tail are nil,
-// so the monitor keeps no blocked thread's node reachable.
+// requireQueuesCleared fails unless both queues are empty. A queue is
+// one word, its tail, so an empty one keeps no blocked thread's node
+// reachable.
 func requireQueuesCleared(t *testing.T, m *Monitor, when string) {
 	t.Helper()
 	m.latch.Lock()
 	defer m.latch.Unlock()
 	for name, q := range map[string]*threading.Queue{"entry": &m.entry, "wait": &m.waits} {
-		if h, tl := q.Ends(); h != nil || tl != nil {
-			t.Errorf("%s: %s queue keeps head %p tail %p", when, name, h, tl)
+		if !q.Empty() {
+			t.Errorf("%s: %s queue keeps %d nodes", when, name, q.Len())
 		}
 	}
 }

@@ -155,7 +155,7 @@ func TestManyMonitorsConcurrently(t *testing.T) {
 	ms := make([]*Monitor, monitors)
 	counters := make([]int64, monitors)
 	for i := range ms {
-		ms[i] = tb.Allocate()
+		ms[i], _ = tb.Allocate()
 	}
 	const goroutines, iters = 8, 400
 	var wg sync.WaitGroup

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"strings"
 	"sync"
 	"testing"
 )
@@ -8,10 +9,9 @@ import (
 func TestTableAllocateAssignsSequentialIndices(t *testing.T) {
 	t.Parallel()
 	tb := NewTable()
-	for i := 0; i < 3000; i++ { // crosses a chunk boundary
-		m := tb.Allocate()
-		if m.Index() != uint32(i) {
-			t.Fatalf("index = %d, want %d", m.Index(), i)
+	for i := 0; i < 3000; i++ { // crosses many chunk boundaries
+		if _, idx := tb.Allocate(); idx != uint32(i) {
+			t.Fatalf("index = %d, want %d", idx, i)
 		}
 	}
 	if tb.Len() != 3000 {
@@ -24,7 +24,7 @@ func TestTableGetReturnsSameMonitor(t *testing.T) {
 	tb := NewTable()
 	ms := make([]*Monitor, 2500)
 	for i := range ms {
-		ms[i] = tb.Allocate()
+		ms[i], _ = tb.Allocate()
 	}
 	for i, want := range ms {
 		if got := tb.Get(uint32(i)); got != want {
@@ -33,16 +33,56 @@ func TestTableGetReturnsSameMonitor(t *testing.T) {
 	}
 }
 
+// requireGetPanics fails unless tb.Get(idx) panics.
+func requireGetPanics(t *testing.T, tb *Table, idx uint32) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("Get(%d) of an unallocated index did not panic", idx)
+		}
+	}()
+	tb.Get(idx)
+}
+
+// TestTableGetPanicsOnBadIndex: an index past the last allocation
+// panics, including one whose chunk already exists.
 func TestTableGetPanicsOnBadIndex(t *testing.T) {
 	t.Parallel()
 	tb := NewTable()
 	tb.Allocate()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Get of unallocated index did not panic")
+	for _, idx := range []uint32{1, chunkSize - 1, chunkSize, 99999} {
+		requireGetPanics(t, tb, idx)
+	}
+}
+
+// TestTableExhaustionPanicsAndKeepsLen: the last of the 2^23 indices is
+// allocated and usable; the next Allocate panics without taking an
+// index, so Len still counts only the monitors that were made.
+func TestTableExhaustionPanicsAndKeepsLen(t *testing.T) {
+	t.Parallel()
+	tb := NewTable()
+	tb.next.Store(MaxMonitors - 1)
+	m, idx := tb.Allocate()
+	if idx != MaxMonitors-1 {
+		t.Fatalf("index = %d, want %d", idx, MaxMonitors-1)
+	}
+	if tb.Get(idx) != m {
+		t.Fatalf("Get(%d) returned a different monitor", idx)
+	}
+	for i := 0; i < 2; i++ {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "monitor: 23-bit monitor index space exhausted") {
+					t.Errorf("Allocate past the index space: recovered %q", msg)
+				}
+			}()
+			tb.Allocate()
+		}()
+		if tb.Len() != MaxMonitors {
+			t.Fatalf("Len = %d after %d failed allocations, want %d", tb.Len(), i+1, MaxMonitors)
 		}
-	}()
-	tb.Get(99999)
+	}
 }
 
 func TestTableConcurrentAllocateAndGet(t *testing.T) {
@@ -56,10 +96,10 @@ func TestTableConcurrentAllocateAndGet(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				m := tb.Allocate()
-				indices[g] = append(indices[g], m.Index())
-				if tb.Get(m.Index()) != m {
-					t.Errorf("Get(%d) mismatch", m.Index())
+				m, idx := tb.Allocate()
+				indices[g] = append(indices[g], idx)
+				if tb.Get(idx) != m {
+					t.Errorf("Get(%d) mismatch", idx)
 					return
 				}
 			}
@@ -77,13 +117,6 @@ func TestTableConcurrentAllocateAndGet(t *testing.T) {
 	}
 	if tb.Len() != goroutines*perG {
 		t.Errorf("Len = %d, want %d", tb.Len(), goroutines*perG)
-	}
-}
-
-func TestNewMonitorHasIndexZero(t *testing.T) {
-	t.Parallel()
-	if New().Index() != 0 {
-		t.Error("table-less monitor should report index 0")
 	}
 }
 

@@ -115,21 +115,23 @@ const (
 // Thread returns the thread the node belongs to.
 func (n *ParkNode) Thread() *Thread { return n.thread }
 
-// Queue is an intrusive FIFO of park nodes. The zero value is empty. Its
-// owner guards it with a lock.
+// Queue is an intrusive FIFO of park nodes, kept as a circular list
+// through its tail: tail.next is the head, so one word holds the queue
+// and Push and Pop are O(1). The zero value is empty. Its owner guards
+// it with a lock.
 type Queue struct {
-	head, tail *ParkNode
+	tail *ParkNode
 }
 
 // Empty reports whether the queue holds no node.
-func (q *Queue) Empty() bool { return q.head == nil }
+func (q *Queue) Empty() bool { return q.tail == nil }
 
 // Push appends n, which must be in no queue.
 func (q *Queue) Push(n *ParkNode) {
-	n.next = nil
 	if q.tail == nil {
-		q.head = n
+		n.next = n
 	} else {
+		n.next = q.tail.next
 		q.tail.next = n
 	}
 	q.tail = n
@@ -137,17 +139,17 @@ func (q *Queue) Push(n *ParkNode) {
 
 // Pop removes and returns the first node, or nil.
 func (q *Queue) Pop() *ParkNode {
-	n := q.head
+	n := q.head()
 	if n != nil {
-		q.unlink(nil, n)
+		q.unlink(q.tail, n)
 	}
 	return n
 }
 
 // Remove deletes n from the queue, reporting whether it was there.
 func (q *Queue) Remove(n *ParkNode) bool {
-	var prev *ParkNode
-	for c := q.head; c != nil; prev, c = c, c.next {
+	prev := q.tail
+	for c := q.head(); c != nil; prev, c = c, q.after(c) {
 		if c == n {
 			q.unlink(prev, n)
 			return true
@@ -156,15 +158,31 @@ func (q *Queue) Remove(n *ParkNode) bool {
 	return false
 }
 
-// unlink deletes n, whose predecessor is prev (nil for the head).
+// head returns the first node, or nil.
+func (q *Queue) head() *ParkNode {
+	if q.tail == nil {
+		return nil
+	}
+	return q.tail.next
+}
+
+// after returns the node that follows c, or nil if c is the tail.
+func (q *Queue) after(c *ParkNode) *ParkNode {
+	if c == q.tail {
+		return nil
+	}
+	return c.next
+}
+
+// unlink deletes n, whose predecessor is prev (the tail, for the head).
 func (q *Queue) unlink(prev, n *ParkNode) {
-	if prev == nil {
-		q.head = n.next
+	if prev == n { // n is the only node
+		q.tail = nil
 	} else {
 		prev.next = n.next
-	}
-	if q.tail == n {
-		q.tail = prev
+		if q.tail == n {
+			q.tail = prev
+		}
 	}
 	n.next = nil
 }
@@ -172,15 +190,11 @@ func (q *Queue) unlink(prev, n *ParkNode) {
 // Len counts the nodes, walking the queue.
 func (q *Queue) Len() int {
 	k := 0
-	for c := q.head; c != nil; c = c.next {
+	for c := q.head(); c != nil; c = q.after(c) {
 		k++
 	}
 	return k
 }
-
-// Ends returns the head and tail pointers, for tests that check an
-// emptied queue keeps no node reachable.
-func (q *Queue) Ends() (head, tail *ParkNode) { return q.head, q.tail }
 
 // lotBits sizes the lot: 64 buckets of one cache line each.
 const lotBits = 6
@@ -190,7 +204,7 @@ const lotBits = 6
 type bucket struct {
 	mu sync.Mutex
 	q  Queue
-	_  [40]byte
+	_  [48]byte
 }
 
 var lot [1 << lotBits]bucket
@@ -291,7 +305,7 @@ func Relabel(key *object.Object, max int) int {
 	b := bucketFor(key)
 	moved := 0
 	b.mu.Lock()
-	for n := b.q.head; n != nil && moved != max; n = n.next {
+	for n := b.q.head(); n != nil && moved != max; n = b.q.after(n) {
 		if n.key.Load() == key && n.State.Load() == LotWait {
 			n.State.Store(LotEntry)
 			moved++
@@ -320,7 +334,7 @@ func (b *bucket) count(key *object.Object) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	k := 0
-	for n := b.q.head; n != nil; n = n.next {
+	for n := b.q.head(); n != nil; n = b.q.after(n) {
 		if key == nil || n.key.Load() == key {
 			k++
 		}
@@ -345,9 +359,9 @@ func unpark(key *object.Object, max int) int {
 	b := bucketFor(key)
 	woken := 0
 	b.mu.Lock()
-	var prev *ParkNode
-	for n := b.q.head; n != nil && woken != max; {
-		next := n.next
+	prev := b.q.tail
+	for n := b.q.head(); n != nil && woken != max; {
+		next := b.q.after(n)
 		if n.key.Load() != key || n.State.Load() != LotEntry {
 			prev, n = n, next
 			continue

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"thinlock/internal/object"
 )
@@ -22,30 +23,49 @@ func attachN(t testing.TB, n int) []*Thread {
 	return out
 }
 
+// TestQueueFIFOAndRemove removes the head, the middle node and the tail
+// of a three-node queue in turn. The removed node must link to nothing
+// and be gone, and pushed back it must pop last, after the others in
+// their order.
 func TestQueueFIFOAndRemove(t *testing.T) {
 	t.Parallel()
 	ths := attachN(t, 3)
-	var q Queue
-	for _, th := range ths {
-		q.Push(th.ParkNode())
-	}
-	if q.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", q.Len())
-	}
-	if !q.Remove(ths[2].ParkNode()) {
-		t.Fatal("Remove of the tail failed")
-	}
-	if q.Remove(ths[2].ParkNode()) {
-		t.Fatal("Remove of an absent node succeeded")
-	}
-	q.Push(ths[2].ParkNode()) // the tail must have moved back
-	for i, want := range ths {
-		if n := q.Pop(); n != want.ParkNode() {
-			t.Fatalf("Pop %d = %p, want thread %d's node", i, n, i)
+	for drop := range ths {
+		var q Queue
+		for _, th := range ths {
+			q.Push(th.ParkNode())
+		}
+		if q.Len() != 3 {
+			t.Fatalf("Len = %d, want 3", q.Len())
+		}
+		n := ths[drop].ParkNode()
+		if !q.Remove(n) || n.next != nil {
+			t.Fatalf("drop %d: Remove failed or left next %p", drop, n.next)
+		}
+		if q.Remove(n) {
+			t.Fatalf("drop %d: Remove of an absent node succeeded", drop)
+		}
+		q.Push(n)
+		want := append(append(append([]*Thread{}, ths[:drop]...), ths[drop+1:]...), ths[drop])
+		for i, th := range want {
+			if got := q.Pop(); got != th.ParkNode() {
+				t.Fatalf("drop %d: Pop %d = %p, want %p", drop, i, got, th.ParkNode())
+			}
+		}
+		if q.tail != nil || q.Pop() != nil {
+			t.Fatalf("drop %d: emptied queue keeps tail %p", drop, q.tail)
 		}
 	}
-	if h, tl := q.Ends(); h != nil || tl != nil || q.Pop() != nil {
-		t.Fatalf("emptied queue keeps head %p tail %p", h, tl)
+}
+
+// TestBucketIsOneCacheLine pins a lot bucket at 64 bytes, one cache
+// line, so neighbouring buckets' mutexes do not share one. The pad is
+// sized by hand for a mutex and a one-word Queue: a change to either
+// must resize it.
+func TestBucketIsOneCacheLine(t *testing.T) {
+	t.Parallel()
+	if n := unsafe.Sizeof(bucket{}); n != 64 {
+		t.Fatalf("sizeof(bucket) = %d, want 64", n)
 	}
 }
 
