@@ -53,9 +53,11 @@ race:
 # So does internal/lockevent, ten times over: observer registration
 # racing with emits is its one concurrent structure. internal/monitor
 # runs ten times over too: its entry spin, which polls the monitor's
-# state word between back-off pauses before it queues, races exits and
-# handoffs, and race builds check the state word against the entry
-# queue at every latch release.
+# state word between back-off pauses before it parks, races exits and
+# handoffs, and race builds check the state word against the monitor's
+# entry parkers on the parking lot with the lot's bucket locked. The
+# two baselines (internal/monitorcache, internal/hotlocks) run ten
+# times over with it, since their monitors block on the same lot.
 # So does internal/vm: concurrent Runs on one VM hand its frame stack
 # between them through one atomic pointer, and a Run that finds it
 # taken builds its own. Core's compact-monitor tests run ten times over
@@ -63,7 +65,7 @@ race:
 # waiter filed before its release, a notify's relabel and the final
 # unlock's flc handshake are all store/load ordering.
 race-locks:
-	$(GO) test -race -count=10 ./internal/biased/... ./internal/threading/... ./internal/lockevent/... ./internal/monitor/... ./internal/vm/...
+	$(GO) test -race -count=10 ./internal/biased/... ./internal/threading/... ./internal/lockevent/... ./internal/monitor/... ./internal/monitorcache/... ./internal/hotlocks/... ./internal/vm/...
 	$(GO) test -race -count=10 -run 'Compact|Deflation' ./internal/core/...
 	$(GO) test -race -count=1 ./internal/core/... ./internal/lockscope/...
 

@@ -44,39 +44,11 @@ func benchMicro(b *testing.B, kernel string, param int) {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
-			if err := runKernelN(m, kernel, param, int64(b.N)); err != nil {
+			if err := m.Run(kernel, param, int64(b.N)); err != nil {
 				b.Fatal(err)
 			}
 		})
 	}
-}
-
-func runKernelN(m *bench.Micro, kernel string, param int, n int64) error {
-	switch kernel {
-	case "NoSync":
-		return m.NoSync(n)
-	case "Sync":
-		return m.Sync(n)
-	case "NestedSync":
-		return m.NestedSync(n)
-	case "MixedSync":
-		return m.MixedSync(n)
-	case "MultiSync":
-		return m.MultiSync(param, n)
-	case "Call":
-		return m.Call(n)
-	case "CallSync":
-		return m.CallSync(n)
-	case "NestedCallSync":
-		return m.NestedCallSync(n)
-	case "Threads":
-		per := n / int64(param)
-		if per == 0 {
-			per = 1
-		}
-		return m.Threads(param, per)
-	}
-	return fmt.Errorf("unknown kernel %s", kernel)
 }
 
 // BenchmarkNoSync measures the interpretation cost of the bare loop — the
@@ -136,7 +108,7 @@ func BenchmarkTradeoffs(b *testing.B) {
 						b.Fatal(err)
 					}
 					b.ResetTimer()
-					if err := runKernelN(m, kernel, 0, int64(b.N)); err != nil {
+					if err := m.Run(kernel, 0, int64(b.N)); err != nil {
 						b.Fatal(err)
 					}
 				})

@@ -77,7 +77,7 @@ func TestDispatchUnknownKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dispatch(m, "Bogus", 0, 1); err == nil {
+	if err := m.Run("Bogus", 0, 1); err == nil {
 		t.Fatal("unknown kernel accepted")
 	}
 }
@@ -92,7 +92,7 @@ func TestDispatchCoversAllKernels(t *testing.T) {
 		if k.Swept {
 			param = 2
 		}
-		if err := dispatch(m, k.Name, param, 100); err != nil {
+		if err := m.Run(k.Name, param, 100); err != nil {
 			t.Errorf("%s: %v", k.Name, err)
 		}
 	}

@@ -26,8 +26,10 @@ func Kernels() []KernelInfo {
 	}
 }
 
-// dispatch runs the named kernel on m.
-func dispatch(m *Micro, kernel string, param int, iters int64) error {
+// Run runs the named Table 2 kernel for iters iterations; param is a
+// swept kernel's n (Kernels). Threads splits the iterations among its n
+// threads.
+func (m *Micro) Run(kernel string, param int, iters int64) error {
 	switch kernel {
 	case "NoSync":
 		return m.NoSync(iters)
@@ -65,7 +67,7 @@ func RunKernel(f Factory, kernel string, param int, iters int64, samples int) (R
 		if err != nil {
 			return nil, err
 		}
-		return func() error { return dispatch(m, kernel, param, iters) }, nil
+		return func() error { return m.Run(kernel, param, iters) }, nil
 	})
 	if err != nil {
 		return Result{}, err

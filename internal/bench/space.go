@@ -23,10 +23,10 @@ import (
 // for every (cached) synchronized object.
 
 // MonitorBytes is the size of one heavy-weight monitor structure, the
-// "multi-word structure" of §2.1: an owner word, a lock count, a latch
-// and two one-word queues. The monitor table holds monitors by value,
-// so a monitor costs no table slot, and the baselines' standalone
-// monitors are the same structure.
+// "multi-word structure" of §2.1, less its queues: an owner word and a
+// lock count, since blocked threads wait on the parking lot. The
+// monitor table holds monitors by value, so a monitor costs no table
+// slot, and the baselines' standalone monitors are the same structure.
 const MonitorBytes = int(unsafe.Sizeof(monitor.Monitor{}))
 
 // CacheEntryBytes models one monitor-cache binding (hash-table entry:
@@ -119,18 +119,29 @@ func runWorkload(rec *lockstat.Recorder, w workloads.Workload, size int) (int, e
 	return rec.Snapshot().SyncedObjects, nil
 }
 
-// FormatSpace renders the space comparison for a set of workloads.
+// FormatSpace renders the space comparison for a set of workloads. The
+// rows of a multi-threaded workload (workloads.Workload.Concurrent) are
+// marked, with a footnote: contention creates monitors, so their
+// structure counts depend on scheduling and can differ between runs.
 func FormatSpace(results map[string][]SpaceRow, order []string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Lock storage footprint (monitor=%dB measured, cache entry=%dB modeled)\n",
 		MonitorBytes, CacheEntryBytes)
 	fmt.Fprintf(&b, "%-12s %-10s %12s %12s %12s\n",
 		"program", "impl", "sync.obj", "structures", "bytes")
+	marked := false
 	for _, name := range order {
-		for _, r := range results[name] {
-			fmt.Fprintf(&b, "%-12s %-10s %12d %12d %12d\n",
-				name, r.Impl, r.SyncedObjects, r.Structures, r.Bytes)
+		mark := ""
+		if w, ok := workloads.ByName(name); ok && w.Concurrent {
+			mark, marked = " *", true
 		}
+		for _, r := range results[name] {
+			fmt.Fprintf(&b, "%-12s %-10s %12d %12d %12d%s\n",
+				name, r.Impl, r.SyncedObjects, r.Structures, r.Bytes, mark)
+		}
+	}
+	if marked {
+		b.WriteString("* multi-threaded: the structure count depends on scheduling and can differ between runs\n")
 	}
 	return b.String()
 }

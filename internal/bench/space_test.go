@@ -64,3 +64,36 @@ func TestFormatSpace(t *testing.T) {
 		}
 	}
 }
+
+// TestFormatSpaceMarksConcurrentRows: a multi-threaded workload's rows
+// carry the scheduling mark and the table its footnote; a
+// single-threaded workload's rows do not, and a table of those alone
+// has no footnote.
+func TestFormatSpaceMarksConcurrentRows(t *testing.T) {
+	rows := []SpaceRow{{Impl: "ThinLock", SyncedObjects: 10, Structures: 4, Bytes: 4 * MonitorBytes}}
+	results := map[string][]SpaceRow{"dining": rows, "jnet": rows}
+	lines := strings.Split(FormatSpace(results, []string{"dining", "jnet"}), "\n")
+	var dining, jnet, footnote string
+	for _, l := range lines {
+		switch {
+		case strings.HasPrefix(l, "dining"):
+			dining = l
+		case strings.HasPrefix(l, "jnet"):
+			jnet = l
+		case strings.HasPrefix(l, "* "):
+			footnote = l
+		}
+	}
+	if !strings.HasSuffix(dining, " *") {
+		t.Errorf("dining's row is not marked: %q", dining)
+	}
+	if strings.HasSuffix(jnet, "*") {
+		t.Errorf("jnet's row is marked: %q", jnet)
+	}
+	if !strings.Contains(footnote, "scheduling") {
+		t.Errorf("no scheduling footnote in:\n%s", strings.Join(lines, "\n"))
+	}
+	if out := FormatSpace(results, []string{"jnet"}); strings.Contains(out, "*") {
+		t.Errorf("a single-threaded table has a mark or footnote:\n%s", out)
+	}
+}

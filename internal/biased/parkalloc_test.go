@@ -148,7 +148,10 @@ func TestBlockingAllocatesNothing(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(runs, func() {
 		p.steps <- waitCompact
-		await(t, "b waits on the lot", func() bool { return threading.Parked(co) == 1 })
+		await(t, "b waits on the lot", func() bool {
+			_, waiting := threading.Parked(co)
+			return waiting == 1
+		})
 		c.Lock(a, co)
 		if err := c.Notify(a, co); err != nil {
 			t.Fatal(err)

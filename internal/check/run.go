@@ -307,9 +307,9 @@ func checkQuiescence(l lockapi.Locker, objs []*object.Object) []Failure {
 	switch impl := l.(type) {
 	case *core.ThinLocks:
 		for i, o := range objs {
-			if n := threading.Parked(o); n != 0 {
+			if entry, waiting := threading.Parked(o); entry+waiting != 0 {
 				fs = append(fs, Failure{FailLeak,
-					fmt.Sprintf("obj %d has %d nodes filed on the parking lot after run", i, n)})
+					fmt.Sprintf("obj %d has %d nodes filed on the parking lot after run", i, entry+waiting)})
 			}
 			if m := impl.Monitor(o); m != nil {
 				if !m.Quiescent() {

@@ -37,9 +37,9 @@ import (
 //	            flc. The notifier's own final unlock wakes it, so no
 //	            waiter wakes into a lock that is still held.
 //
-// A waiter's node has three states: filed as a waiter (LotWait), filed
-// as an entry parker (LotEntry, after a notify), and released (its key
-// cleared by UnparkAll). A timeout or interrupt removes a node that
+// A waiter's node has three states: filed as a waiter, filed as an
+// entry parker (after a notify), and released (its key cleared by
+// UnparkAll). A timeout or interrupt removes a node that
 // is still a waiter, and the wait reports it; a relabeled node was
 // notified, and its thread sleeps on, untimed, until the release that
 // the notify made it owed, as a notified Java thread re-enters its
@@ -178,7 +178,7 @@ func (l *ThinLocks) notifyCompact(t *threading.Thread, o *object.Object, max int
 		return ErrIllegalMonitorState
 	}
 	lockevent.Emit(lockevent.Notify, t, nil)
-	if threading.Relabel(o, max) > 0 && !l.mut.LotDropWake {
+	if threading.Relabel(o, max, nil) > 0 && !l.mut.LotDropWake {
 		o.SetFlagBits(FlagFLC)
 	}
 	return nil

@@ -18,6 +18,13 @@ import (
 // when this configuration deflated and recycled monitor indices; each
 // checks what the lot protocol owes in the same scenario.
 
+// filed counts the threads filed on o's lot key, entry parkers and
+// waiters alike.
+func filed(o *object.Object) int {
+	entry, waiting := threading.Parked(o)
+	return entry + waiting
+}
+
 // contend makes b contend for o while a holds it, until b has spun, then
 // releases a's hold and waits for b's lock/unlock to finish.
 func contend(t *testing.T, f *fixture, a, b *threading.Thread, o *object.Object) {
@@ -55,7 +62,7 @@ func TestDeflationRestoresThinLock(t *testing.T) {
 	if s := f.l.Stats(); s.Inflations() != 0 || s.FatLocks != 0 || s.Deflations != 0 {
 		t.Fatalf("compact contention inflated: %+v", s)
 	}
-	if f.l.Monitor(o) != nil || threading.Parked(o) != 0 {
+	if f.l.Monitor(o) != nil || filed(o) != 0 {
 		t.Fatal("contention left a monitor or a parked node behind")
 	}
 }
@@ -116,7 +123,7 @@ func TestDeflationWithWaitersIsSkipped(t *testing.T) {
 		}
 		woke <- notified
 	}()
-	waitForStat(t, func() bool { return threading.Parked(o) == 1 && IsUnlocked(o.Header()) })
+	waitForStat(t, func() bool { return filed(o) == 1 && IsUnlocked(o.Header()) })
 
 	for i := 0; i < 10; i++ {
 		f.l.Lock(b, o)
@@ -124,7 +131,7 @@ func TestDeflationWithWaitersIsSkipped(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if threading.Parked(o) != 1 {
+	if filed(o) != 1 {
 		t.Fatal("a release woke the waiter")
 	}
 	f.l.Lock(b, o)
@@ -148,7 +155,7 @@ func TestDeflationWithWaitersIsSkipped(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("waiter lost")
 	}
-	if threading.Parked(o) != 0 || f.l.Stats().FatLocks != 0 {
+	if filed(o) != 0 || f.l.Stats().FatLocks != 0 {
 		t.Fatal("wait/notify left a parked node or allocated a monitor")
 	}
 }
@@ -183,8 +190,8 @@ func TestDeflationStress(t *testing.T) {
 	if s := f.l.Stats(); s.FatLocks != 0 || s.Inflations() != 0 {
 		t.Fatalf("compact stress inflated: %+v", s)
 	}
-	if !IsUnlocked(o.Header()) || threading.Parked(o) != 0 {
-		t.Fatalf("header %#x, %d parked after the run", o.Header(), threading.Parked(o))
+	if !IsUnlocked(o.Header()) || filed(o) != 0 {
+		t.Fatalf("header %#x, %d parked after the run", o.Header(), filed(o))
 	}
 }
 
@@ -287,12 +294,12 @@ func TestCompactTimedWaitAndInterruptRemoveTheirNode(t *testing.T) {
 	if notified, err := f.l.Wait(th, o, time.Millisecond); notified || err != nil {
 		t.Fatalf("timed Wait = (%v, %v), want a timeout", notified, err)
 	}
-	if threading.Parked(o) != 0 {
+	if filed(o) != 0 {
 		t.Fatal("timed-out waiter left its node filed")
 	}
 
 	go func() {
-		for threading.Parked(o) == 0 {
+		for filed(o) == 0 {
 			time.Sleep(50 * time.Microsecond)
 		}
 		th.Interrupt()
@@ -300,7 +307,7 @@ func TestCompactTimedWaitAndInterruptRemoveTheirNode(t *testing.T) {
 	if notified, err := f.l.Wait(th, o, 0); notified || err != threading.ErrInterrupted {
 		t.Fatalf("interrupted Wait = (%v, %v), want ErrInterrupted", notified, err)
 	}
-	if threading.Parked(o) != 0 || th.IsInterrupted() {
+	if filed(o) != 0 || th.IsInterrupted() {
 		t.Fatal("interrupted waiter left its node filed or its status set")
 	}
 	if err := f.l.Unlock(th, o); err != nil {

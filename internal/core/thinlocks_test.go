@@ -141,7 +141,8 @@ func TestCountOverflowInflates(t *testing.T) {
 
 // TestInflationAllocatesOnlyChunks: the monitor table holds monitors by
 // value in chunks of 64, so inflating allocates at most a chunk and a
-// copy of the chunk directory per 64 monitors, and nothing per monitor.
+// segment of the chunk directory per 64 monitors, and nothing per
+// monitor.
 // Each object inflates by count overflow: with a 1-bit count its third
 // nested lock overflows. Deliberately not parallel: AllocsPerRun reads
 // global allocation counters.
@@ -171,7 +172,7 @@ func TestInflationAllocatesOnlyChunks(t *testing.T) {
 		t.Fatalf("InflationsOverflow = %d, FatLocks = %d, want %d each", s.InflationsOverflow, s.FatLocks, 2*perRun)
 	}
 	if limit := 2.0 * perRun / 64; avg > limit {
-		t.Fatalf("%d inflations allocated %.0f objects, want at most %.0f (a chunk and a directory copy per 64)", perRun, avg, limit)
+		t.Fatalf("%d inflations allocated %.0f objects, want at most %.0f (a chunk and a directory segment per 64)", perRun, avg, limit)
 	}
 }
 

@@ -75,32 +75,31 @@ func dotQuote(s string) string {
 	return `"` + strings.ReplaceAll(s, `"`, `\"`) + `"`
 }
 
-// WriteDOT renders the lock-order graph in Graphviz DOT form. Edges
-// that participate in a reported inversion cycle are drawn red and
-// bold; multi-thread edges solid, single-observer edges dashed.
-func (d *Lockdep) WriteDOT(w io.Writer) {
-	inv := d.invertedEdges()
+// WriteDOT renders the lock-order graph in Graphviz DOT form (see the
+// function WriteDOT).
+func (d *Lockdep) WriteDOT(w io.Writer) { WriteDOT(w, d.GraphJSON()) }
+
+// WriteDOT renders a lock-order graph export in Graphviz DOT form, for
+// lockdep's runtime graph and staticlock's static one alike: one box per
+// node, then one edge per order, labelled with its acquire site. Edges
+// that take part in a reported inversion cycle are drawn red and bold;
+// single-observer edges (and the static graph's self edges) are dashed.
+func WriteDOT(w io.Writer, ex GraphExport) {
 	fmt.Fprintln(w, "digraph lockorder {")
 	fmt.Fprintln(w, "  rankdir=LR;")
 	fmt.Fprintln(w, "  node [shape=box, fontname=\"monospace\"];")
-	for _, n := range d.graph.nodes() {
-		fmt.Fprintf(w, "  %s;\n", dotQuote(n.label()))
-		for i := 0; i < maxOut; i++ {
-			e := n.out[i].Load()
-			if e == nil {
-				break
-			}
-			attrs := []string{
-				fmt.Sprintf("label=%s", dotQuote(d.SiteLabel(e.acqSite))),
-			}
-			if inv[[2]string{e.from.label(), e.to.label()}] {
-				attrs = append(attrs, `color="red"`, `penwidth=2`)
-			} else if !e.multi.Load() {
-				attrs = append(attrs, `style="dashed"`)
-			}
-			fmt.Fprintf(w, "  %s -> %s [%s];\n",
-				dotQuote(e.from.label()), dotQuote(e.to.label()), strings.Join(attrs, ", "))
+	for _, n := range ex.Nodes {
+		fmt.Fprintf(w, "  %s;\n", dotQuote(n))
+	}
+	for _, e := range ex.Edges {
+		attrs := []string{fmt.Sprintf("label=%s", dotQuote(e.AcquireSite))}
+		if e.Inverted {
+			attrs = append(attrs, `color="red"`, `penwidth=2`)
+		} else if !e.MultiThread {
+			attrs = append(attrs, `style="dashed"`)
 		}
+		fmt.Fprintf(w, "  %s -> %s [%s];\n",
+			dotQuote(e.From), dotQuote(e.To), strings.Join(attrs, ", "))
 	}
 	fmt.Fprintln(w, "}")
 }

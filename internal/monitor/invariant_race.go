@@ -3,7 +3,7 @@
 package monitor
 
 // checkInvariants turns on Monitor.checkLocked, which checks state
-// against the entry queue after every change made under the latch.
-// Race builds are the stress builds, so the check runs wherever the
-// race detector does.
+// against the monitor's entry parkers on the lot, with its bucket
+// locked, at each of the monitor's steps there. Race builds are the
+// stress builds, so the check runs wherever the race detector does.
 const checkInvariants = true

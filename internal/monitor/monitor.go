@@ -7,47 +7,47 @@
 // unsatisfied lock requests, and the wait, notify, and notifyAll
 // operations. Such a system will represent a monitor as a multi-word
 // structure which includes space for a thread pointer, a nested lock
-// count, and the necessary queues." (§2.1). This package is that system:
-// a Monitor holds an owner word, the lock count (the number of locks,
-// not the number minus one as in a thin lock — Figure 2), a latch, a
-// FIFO entry queue and a wait set. The queues are intrusive circular
-// lists of the blocked threads' own park nodes (threading.ParkNode), one
-// word each, and each thread sleeps on its own Parker. So a Monitor is
-// 32 bytes, two to a cache line: blocking allocates nothing, and a
-// monitor whose queues have emptied references no thread. A Monitor
-// does not know its index; the Table that holds it by value does.
+// count, and the necessary queues." (§2.1). This package is that system
+// less the queues: a Monitor holds an owner word and the lock count (the
+// number of locks, not the number minus one as in a thin lock — Figure
+// 2), and the threads it blocks wait on the threading package's parking
+// lot, keyed by the monitor's address, as in Dice & Kogan's Compact
+// Java Monitors. A contender parks there as an entry parker, a waiter is
+// filed there, and a notify relabels waiters as entry parkers. So a
+// Monitor is 8 bytes and holds no pointer: blocking allocates nothing,
+// and no monitor references a thread. A Monitor does not know its index;
+// the Table that holds it by value does.
 //
 // The owner word, state, names the owner by its thread index shifted
-// left by one, with the low bit (queuedBit) set while the entry queue is
-// non-empty; 0 is a free monitor. As in HotSpot's ObjectMonitor, an
-// uncontended Enter is one CAS of state from 0 and an uncontended Exit
-// one CAS back to 0; the latch is taken only to queue, to hand off, and
-// for wait and notify. It guards the two queues and the queued bit, so
-// an Exit that finds the bit set goes to the latch and hands off.
+// left by one, with the low bit (queuedBit) set while an entry parker is
+// filed on the monitor; 0 is a free monitor. As in HotSpot's
+// ObjectMonitor, an uncontended Enter is one CAS of state from 0 and an
+// uncontended Exit one CAS back to 0. The queued bit changes only with
+// the monitor's lot bucket locked: a parking contender's validate and a
+// notify's relabel set it, and an exit's handoff grant sets or clears
+// it. So an Exit that finds the bit set hands off (threading.Handoff).
 //
-// Entry spins, then queues. A thread that finds the monitor owned polls
-// state, without the latch, between arch.Backoff pauses for as many
-// rounds as its thread's spin budget allows (arch.SpinBudget), and only
-// then joins the entry queue and parks. The paper keeps a contended
-// object inflated (§2.3.4), so every later contention for it meets a
-// monitor; when holds are short, spinning first saves the park and the
-// handoff.
-// Queued threads are served by direct handoff: when the owner exits,
-// ownership is transferred to the head of the entry queue before that
-// thread resumes, which keeps the queue FIFO-fair.
+// Entry spins, then parks. A thread that finds the monitor owned polls
+// state between arch.Backoff pauses for as many rounds as its thread's
+// spin budget allows (arch.SpinBudget), and only then parks. The paper
+// keeps a contended object inflated (§2.3.4), so every later contention
+// for it meets a monitor; when holds are short, spinning first saves the
+// park and the handoff.
+// Parked threads are served by direct handoff: when the owner exits, the
+// longest-parked entry parker is granted ownership before it resumes,
+// which keeps entry FIFO-fair.
 //
-// The two compose through one invariant: state == 0 implies the entry
-// queue is empty. A spinner takes the monitor only by a CAS from 0, so it
-// can never overtake a queued thread; it competes only with other
-// arrivals. Race builds check the invariant after every change made
-// under the latch, so every latch release publishes a checked state
-// (invariant_race.go).
+// The two compose through one invariant: with the bucket locked, state
+// == 0 implies no entry parker, and the queued bit is set exactly when
+// one is filed. A spinner takes the monitor only by a CAS from 0, so it
+// can never overtake a parked thread; it competes only with other
+// arrivals. Race builds check the invariant at each of the monitor's
+// bucket-locked steps (invariant_race.go).
 package monitor
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -62,16 +62,8 @@ import (
 // IllegalMonitorStateException.
 var ErrIllegalMonitorState = errors.New("monitor: thread does not own monitor")
 
-// The values of a queued thread's ParkNode.State: where the node lives.
-// Transitions happen under the monitor latch; the parked thread polls
-// for stateGranted without it.
-const (
-	stateEntryQueue uint32 = iota // blocked entering; in the entry queue
-	stateWaitSet                  // blocked in wait; in the wait set
-	stateGranted                  // ownership handed to this node
-)
-
-// queuedBit is set in state while the entry queue is non-empty.
+// queuedBit is set in state while an entry parker is filed on the
+// monitor.
 const queuedBit uint32 = 1
 
 // Monitor is a heavy-weight recursive lock with condition-variable
@@ -79,15 +71,14 @@ const queuedBit uint32 = 1
 // the ones a table holds, and New makes a standalone one.
 type Monitor struct {
 	// state is the owner's thread index << 1 | queuedBit, or 0 when the
-	// monitor is free (and so its entry queue is empty). The owner
-	// half changes by CAS outside the latch (a free monitor taken, an
-	// unqueued one released) and by handoff under it; the queued bit
-	// changes only under the latch.
+	// monitor is free (and so no entry parker is filed on it). The owner
+	// half changes by CAS (a free monitor taken, an unqueued one
+	// released) and by a handoff's grant; the queued bit changes only
+	// with the monitor's lot bucket locked.
 	state atomic.Uint32
-	count uint32 // the owner's lock count; only the owner touches it
-	latch sync.Mutex
-	entry threading.Queue // FIFO entry queue
-	waits threading.Queue // wait set, notified in FIFO order
+	// count is the owner's lock count. Only the owner touches it, and a
+	// grant that makes a thread the owner.
+	count uint32
 }
 
 // New returns a fresh unowned monitor that is not held in any table.
@@ -99,28 +90,28 @@ func ownerState(t *threading.Thread) uint32 { return uint32(t.Index()) << 1 }
 
 // String implements fmt.Stringer.
 func (m *Monitor) String() string {
-	m.latch.Lock()
-	defer m.latch.Unlock()
+	entry, waiting := threading.Parked(m)
 	return fmt.Sprintf("monitor(owner=%d count=%d entry=%d wait=%d)",
-		m.OwnerIndex(), m.count, m.entry.Len(), m.waits.Len())
+		m.OwnerIndex(), m.count, entry, waiting)
 }
 
-// checkLocked panics unless state == 0 implies an empty entry queue and
-// the queued bit is set exactly when the queue is non-empty. It runs in
-// race builds only (invariant_race.go), after every change to the entry
-// queue, the queued bit or the owner under the latch, so it sees the
-// state each latch release publishes. Caller holds the latch.
+// checkLocked panics unless state == 0 implies no entry parker on m and
+// the queued bit is set exactly when one is filed. It runs in race
+// builds only (invariant_race.go), with m's lot bucket locked, at each
+// step the monitor takes there: a contender's validate and an exit's
+// grant check the state the steps before them published, and a
+// notify's relabel checks the one it publishes.
 func (m *Monitor) checkLocked() {
 	if !checkInvariants {
 		return
 	}
 	s := m.state.Load()
-	queued := !m.entry.Empty()
-	if s == 0 && queued {
-		panic("monitor: free with a non-empty entry queue")
+	entry, _ := threading.ParkedLocked(m)
+	if s == 0 && entry != 0 {
+		panic("monitor: free with an entry parker")
 	}
-	if (s&queuedBit != 0) != queued {
-		panic(fmt.Sprintf("monitor: queued bit %d with %d queued threads", s&queuedBit, m.entry.Len()))
+	if (s&queuedBit != 0) != (entry != 0) {
+		panic(fmt.Sprintf("monitor: queued bit %d with %d entry parkers", s&queuedBit, entry))
 	}
 }
 
@@ -131,9 +122,8 @@ func (m *Monitor) checkLocked() {
 //
 // A free monitor is taken with one CAS. A contender first spins: it
 // polls state between back-off pauses, emitting one Spin event on o per
-// pause, and takes the monitor if it finds state 0 (which implies an
-// empty entry queue). Only when its budget's rounds run out does it
-// queue and park.
+// pause, and takes the monitor if it finds state 0 (which implies no
+// entry parker). Only when its budget's rounds run out does it park.
 func (m *Monitor) Enter(t *threading.Thread, o *object.Object) {
 	me := ownerState(t)
 	if m.state.CompareAndSwap(0, me) {
@@ -143,7 +133,7 @@ func (m *Monitor) Enter(t *threading.Thread, o *object.Object) {
 	m.enterSlow(t, o, me)
 }
 
-// enterSlow is Enter past its CAS: re-entry, the spin and the queue.
+// enterSlow is Enter past its CAS: re-entry, the spin and the park.
 func (m *Monitor) enterSlow(t *threading.Thread, o *object.Object, me uint32) {
 	if m.state.Load()&^queuedBit == me {
 		m.count++
@@ -161,56 +151,46 @@ func (m *Monitor) enterSlow(t *threading.Thread, o *object.Object, me uint32) {
 		}
 	}
 	budget.Ended(false)
-	n := t.ParkNode()
-	n.Count = 1
-	m.latch.Lock()
-	if m.queueLocked(n, me) {
-		m.count = 1
-		m.latch.Unlock()
-		return
-	}
-	depth := 0
-	if lockevent.Wants(lockevent.Enqueue) {
-		depth = m.entry.Len()
-	}
-	m.latch.Unlock()
-	lockevent.EmitValue(lockevent.Enqueue, t, nil, int64(depth))
-	start := lockevent.Start(lockevent.Unpark)
-	awaitGrant(n) // direct handoff: state and count already set for us
-	lockevent.End(lockevent.Unpark, t, nil, start)
+	t.ParkNode().Count = 1
+	m.park(t, me)
 }
 
-// queueLocked appends n, whose thread's owner half is me, to the entry
-// queue and sets the queued bit, so that the owner's Exit hands off
-// under the latch. If it finds the monitor free it takes it instead and
-// reports true; the caller sets the count. Caller holds the latch.
-func (m *Monitor) queueLocked(n *threading.ParkNode, me uint32) bool {
+// park acquires the monitor for t, whose owner half is me, at the count
+// t's park node carries: at once if it is free, else as an entry parker
+// on the lot once an exit hands it over.
+func (m *Monitor) park(t *threading.Thread, me uint32) {
+	start := lockevent.Start(lockevent.Unpark)
+	if threading.Park(t, m, func() bool { return m.queue(t, me) }) {
+		lockevent.End(lockevent.Unpark, t, nil, start) // the grant set state and count
+		return
+	}
+	m.count = t.ParkNode().Count
+}
+
+// queue is a contender's validate, run with m's lot bucket locked: it
+// takes a free monitor and reports false, or sets the queued bit, so
+// that the owner's Exit hands off, and reports true for t to park.
+func (m *Monitor) queue(t *threading.Thread, me uint32) bool {
+	m.checkLocked()
 	for {
 		s := m.state.Load()
 		if s == 0 {
 			if m.state.CompareAndSwap(0, me) {
-				m.checkLocked()
-				return true
+				return false
 			}
 			continue
 		}
 		// The owner may release by CAS meanwhile, so the bit goes in
-		// by CAS too; once it is set the owner must take the latch.
+		// by CAS too; once it is set the owner must hand off.
 		if s&queuedBit != 0 || m.state.CompareAndSwap(s, s|queuedBit) {
-			n.State.Store(stateEntryQueue)
-			m.entry.Push(n)
-			m.checkLocked()
-			return false
+			depth := 0
+			if lockevent.Wants(lockevent.Enqueue) {
+				entry, _ := threading.ParkedLocked(m)
+				depth = entry + 1
+			}
+			lockevent.EmitValue(lockevent.Enqueue, t, nil, int64(depth))
+			return true
 		}
-	}
-}
-
-// awaitGrant parks n's thread until an exiting owner hands it the
-// monitor.
-func awaitGrant(n *threading.ParkNode) {
-	p := n.Thread().Parker()
-	for n.State.Load() != stateGranted {
-		p.Park()
 	}
 }
 
@@ -235,9 +215,7 @@ func (m *Monitor) TryEnter(t *threading.Thread) bool {
 // before publishing the monitor index in the object header. Seeding a
 // monitor that is in use is a bug in the caller.
 func (m *Monitor) SeedOwner(t *threading.Thread, count uint32) {
-	m.latch.Lock()
-	defer m.latch.Unlock()
-	if m.state.Load() != 0 || !m.entry.Empty() || !m.waits.Empty() {
+	if entry, waiting := threading.Parked(m); m.state.Load() != 0 || entry+waiting != 0 {
 		panic("monitor: SeedOwner on a monitor in use")
 	}
 	if count == 0 {
@@ -245,12 +223,11 @@ func (m *Monitor) SeedOwner(t *threading.Thread, count uint32) {
 	}
 	m.count = count
 	m.state.Store(ownerState(t))
-	m.checkLocked()
 }
 
 // Exit releases one level of the monitor. Releasing the last level of a
-// monitor nobody queues for is one CAS; with the queued bit set it hands
-// the monitor to the head of the entry queue under the latch.
+// monitor nobody parked on is one CAS; with the queued bit set it hands
+// the monitor to the longest-parked entry parker.
 func (m *Monitor) Exit(t *threading.Thread) error {
 	me := ownerState(t)
 	s := m.state.Load()
@@ -265,45 +242,33 @@ func (m *Monitor) Exit(t *threading.Thread) error {
 	if s == me && m.state.CompareAndSwap(me, 0) {
 		return nil
 	}
-	// A thread queued: the bit is set and stays set until the latch is
-	// ours, because only a latch holder clears it.
-	m.latch.Lock()
-	next := m.handoffLocked()
-	m.latch.Unlock()
-	unpark(next)
+	m.handoff()
 	return nil
 }
 
-// handoffLocked transfers ownership to the head of the entry queue and
-// returns its thread, for the caller to unpark once it has released the
-// latch; with an empty queue it frees the monitor and returns nil.
-// Caller holds the latch and owns the monitor, whose count it has set to
-// 0; no other thread can change state until this store.
-func (m *Monitor) handoffLocked() *threading.Thread {
-	n := m.entry.Pop()
-	if n == nil {
-		m.state.Store(0)
+// handoff gives the monitor, whose owner has set its count to 0, to the
+// longest-parked entry parker. The grant runs with the lot bucket
+// locked and sets state and count before that thread resumes. The
+// queued bit stays set until then, because only a grant clears it, so
+// no CAS from 0 can take the monitor in between. It is kept out of
+// line, so Exit's body and frame stay those of its CAS fast path.
+//
+//go:noinline
+func (m *Monitor) handoff() {
+	threading.Handoff(m, func(next *threading.Thread, count uint32, more bool) {
 		m.checkLocked()
-		return nil
-	}
-	th := n.Thread()
-	s := ownerState(th)
-	if !m.entry.Empty() {
-		s |= queuedBit
-	}
-	m.count = n.Count
-	m.state.Store(s)
-	m.checkLocked()
-	lockevent.Emit(lockevent.Handoff, th, nil)
-	n.State.Store(stateGranted) // from here on n belongs to its thread
-	return th
-}
-
-// unpark wakes a thread handoffLocked granted the monitor, if any.
-func unpark(t *threading.Thread) {
-	if t != nil {
-		t.Parker().Unpark()
-	}
+		if next == nil {
+			m.state.Store(0)
+			return
+		}
+		s := ownerState(next)
+		if more {
+			s |= queuedBit
+		}
+		m.count = count
+		m.state.Store(s)
+		lockevent.Emit(lockevent.Handoff, next, nil)
+	})
 }
 
 // Wait releases the monitor completely (whatever the recursion depth),
@@ -318,6 +283,12 @@ func unpark(t *threading.Thread) {
 // threading.ErrInterrupted if the thread's interrupt status was set when
 // it left the wait set (the status is cleared, as in Java), and nil for a
 // timeout. err is ErrIllegalMonitorState if t does not own the monitor.
+//
+// The waiter is filed on the lot, carrying its depth, before the monitor
+// is released, so a notify that follows the release finds it. A
+// notified waiter is an entry parker from the relabel on, and the
+// handoff that releases it restores its depth; a timed-out or
+// interrupted one re-acquires as a contender does, without the spin.
 func (m *Monitor) Wait(t *threading.Thread, d time.Duration) (notified bool, err error) {
 	me := ownerState(t)
 	if m.state.Load()&^queuedBit != me {
@@ -327,110 +298,49 @@ func (m *Monitor) Wait(t *threading.Thread, d time.Duration) (notified bool, err
 		return false, threading.ErrInterrupted
 	}
 	lockevent.Emit(lockevent.MonitorWait, t, nil)
-	n := t.ParkNode()
-	n.Count = m.count
+	threading.File(t, m, m.count)
 	m.count = 0
-	m.latch.Lock()
-	n.State.Store(stateWaitSet)
-	m.waits.Push(n)
-	next := m.handoffLocked()
-	m.latch.Unlock()
-	unpark(next)
-
-	sleep(t, n, d)
-	if n.State.Load() == stateGranted {
+	if !m.state.CompareAndSwap(me, 0) {
+		m.handoff()
+	}
+	if threading.Sleep(t, d) {
 		return true, nil
 	}
-
-	// Woken by a timeout or an interrupt. If a notify already moved the
-	// node to the entry queue the wait was notified, and the handoff is
-	// on its way. Otherwise leave the wait set and re-acquire the lock,
-	// queueing like any entrant if it is owned.
-	m.latch.Lock()
-	if n.State.Load() != stateWaitSet {
-		m.latch.Unlock()
-		awaitGrant(n)
-		return true, nil
-	}
-	m.waits.Remove(n)
 	if t.Interrupted() {
 		err = threading.ErrInterrupted
-	}
-	if m.queueLocked(n, me) {
-		m.count = n.Count
-		n.State.Store(stateGranted)
-		m.latch.Unlock()
 	} else {
-		m.latch.Unlock()
-		awaitGrant(n)
+		lockevent.Emit(lockevent.WaitTimeout, t, nil)
 	}
+	m.park(t, me)
 	return false, err
 }
 
-// sleep parks a waiter until its node is granted the monitor, it is
-// interrupted, or d (if positive) elapses.
-func sleep(t *threading.Thread, n *threading.ParkNode, d time.Duration) {
-	p := t.Parker()
-	var deadline time.Time
-	if d > 0 {
-		deadline = time.Now().Add(d)
-	}
-	for n.State.Load() != stateGranted && !t.IsInterrupted() {
-		if d <= 0 {
-			p.Park()
-			continue
-		}
-		left := time.Until(deadline)
-		if left <= 0 {
-			lockevent.Emit(lockevent.WaitTimeout, t, nil)
-			return
-		}
-		p.ParkTimeout(left)
-	}
-}
+// Notify turns the longest-waiting thread into an entry parker, which
+// the owner's exit, or a later one, hands the monitor to. Waking a
+// monitor with no waiters is a no-op, as in Java.
+func (m *Monitor) Notify(t *threading.Thread) error { return m.notify(t, 1) }
 
-// Notify moves the longest-waiting thread from the wait set to the entry
-// queue. Waking a monitor with no waiters is a no-op, as in Java.
-func (m *Monitor) Notify(t *threading.Thread) error {
+// NotifyAll turns every waiting thread into an entry parker.
+func (m *Monitor) NotifyAll(t *threading.Thread) error { return m.notify(t, -1) }
+
+// notify relabels up to max (all, if negative) of m's waiters as entry
+// parkers, in filing order.
+func (m *Monitor) notify(t *threading.Thread, max int) error {
 	if m.state.Load()&^queuedBit != ownerState(t) {
 		return ErrIllegalMonitorState
 	}
 	lockevent.Emit(lockevent.Notify, t, nil)
-	m.latch.Lock()
-	m.notifyOneLocked()
-	m.latch.Unlock()
+	threading.Relabel(m, max, m.markQueued)
 	return nil
 }
 
-// NotifyAll moves every waiting thread to the entry queue.
-func (m *Monitor) NotifyAll(t *threading.Thread) error {
-	if m.state.Load()&^queuedBit != ownerState(t) {
-		return ErrIllegalMonitorState
-	}
-	lockevent.Emit(lockevent.Notify, t, nil)
-	m.latch.Lock()
-	for m.notifyOneLocked() {
-	}
-	m.latch.Unlock()
-	return nil
-}
-
-// notifyOneLocked moves the head of the wait set to the entry queue,
-// reporting whether there was one. Caller holds the latch and owns the
-// monitor, so only the queued bit can change in state, and only under
-// the latch: a plain read-then-store sets it.
-func (m *Monitor) notifyOneLocked() bool {
-	n := m.waits.Pop()
-	if n == nil {
-		return false
-	}
-	n.State.Store(stateEntryQueue)
-	m.entry.Push(n)
-	if s := m.state.Load(); s&queuedBit == 0 {
-		m.state.Store(s | queuedBit)
-	}
+// markQueued sets the queued bit for the entry parkers a notify's
+// relabel made. It runs with the bucket locked, as the caller owns the
+// monitor: nothing else can change state meanwhile, so a plain load and
+// store set it.
+func (m *Monitor) markQueued() {
+	m.state.Store(m.state.Load() | queuedBit)
 	m.checkLocked()
-	return true
 }
 
 // OwnerIndex returns the owning thread's index, or 0 if the monitor is
@@ -442,23 +352,22 @@ func (m *Monitor) OwnerIndex() uint16 { return uint16(m.state.Load() >> 1) }
 // caller that has synchronized with the owner's last operation.
 func (m *Monitor) Count() uint32 { return m.count }
 
-// EntryQueueLen reports how many threads are blocked entering.
+// EntryQueueLen reports how many threads are parked entering, notified
+// waiters included.
 func (m *Monitor) EntryQueueLen() int {
-	m.latch.Lock()
-	defer m.latch.Unlock()
-	return m.entry.Len()
+	entry, _ := threading.Parked(m)
+	return entry
 }
 
-// WaitSetLen reports how many threads are in the wait set.
+// WaitSetLen reports how many threads are waiting to be notified.
 func (m *Monitor) WaitSetLen() int {
-	m.latch.Lock()
-	defer m.latch.Unlock()
-	return m.waits.Len()
+	_, waiting := threading.Parked(m)
+	return waiting
 }
 
-// Quiescent reports whether the monitor is unowned with empty queues.
+// Quiescent reports whether the monitor is unowned and no thread is
+// parked or waiting on it.
 func (m *Monitor) Quiescent() bool {
-	m.latch.Lock()
-	defer m.latch.Unlock()
-	return m.state.Load() == 0 && m.entry.Empty() && m.waits.Empty()
+	entry, waiting := threading.Parked(m)
+	return m.state.Load() == 0 && entry+waiting == 0
 }

@@ -1,43 +1,65 @@
 package monitor
 
 import (
+	"reflect"
 	"testing"
 	"time"
 	"unsafe"
 
+	"thinlock/internal/object"
 	"thinlock/internal/threading"
 )
 
-// TestMonitorIs32Bytes pins the layout: state, count, latch and two
-// one-word queues, 32 bytes. A Table holds its monitors by value, so no
-// allocator size class absorbs a field added here: every monitor in the
-// table pays for it, and an inflate-forever implementation keeps each
-// one for life.
-func TestMonitorIs32Bytes(t *testing.T) {
+// TestMonitorIs8Bytes pins the layout: state and count, 8 bytes. A
+// Table holds its monitors by value, so no allocator size class absorbs
+// a field added here: every monitor in the table pays for it, and an
+// inflate-forever implementation keeps each one for life.
+func TestMonitorIs8Bytes(t *testing.T) {
 	t.Parallel()
-	if n := unsafe.Sizeof(Monitor{}); n != 32 {
-		t.Fatalf("sizeof(Monitor) = %d, want 32", n)
+	if n := unsafe.Sizeof(Monitor{}); n != 8 {
+		t.Fatalf("sizeof(Monitor) = %d, want 8", n)
 	}
 }
 
-// requireQueuesCleared fails unless both queues are empty. A queue is
-// one word, its tail, so an empty one keeps no blocked thread's node
-// reachable.
+// TestMonitorHoldsNoPointer walks Monitor's fields: none may hold a
+// pointer, so a table chunk is noscan, needs no type header and fills
+// its 512-byte size class exactly, and the collector never scans the
+// monitor table.
+func TestMonitorHoldsNoPointer(t *testing.T) {
+	t.Parallel()
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				f := ty.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", ty.Elem())
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+		default:
+			t.Errorf("%s is a %s, which holds a pointer", path, ty.Kind())
+		}
+	}
+	walk("Monitor", reflect.TypeOf(Monitor{}))
+}
+
+// requireQueuesCleared fails unless no thread is filed on the monitor's
+// lot key, as an entry parker or as a waiter.
 func requireQueuesCleared(t *testing.T, m *Monitor, when string) {
 	t.Helper()
-	m.latch.Lock()
-	defer m.latch.Unlock()
-	for name, q := range map[string]*threading.Queue{"entry": &m.entry, "wait": &m.waits} {
-		if !q.Empty() {
-			t.Errorf("%s: %s queue keeps %d nodes", when, name, q.Len())
-		}
+	if entry, waiting := threading.Parked(m); entry+waiting != 0 {
+		t.Errorf("%s: %d entry parkers and %d waiters still filed", when, entry, waiting)
 	}
 }
 
 // TestQueuesClearedAfterLastWaiterLeaves drives every way a node enters
-// and leaves the queues (a contended entry, a notified wait, a timed-out
+// and leaves the lot (a contended entry, a notified wait, a timed-out
 // wait that re-queues behind an owner, an interrupted wait) and checks
-// after each that the emptied queues point at nothing.
+// after each that no node is left filed on the monitor.
 func TestQueuesClearedAfterLastWaiterLeaves(t *testing.T) {
 	t.Parallel()
 	ths := newThreads(t, 3)
@@ -170,4 +192,61 @@ func TestDoubleInterruptWakesWaiterOnce(t *testing.T) {
 	if err := m.Exit(other); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestObjectAndMonitorKeysAreApart parks one thread on an object, as
+// Biased's revocation waiters and compact monitors' contenders do, and
+// one on that object's monitor. A handoff of the monitor must release
+// only its entrant, and a wake of the object only the object's thread.
+func TestObjectAndMonitorKeysAreApart(t *testing.T) {
+	t.Parallel()
+	ths := newThreads(t, 3)
+	owner, entrant, other := ths[0], ths[1], ths[2]
+	o := object.NewHeap().New("o")
+	m := New()
+	m.Enter(owner, o)
+	entered := make(chan struct{})
+	go func() {
+		m.Enter(entrant, o)
+		close(entered)
+	}()
+	waitFor(t, func() bool { return m.EntryQueueLen() == 1 })
+	woke := make(chan struct{})
+	go func() {
+		threading.Park(other, o, func() bool { return true })
+		close(woke)
+	}()
+	waitFor(t, func() bool { entry, _ := threading.Parked(o); return entry == 1 })
+
+	if err := m.Exit(owner); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	select {
+	case <-woke:
+		t.Fatal("the monitor's handoff released a thread parked on its object")
+	case <-time.After(5 * time.Millisecond):
+	}
+	if n := threading.UnparkAll(o); n != 1 {
+		t.Fatalf("UnparkAll(o) woke %d, want the object's thread", n)
+	}
+	<-woke
+
+	done := make(chan struct{})
+	go func() {
+		m.Enter(other, o)
+		if err := m.Exit(other); err != nil {
+			t.Error(err)
+		}
+		close(done)
+	}()
+	waitFor(t, func() bool { return m.EntryQueueLen() == 1 })
+	if n := threading.UnparkAll(o); n != 0 {
+		t.Fatalf("a wake of the object released %d of its monitor's entrants", n)
+	}
+	if err := m.Exit(entrant); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	requireQueuesCleared(t, m, "after both keys' threads left")
 }

@@ -78,10 +78,10 @@ func TestSpinnerNeverOvertakesQueue(t *testing.T) {
 // notify and notifyAll, holds long enough to queue contenders, and
 // interrupts from outside. Every critical
 // section checks mutual exclusion and the owner index. Under the race
-// detector every change made under the latch is also checked, before
-// the latch is released: state 0 must imply an empty entry queue, and
-// the queued bit must match the queue (checkLocked). So `go test
-// -race` is the run that matters.
+// detector every step the monitor takes with its lot bucket locked is
+// also checked: state 0 must imply no entry parker, and the queued bit
+// must match the lot (checkLocked). So `go test -race` is the run that
+// matters.
 func TestStateStress(t *testing.T) {
 	t.Parallel()
 	const workers = 4
@@ -176,40 +176,42 @@ func TestStateStress(t *testing.T) {
 }
 
 // TestCheckLockedCatchesBrokenState: the check that race builds run
-// under the latch panics on a free monitor with a queued thread and on
-// a queued bit that disagrees with the queue.
+// with the monitor's lot bucket locked panics on a free monitor with an
+// entry parker and on a queued bit that disagrees with the lot. It
+// files the entry parker without blocking (a waiter, relabeled) and
+// runs the check in a validate, as a contender does.
 func TestCheckLockedCatchesBrokenState(t *testing.T) {
 	t.Parallel()
 	if !checkInvariants {
 		t.Skip("the state check is compiled in under -race only")
 	}
-	ths := newThreads(t, 1)
+	ths := newThreads(t, 2)
 	for _, tc := range []struct {
-		name  string
-		state uint32
-		queue bool
+		name   string
+		state  uint32
+		parker bool
 	}{
-		{"free with a queued thread", 0, true},
-		{"owned, queued bit without a queue", ownerState(ths[0]) | queuedBit, false},
-		{"owned, queue without the queued bit", ownerState(ths[0]), true},
+		{"free with an entry parker", 0, true},
+		{"owned, queued bit without an entry parker", ownerState(ths[0]) | queuedBit, false},
+		{"owned, entry parker without the queued bit", ownerState(ths[0]), true},
 	} {
 		m := New()
 		m.state.Store(tc.state)
-		if tc.queue {
-			m.entry.Push(ths[0].ParkNode())
+		if tc.parker {
+			threading.File(ths[0], m, 1)
+			threading.Relabel(m, 1, nil)
 		}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: checkLocked did not panic", tc.name)
-				}
-			}()
-			m.latch.Lock()
-			defer m.latch.Unlock()
+		var caught any
+		threading.Park(ths[1], m, func() bool {
+			defer func() { caught = recover() }()
 			m.checkLocked()
-		}()
-		if tc.queue {
-			m.entry.Pop()
+			return false
+		})
+		if caught == nil {
+			t.Errorf("%s: checkLocked did not panic", tc.name)
+		}
+		if tc.parker && threading.UnparkAll(m) != 1 {
+			t.Fatalf("%s: the entry parker was not filed", tc.name)
 		}
 	}
 }

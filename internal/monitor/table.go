@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
@@ -13,10 +12,9 @@ const IndexBits = 23
 // MaxMonitors is the size of the monitor index space.
 const MaxMonitors = 1 << IndexBits
 
-// chunkBits sizes the table's fixed chunks: 64 monitors, 2 KiB. The Go
-// runtime prepends an 8-byte type header to an object over 512 bytes
-// that holds pointers, so a chunk takes the allocator's 2,304-byte size
-// class, 36 bytes per monitor.
+// chunkBits sizes the table's fixed chunks: 64 monitors, 512 bytes. A
+// Monitor holds no pointer, so a chunk needs no type header and fills
+// the allocator's 512-byte size class exactly: 8 bytes per monitor.
 const chunkBits = 6
 
 const chunkSize = 1 << chunkBits
@@ -30,7 +28,7 @@ const maxChunks = MaxMonitors / chunkSize
 
 // Table maps monitor indices to monitors, mirroring "the table which maps
 // inflated monitor indices to fat locks" (§2.3). It holds the monitors
-// themselves, in fixed chunks: a monitor costs its 32 bytes and no table
+// themselves, in fixed chunks: a monitor costs its 8 bytes and no table
 // slot. Get is wait-free (three atomic loads plus two indexing
 // operations — the paper's "shifting the monitor index to the right and
 // indexing into the vector"), because it sits on the locking fast path
@@ -39,14 +37,21 @@ const maxChunks = MaxMonitors / chunkSize
 // As in the paper, the table only grows: an inflated object keeps its
 // monitor for life (§2.3.4), so an index, once bound, is never reused
 // and a Get never races a rebinding. Fresh indices come from an atomic
-// counter. The chunk directory's slots are atomic, so a new chunk is
-// stored in place; the directory itself is copied only when it doubles.
-// The mutex guards both, O(span/chunkSize) times ever.
+// counter, and growth takes no lock. A new chunk is installed by a CAS
+// of its directory slot from nil. A bigger directory is a copy
+// installed by a CAS of the directory pointer, and a thread that
+// copies the directory first seals its empty slots (sealed), so no
+// chunk can land in the old directory after the copy; a thread that
+// finds a sealed slot makes a copy too, and the first installed wins.
+// Every copy holds the same chunks. That happens O(log span) times.
 type Table struct {
-	mu   sync.Mutex // guards chunk and directory growth only
 	dir  atomic.Pointer[[]atomic.Pointer[chunk]]
 	next atomic.Uint32 // next never-used index; index 0 is valid
 }
+
+// sealed fills the empty slots of a directory that a bigger copy is
+// replacing. It is never handed out.
+var sealed = new(chunk)
 
 // NewTable returns an empty monitor table.
 func NewTable() *Table {
@@ -59,7 +64,9 @@ func NewTable() *Table {
 // Allocate returns a free monitor and the fresh index it is bound to.
 // It panics if the 23-bit index space is exhausted, which corresponds to
 // a VM that has inflated eight million locks; the failed call takes no
-// index, so Len stays at MaxMonitors.
+// index, so Len stays at MaxMonitors. Only the inflating thread knows
+// the index until it publishes the inflated header, whose atomic store
+// orders the chunk's installation before any Get.
 func (tb *Table) Allocate() (*Monitor, uint32) {
 	idx := tb.next.Load()
 	for {
@@ -72,38 +79,39 @@ func (tb *Table) Allocate() (*Monitor, uint32) {
 		idx = tb.next.Load()
 	}
 	ci := int(idx >> chunkBits)
-	var c *chunk
-	if dir := *tb.dir.Load(); ci < len(dir) {
-		c = dir[ci].Load()
+	for {
+		d := tb.dir.Load()
+		if ci >= len(*d) {
+			tb.grow(d, ci)
+			continue
+		}
+		switch c := (*d)[ci].Load(); c {
+		case nil:
+			(*d)[ci].CompareAndSwap(nil, new(chunk))
+		case sealed:
+			tb.grow(d, ci)
+		default:
+			return &c[idx&(chunkSize-1)], idx
+		}
 	}
-	if c == nil {
-		c = tb.grow(ci)
-	}
-	return &c[idx&(chunkSize-1)], idx
 }
 
-// grow returns chunk ci, making it, and doubling the directory to hold
-// it, if they do not exist yet. Only the inflating thread knows its
-// index until it publishes the inflated header, whose atomic store
-// orders these stores before any Get.
-func (tb *Table) grow(ci int) *chunk {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	dir := *tb.dir.Load()
-	if ci >= len(dir) {
-		grown := make([]atomic.Pointer[chunk], min(2*(ci+1), maxChunks))
-		for i := range dir {
-			grown[i].Store(dir[i].Load())
+// grow replaces directory d with a copy that holds chunk ci and is at
+// least twice d's size, unless another copy has replaced d already.
+func (tb *Table) grow(d *[]atomic.Pointer[chunk], ci int) {
+	old := *d
+	grown := make([]atomic.Pointer[chunk], min(max(2*(ci+1), 2*len(old)), maxChunks))
+	for i := range old {
+		// A slot is empty, a chunk or sealed, and only an empty one
+		// changes, so after a failed seal one load reads it for good.
+		if old[i].CompareAndSwap(nil, sealed) {
+			continue
 		}
-		tb.dir.Store(&grown)
-		dir = grown
+		if c := old[i].Load(); c != sealed {
+			grown[i].Store(c)
+		}
 	}
-	c := dir[ci].Load()
-	if c == nil {
-		c = new(chunk)
-		dir[ci].Store(c)
-	}
-	return c
+	tb.dir.CompareAndSwap(d, &grown)
 }
 
 // Get returns the monitor with the given index. It panics on an index

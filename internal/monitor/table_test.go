@@ -85,6 +85,30 @@ func TestTableExhaustionPanicsAndKeepsLen(t *testing.T) {
 	}
 }
 
+// TestTableGrowSealsReplacedDirectory: once a directory has been copied
+// into a bigger one, no chunk can land in its empty slots, so an
+// allocator still holding it cannot install a chunk that Get, reading
+// the new directory, would miss. It finds the slot sealed, grows
+// from there and installs the chunk in the current directory.
+func TestTableGrowSealsReplacedDirectory(t *testing.T) {
+	t.Parallel()
+	tb := NewTable()
+	first, _ := tb.Allocate() // chunk 0, in a directory of 2 slots
+	old := tb.dir.Load()
+	tb.grow(old, 2) // as an allocator of chunk 2 does
+	if (*old)[1].CompareAndSwap(nil, new(chunk)) {
+		t.Fatal("a chunk landed in an empty slot of the replaced directory")
+	}
+	if tb.Get(0) != first {
+		t.Fatal("the bigger directory lost chunk 0")
+	}
+	tb.next.Store(chunkSize) // the next index opens chunk 1
+	m, idx := tb.Allocate()
+	if tb.Get(idx) != m || (*old)[1].Load() != sealed {
+		t.Fatal("chunk 1 is not where Get finds it, or the old slot was unsealed")
+	}
+}
+
 func TestTableConcurrentAllocateAndGet(t *testing.T) {
 	t.Parallel()
 	tb := NewTable()

@@ -38,31 +38,9 @@ func (g *Graph) GraphJSON() lockdep.GraphExport {
 	return ex
 }
 
-func dotQuote(s string) string {
-	return `"` + strings.ReplaceAll(s, `"`, `\"`) + `"`
-}
-
-// WriteDOT renders the static graph in the same Graphviz form as
-// lockdep.WriteDOT: cycle edges red and bold, self edges dashed.
-func (g *Graph) WriteDOT(w io.Writer) {
-	fmt.Fprintln(w, "digraph lockorder {")
-	fmt.Fprintln(w, "  rankdir=LR;")
-	fmt.Fprintln(w, "  node [shape=box, fontname=\"monospace\"];")
-	for _, n := range g.sortedNodes() {
-		fmt.Fprintf(w, "  %s;\n", dotQuote(n))
-	}
-	for _, e := range g.sortedEdges() {
-		attrs := []string{fmt.Sprintf("label=%s", dotQuote(e.acquireSite))}
-		if e.inverted {
-			attrs = append(attrs, `color="red"`, `penwidth=2`)
-		} else if e.from == e.to {
-			attrs = append(attrs, `style="dashed"`)
-		}
-		fmt.Fprintf(w, "  %s -> %s [%s];\n",
-			dotQuote(e.from), dotQuote(e.to), strings.Join(attrs, ", "))
-	}
-	fmt.Fprintln(w, "}")
-}
+// WriteDOT renders the static graph through lockdep.WriteDOT, in the
+// same Graphviz form as the runtime graph.
+func (g *Graph) WriteDOT(w io.Writer) { lockdep.WriteDOT(w, g.GraphJSON()) }
 
 // WriteReport renders a text report in the lockdep report style.
 func (g *Graph) WriteReport(w io.Writer) {

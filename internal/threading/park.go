@@ -1,22 +1,25 @@
 // Parking: the one mechanism every blocked thread uses.
 //
 // A thread blocks on at most one thing at a time, so each Thread embeds
-// one ParkNode and one Parker. A fat monitor links the nodes of the
-// threads it blocks into two intrusive FIFO Queues, its entry queue and
-// its wait set (internal/monitor). A thread that blocks where there is no
-// monitor to queue on (a thin lock's flat-lock contention, a bias
-// revocation in flight) files its node in the parking lot: a fixed table
-// of buckets keyed by object, the shape of WebKit's ParkingLot and of the
-// Linux futex hash. Either way the thread then sleeps on its Parker until
-// whoever dequeues its node wakes it, so a block allocates nothing.
+// one ParkNode and one Parker. A blocked thread files its node in the
+// parking lot, a fixed table of buckets keyed by address, the shape of
+// WebKit's ParkingLot and of the Linux futex hash, and sleeps on its
+// Parker until whoever unlinks the node wakes it, so a block allocates
+// nothing. A key is the address of the variable a thread waits on:
+// ThinLock-compact and Biased's revocation park threads on the object,
+// and a fat monitor (internal/monitor) parks its threads on the
+// monitor, never on its object. Distinct variables are distinct keys,
+// so a wake for one never reaches the other's threads.
 //
 // A lot node is an entry parker or a waiter. Park files an entry parker:
 // a thread waiting for its key's lock to be released. File files a
 // waiter, a thread in Object.wait that a notify must choose; Relabel is
-// that notify, turning waiters into entry parkers; UnparkOne and
-// UnparkAll wake entry parkers only. So ThinLock-compact
-// keeps a contended or waited-on object's whole queueing state here and
-// never inflates it.
+// that notify, turning waiters into entry parkers. UnparkAll and Handoff
+// release entry parkers only: UnparkAll all of them, to contend again,
+// and Handoff the longest-parked one, after a grant that hands it the
+// lock. So ThinLock-compact keeps a contended or waited-on object's
+// whole queueing state here and never inflates it, and a fat monitor
+// keeps only its owner word and count.
 //
 // The lot is one process-wide table rather than one per lock
 // implementation: blocked threads are few at any moment, a fixed table
@@ -29,8 +32,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"thinlock/internal/object"
+	"unsafe"
 )
 
 // Parker is a one-permit binary semaphore, the substrate every park
@@ -83,51 +85,44 @@ func (p *Parker) Unpark() {
 // other events too; receiving from it consumes the permit.
 func (p *Parker) C() <-chan struct{} { return p.ch }
 
-// ParkNode is a thread's one place in a queue of blocked threads. The
-// queue that holds the node guards its link and Count. State is atomic so
-// the parked thread can poll it without that queue's lock.
+// ParkNode is a thread's one place on the lot. The bucket that files
+// the node guards its link, its state and Count; key is atomic so the
+// parked thread can poll it without the bucket lock.
 type ParkNode struct {
 	next   *ParkNode
 	thread *Thread
-	// key is the object the node is parked on in the lot; nil when it is
-	// in no bucket. An unparker clears it, with the bucket locked, to
-	// release the thread.
-	key atomic.Pointer[object.Object]
-
-	// State says where a monitor holds the node (its entry queue, its
-	// wait set, or granted ownership); the monitor defines the values.
-	// On the lot it is LotEntry or LotWait.
-	State atomic.Uint32
-	// Count is the lock count a monitor restores when it hands itself
-	// to the node, or that a waiter filed on the lot restores once it
-	// re-acquires.
+	// key is the address the node is filed under; nil when it is in no
+	// bucket. An unparker clears it, with the bucket locked, to release
+	// the thread.
+	key atomic.Pointer[byte]
+	// state is lotEntry or lotWait.
+	state atomic.Uint32
+	// Count is the lock count a fat monitor restores when it hands
+	// itself to the node, or that a waiter restores once it re-acquires.
 	Count uint32
 }
 
 // The states of a node on the lot.
 const (
-	// LotEntry is a thread waiting to contend for its key's lock.
-	LotEntry uint32 = iota
-	// LotWait is a thread in Object.wait on its key.
-	LotWait
+	lotEntry uint32 = iota // a thread waiting to contend for its key's lock
+	lotWait                // a thread in Object.wait on its key
 )
 
-// Thread returns the thread the node belongs to.
-func (n *ParkNode) Thread() *Thread { return n.thread }
+// entrant reports whether n is an entry parker filed on k.
+func (n *ParkNode) entrant(k *byte) bool {
+	return n.key.Load() == k && n.state.Load() == lotEntry
+}
 
-// Queue is an intrusive FIFO of park nodes, kept as a circular list
+// queue is an intrusive FIFO of park nodes, kept as a circular list
 // through its tail: tail.next is the head, so one word holds the queue
-// and Push and Pop are O(1). The zero value is empty. Its owner guards
-// it with a lock.
-type Queue struct {
+// and Push is O(1). The zero value is empty. Its bucket's lock guards
+// it.
+type queue struct {
 	tail *ParkNode
 }
 
-// Empty reports whether the queue holds no node.
-func (q *Queue) Empty() bool { return q.tail == nil }
-
 // Push appends n, which must be in no queue.
-func (q *Queue) Push(n *ParkNode) {
+func (q *queue) Push(n *ParkNode) {
 	if q.tail == nil {
 		n.next = n
 	} else {
@@ -137,17 +132,8 @@ func (q *Queue) Push(n *ParkNode) {
 	q.tail = n
 }
 
-// Pop removes and returns the first node, or nil.
-func (q *Queue) Pop() *ParkNode {
-	n := q.head()
-	if n != nil {
-		q.unlink(q.tail, n)
-	}
-	return n
-}
-
 // Remove deletes n from the queue, reporting whether it was there.
-func (q *Queue) Remove(n *ParkNode) bool {
+func (q *queue) Remove(n *ParkNode) bool {
 	prev := q.tail
 	for c := q.head(); c != nil; prev, c = c, q.after(c) {
 		if c == n {
@@ -159,7 +145,7 @@ func (q *Queue) Remove(n *ParkNode) bool {
 }
 
 // head returns the first node, or nil.
-func (q *Queue) head() *ParkNode {
+func (q *queue) head() *ParkNode {
 	if q.tail == nil {
 		return nil
 	}
@@ -167,7 +153,7 @@ func (q *Queue) head() *ParkNode {
 }
 
 // after returns the node that follows c, or nil if c is the tail.
-func (q *Queue) after(c *ParkNode) *ParkNode {
+func (q *queue) after(c *ParkNode) *ParkNode {
 	if c == q.tail {
 		return nil
 	}
@@ -175,7 +161,7 @@ func (q *Queue) after(c *ParkNode) *ParkNode {
 }
 
 // unlink deletes n, whose predecessor is prev (the tail, for the head).
-func (q *Queue) unlink(prev, n *ParkNode) {
+func (q *queue) unlink(prev, n *ParkNode) {
 	if prev == n { // n is the only node
 		q.tail = nil
 	} else {
@@ -187,51 +173,48 @@ func (q *Queue) unlink(prev, n *ParkNode) {
 	n.next = nil
 }
 
-// Len counts the nodes, walking the queue.
-func (q *Queue) Len() int {
-	k := 0
-	for c := q.head(); c != nil; c = q.after(c) {
-		k++
-	}
-	return k
-}
-
 // lotBits sizes the lot: 64 buckets of one cache line each.
 const lotBits = 6
 
-// bucket is one lot slot: the nodes parked on the objects that hash to
-// it, in arrival order.
+// bucket is one lot slot: the nodes filed on the keys that hash to it,
+// in arrival order.
 type bucket struct {
 	mu sync.Mutex
-	q  Queue
+	q  queue
 	_  [48]byte
 }
 
 var lot [1 << lotBits]bucket
 
-// bucketFor hashes the object's id. Ids are unique only within a heap,
-// so two objects can share a bucket; nodes match by object pointer.
-func bucketFor(key *object.Object) *bucket {
-	return &lot[key.ID()*0x9E3779B97F4A7C15>>(64-lotBits)]
+// addr is key's address, which the lot files key's nodes under.
+func addr[K any](key *K) *byte { return (*byte)(unsafe.Pointer(key)) }
+
+// bucketFor hashes a key's address by Fibonacci hashing: the product's
+// top bits, so aligned addresses spread as well as any. Two keys can
+// share a bucket; nodes match by address.
+func bucketFor(k *byte) *bucket {
+	return &lot[uint64(uintptr(unsafe.Pointer(k)))*0x9E3779B97F4A7C15>>(64-lotBits)]
 }
 
-// Park blocks t on key until UnparkOne or UnparkAll releases it. validate
+// Park blocks t on key until UnparkAll or Handoff releases it. validate
 // runs with key's bucket locked: if it reports false, Park returns false
 // without blocking. An unparker that changes the state validate reads
-// before it calls UnparkOne or UnparkAll therefore cannot miss t. Park
-// returns true once released; an Interrupt does not release it.
+// before it calls UnparkAll, or that changes it in Handoff's grant,
+// therefore cannot miss t. Park returns true once released; an
+// Interrupt does not release it.
 //
 //lockvet:noalloc
-func Park(t *Thread, key *object.Object, validate func() bool) bool {
-	b := bucketFor(key)
+func Park[K any](t *Thread, key *K, validate func() bool) bool {
+	k := addr(key)
+	b := bucketFor(k)
 	n := &t.node
 	b.mu.Lock()
 	if !validate() {
 		b.mu.Unlock()
 		return false
 	}
-	n.State.Store(LotEntry)
-	n.key.Store(key)
+	n.state.Store(lotEntry)
+	n.key.Store(k)
 	b.q.Push(n)
 	b.mu.Unlock()
 	for n.key.Load() != nil {
@@ -246,13 +229,14 @@ func Park(t *Thread, key *object.Object, validate func() bool) bool {
 // release finds the node.
 //
 //lockvet:noalloc
-func File(t *Thread, key *object.Object, count uint32) {
-	b := bucketFor(key)
+func File[K any](t *Thread, key *K, count uint32) {
+	k := addr(key)
+	b := bucketFor(k)
 	n := &t.node
 	n.Count = count
-	n.State.Store(LotWait)
+	n.state.Store(lotWait)
 	b.mu.Lock()
-	n.key.Store(key)
+	n.key.Store(k)
 	b.q.Push(n)
 	b.mu.Unlock()
 }
@@ -281,10 +265,10 @@ func Sleep(t *Thread, d time.Duration) (notified bool) {
 		}
 		t.parker.ParkTimeout(left)
 	}
-	if key := n.key.Load(); key != nil {
-		b := bucketFor(key)
+	if k := n.key.Load(); k != nil {
+		b := bucketFor(k)
 		b.mu.Lock()
-		if n.key.Load() != nil && n.State.Load() == LotWait {
+		if n.key.Load() != nil && n.state.Load() == lotWait {
 			b.q.Remove(n)
 			n.key.Store(nil)
 		}
@@ -293,86 +277,138 @@ func Sleep(t *Thread, d time.Duration) (notified bool) {
 	for n.key.Load() != nil {
 		t.parker.Park()
 	}
-	return n.State.Load() == LotEntry
+	return n.state.Load() == lotEntry
 }
 
 // Relabel turns up to max (all, if negative) of key's waiters, longest
-// filed first, into entry parkers, and returns how many. They sleep on
-// until UnparkOne or UnparkAll releases them.
+// filed first, into entry parkers, and returns how many. They keep
+// their places in filing order, and sleep on until UnparkAll or Handoff
+// releases them. If it turned any and moved is not nil, Relabel then
+// calls moved with key's bucket still locked, so a lock can record that
+// it has entry parkers before any validate or grant looks.
 //
 //lockvet:noalloc
-func Relabel(key *object.Object, max int) int {
-	b := bucketFor(key)
-	moved := 0
+func Relabel[K any](key *K, max int, moved func()) int {
+	k := addr(key)
+	b := bucketFor(k)
+	n := 0
 	b.mu.Lock()
-	for n := b.q.head(); n != nil && moved != max; n = b.q.after(n) {
-		if n.key.Load() == key && n.State.Load() == LotWait {
-			n.State.Store(LotEntry)
-			moved++
+	for c := b.q.head(); c != nil && n != max; c = b.q.after(c) {
+		if c.key.Load() == k && c.state.Load() == lotWait {
+			c.state.Store(lotEntry)
+			n++
 		}
+	}
+	if n > 0 && moved != nil {
+		moved()
 	}
 	b.mu.Unlock()
-	return moved
+	return n
 }
 
-// Parked returns how many threads are filed on key, entry parkers and
-// waiters alike, or on any key if key is nil.
-func Parked(key *object.Object) int {
-	if key != nil {
-		return bucketFor(key).count(key)
-	}
-	k := 0
-	for i := range lot {
-		k += lot[i].count(nil)
-	}
-	return k
-}
-
-// count returns how many of b's nodes are filed on key, or on any key if
-// key is nil.
-func (b *bucket) count(key *object.Object) int {
+// Handoff releases the longest-parked entry parker on key. First, with
+// key's bucket locked, it calls grant with that parker's thread, the
+// Count its node carries and whether more entry parkers remain on key,
+// or with nil, 0 and false if there is none. A lock hands itself over
+// in grant, so the thread wakes owning it and no thread that arrives
+// meanwhile can take it first. Waiters stay filed.
+//
+//lockvet:noalloc
+func Handoff[K any](key *K, grant func(next *Thread, count uint32, more bool)) {
+	k := addr(key)
+	b := bucketFor(k)
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	k := 0
-	for n := b.q.head(); n != nil; n = b.q.after(n) {
-		if key == nil || n.key.Load() == key {
-			k++
-		}
+	prev, n := b.q.tail, b.q.head()
+	for n != nil && !n.entrant(k) {
+		prev, n = n, b.q.after(n)
 	}
-	return k
+	if n == nil {
+		grant(nil, 0, false)
+		b.mu.Unlock()
+		return
+	}
+	more := false
+	for c := b.q.after(n); c != nil && !more; c = b.q.after(c) {
+		more = c.entrant(k)
+	}
+	grant(n.thread, n.Count, more)
+	b.q.unlink(prev, n)
+	release(n)
+	b.mu.Unlock()
 }
-
-// UnparkOne releases the longest-parked entry parker on key, reporting
-// whether there was one. Waiters stay filed.
-func UnparkOne(key *object.Object) bool { return unpark(key, 1) == 1 }
 
 // UnparkAll releases every entry parker on key and returns how many.
 // Waiters stay filed.
-func UnparkAll(key *object.Object) int { return unpark(key, -1) }
-
-// unpark releases up to max (all, if negative) entry parkers on key.
-// The node is unlinked and its next read before its key is cleared:
-// from that store on, the node belongs to its thread again.
 //
 //lockvet:noalloc
-func unpark(key *object.Object, max int) int {
-	b := bucketFor(key)
+func UnparkAll[K any](key *K) int {
+	k := addr(key)
+	b := bucketFor(k)
 	woken := 0
 	b.mu.Lock()
 	prev := b.q.tail
-	for n := b.q.head(); n != nil && woken != max; {
+	for n := b.q.head(); n != nil; {
 		next := b.q.after(n)
-		if n.key.Load() != key || n.State.Load() != LotEntry {
+		if !n.entrant(k) {
 			prev, n = n, next
 			continue
 		}
 		b.q.unlink(prev, n)
-		t := n.thread
-		n.key.Store(nil)
-		t.parker.Unpark()
+		release(n)
 		woken++
 		n = next
 	}
 	b.mu.Unlock()
 	return woken
+}
+
+// release wakes the thread of n, which its bucket has unlinked. Its
+// thread is read before its key is cleared: from that store on, the
+// node belongs to its thread again. Caller holds the bucket lock.
+func release(n *ParkNode) {
+	t := n.thread
+	n.key.Store(nil)
+	t.parker.Unpark()
+}
+
+// Parked returns how many entry parkers and how many waiters are filed
+// on key, or on any key if key is nil.
+func Parked[K any](key *K) (entry, waiting int) {
+	if key != nil {
+		k := addr(key)
+		b := bucketFor(k)
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return b.count(k)
+	}
+	for i := range lot {
+		b := &lot[i]
+		b.mu.Lock()
+		e, w := b.count(nil)
+		b.mu.Unlock()
+		entry, waiting = entry+e, waiting+w
+	}
+	return entry, waiting
+}
+
+// ParkedLocked is Parked for a caller that already holds key's bucket
+// lock: a validate, a grant or a Relabel's moved.
+func ParkedLocked[K any](key *K) (entry, waiting int) {
+	k := addr(key)
+	return bucketFor(k).count(k)
+}
+
+// count returns how many of b's nodes are filed on k, or on any key if
+// k is nil, as entry parkers and as waiters. Caller holds b's lock.
+func (b *bucket) count(k *byte) (entry, waiting int) {
+	for n := b.q.head(); n != nil; n = b.q.after(n) {
+		switch {
+		case k != nil && n.key.Load() != k:
+		case n.state.Load() == lotEntry:
+			entry++
+		default:
+			waiting++
+		}
+	}
+	return entry, waiting
 }

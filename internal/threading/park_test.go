@@ -23,20 +23,29 @@ func attachN(t testing.TB, n int) []*Thread {
 	return out
 }
 
+// nodes returns q's nodes, head first.
+func (q *queue) nodes() []*ParkNode {
+	var out []*ParkNode
+	for c := q.head(); c != nil; c = q.after(c) {
+		out = append(out, c)
+	}
+	return out
+}
+
 // TestQueueFIFOAndRemove removes the head, the middle node and the tail
 // of a three-node queue in turn. The removed node must link to nothing
-// and be gone, and pushed back it must pop last, after the others in
+// and be gone, and pushed back it must come last, after the others in
 // their order.
 func TestQueueFIFOAndRemove(t *testing.T) {
 	t.Parallel()
 	ths := attachN(t, 3)
 	for drop := range ths {
-		var q Queue
+		var q queue
 		for _, th := range ths {
 			q.Push(th.ParkNode())
 		}
-		if q.Len() != 3 {
-			t.Fatalf("Len = %d, want 3", q.Len())
+		if n := len(q.nodes()); n != 3 {
+			t.Fatalf("%d nodes, want 3", n)
 		}
 		n := ths[drop].ParkNode()
 		if !q.Remove(n) || n.next != nil {
@@ -47,12 +56,16 @@ func TestQueueFIFOAndRemove(t *testing.T) {
 		}
 		q.Push(n)
 		want := append(append(append([]*Thread{}, ths[:drop]...), ths[drop+1:]...), ths[drop])
+		got := q.nodes()
 		for i, th := range want {
-			if got := q.Pop(); got != th.ParkNode() {
-				t.Fatalf("drop %d: Pop %d = %p, want %p", drop, i, got, th.ParkNode())
+			if got[i] != th.ParkNode() {
+				t.Fatalf("drop %d: node %d = %p, want %p", drop, i, got[i], th.ParkNode())
 			}
 		}
-		if q.tail != nil || q.Pop() != nil {
+		for _, th := range want {
+			q.Remove(th.ParkNode())
+		}
+		if q.tail != nil || q.head() != nil {
 			t.Fatalf("drop %d: emptied queue keeps tail %p", drop, q.tail)
 		}
 	}
@@ -60,7 +73,7 @@ func TestQueueFIFOAndRemove(t *testing.T) {
 
 // TestBucketIsOneCacheLine pins a lot bucket at 64 bytes, one cache
 // line, so neighbouring buckets' mutexes do not share one. The pad is
-// sized by hand for a mutex and a one-word Queue: a change to either
+// sized by hand for a mutex and a one-word queue: a change to either
 // must resize it.
 func TestBucketIsOneCacheLine(t *testing.T) {
 	t.Parallel()
@@ -76,22 +89,22 @@ func TestParkValidateFalseDoesNotBlock(t *testing.T) {
 	if Park(th, o, func() bool { return false }) {
 		t.Fatal("Park reported a park although validate refused")
 	}
-	if Parked(o) != 0 {
+	if entry, waiting := Parked(o); entry+waiting != 0 {
 		t.Fatal("refused park left the node in its bucket")
 	}
 }
 
-// parkAsync parks th on o in a goroutine and returns a channel closed
-// when Park returns. It waits until th's node is in o's bucket.
-func parkAsync(t *testing.T, th *Thread, o *object.Object) <-chan struct{} {
+// parkAsync parks th on key in a goroutine and returns a channel closed
+// when Park returns. It waits until th's node is in key's bucket.
+func parkAsync[K any](t *testing.T, th *Thread, key *K) <-chan struct{} {
 	t.Helper()
 	done := make(chan struct{})
 	go func() {
-		Park(th, o, func() bool { return true })
+		Park(th, key, func() bool { return true })
 		close(done)
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for th.ParkNode().key.Load() != o {
+	for th.ParkNode().key.Load() != addr(key) {
 		if time.Now().After(deadline) {
 			t.Fatal("thread never parked")
 		}
@@ -100,45 +113,159 @@ func parkAsync(t *testing.T, th *Thread, o *object.Object) <-chan struct{} {
 	return done
 }
 
-func TestUnparkOneIsFIFOAndMatchesKey(t *testing.T) {
+// sharedBucket returns two objects whose addresses hash to one bucket.
+func sharedBucket() (a, b *object.Object) {
+	h := object.NewHeap()
+	seen := make(map[*bucket]*object.Object)
+	for {
+		o := h.New("k")
+		if prev, ok := seen[bucketFor(addr(o))]; ok {
+			return prev, o
+		}
+		seen[bucketFor(addr(o))] = o
+	}
+}
+
+// grant is one call of a Handoff's grant.
+type grant struct {
+	next  *Thread
+	count uint32
+	more  bool
+}
+
+// handoff runs Handoff on key and returns what its grant was called
+// with. The grant also checks that the thread it names is still filed.
+func handoff[K any](t *testing.T, key *K) grant {
+	t.Helper()
+	var g grant
+	calls := 0
+	Handoff(key, func(next *Thread, count uint32, more bool) {
+		calls++
+		g = grant{next, count, more}
+		if next != nil && next.ParkNode().key.Load() == nil {
+			t.Error("grant ran after the thread's key was cleared")
+		}
+	})
+	if calls != 1 {
+		t.Fatalf("Handoff called its grant %d times, want 1", calls)
+	}
+	return g
+}
+
+// released fails unless done closes within 5 s.
+func released(t *testing.T, done <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s was not released", what)
+	}
+}
+
+// stillParked fails if any of done closes within 5 ms.
+func stillParked(t *testing.T, what string, done ...<-chan struct{}) {
+	t.Helper()
+	deadline := time.After(5 * time.Millisecond)
+	for _, d := range done {
+		select {
+		case <-d:
+			t.Fatalf("%s released a thread it should not have", what)
+		case <-deadline:
+			return
+		}
+	}
+}
+
+// TestHandoffIsFIFOAndMatchesKey parks three threads on two keys that
+// share a bucket. A handoff on one key must release that key's
+// longest-parked entry parker only, report to its grant whether
+// another remains on the key, and never release a thread parked on the
+// other key; with none left, the grant gets nil.
+func TestHandoffIsFIFOAndMatchesKey(t *testing.T) {
 	t.Parallel()
 	ths := attachN(t, 3)
-	// Two heaps: the objects share an id, so they share a bucket, but
-	// an unpark of one must never release a thread parked on the other.
-	a, b := object.NewHeap().New("a"), object.NewHeap().New("b")
+	a, b := sharedBucket()
 	first := parkAsync(t, ths[0], a)
 	other := parkAsync(t, ths[1], b)
 	second := parkAsync(t, ths[2], a)
 
-	if !UnparkOne(a) {
-		t.Fatal("UnparkOne found nobody")
+	if g := handoff(t, a); g.next != ths[0] || !g.more {
+		t.Fatalf("first handoff granted %v (more %v), want thread 0 with more", g.next, g.more)
 	}
-	select {
-	case <-first:
-	case <-time.After(5 * time.Second):
-		t.Fatal("longest-parked thread not released")
+	released(t, first, "the longest-parked thread")
+	stillParked(t, "a handoff", second, other)
+	if g := handoff(t, a); g.next != ths[2] || g.more {
+		t.Fatalf("second handoff granted %v (more %v), want thread 2, the last", g.next, g.more)
 	}
-	select {
-	case <-second:
-		t.Fatal("UnparkOne released two threads")
-	case <-other:
-		t.Fatal("UnparkOne released a thread parked on another object")
-	case <-time.After(5 * time.Millisecond):
+	released(t, second, "the second thread")
+	stillParked(t, "a handoff on another key", other)
+	if g := handoff(t, a); g != (grant{}) {
+		t.Fatalf("handoff on a key with no entry parker granted %+v, want nil", g)
 	}
-	if n := UnparkAll(a); n != 1 {
-		t.Fatalf("UnparkAll(a) woke %d, want 1", n)
-	}
-	<-second
 	if n := UnparkAll(b); n != 1 {
 		t.Fatalf("UnparkAll(b) woke %d, want 1", n)
 	}
-	<-other
-	if UnparkOne(a) {
-		t.Fatal("UnparkOne on an empty key reported a wake")
-	}
-	if Parked(a)+Parked(b) != 0 {
+	released(t, other, "the other key's thread")
+	ea, wa := Parked(a)
+	eb, wb := Parked(b)
+	if ea+wa+eb+wb != 0 {
 		t.Fatal("bucket keeps nodes after every thread left")
 	}
+}
+
+// TestHandoffSkipsWaiters files a waiter before an entry parker on one
+// key. A handoff must pass the waiter by and leave it filed; once a
+// relabel makes it an entry parker, the next handoff grants it, with
+// the count it was filed with.
+func TestHandoffSkipsWaiters(t *testing.T) {
+	t.Parallel()
+	ths := attachN(t, 2)
+	k := object.NewHeap().New("k")
+	File(ths[0], k, 3)
+	parker := parkAsync(t, ths[1], k)
+	if g := handoff(t, k); g.next != ths[1] || g.more {
+		t.Fatalf("handoff granted %+v, want the entry parker, with no more", g)
+	}
+	released(t, parker, "the entry parker")
+	if entry, waiting := Parked(k); entry != 0 || waiting != 1 {
+		t.Fatalf("after the handoff: %d entry parkers, %d waiters; want the waiter alone", entry, waiting)
+	}
+	if g := handoff(t, k); g != (grant{}) {
+		t.Fatalf("handoff with only a waiter filed granted %+v, want nil", g)
+	}
+	if n := Relabel(k, 1, nil); n != 1 {
+		t.Fatalf("Relabel moved %d, want 1", n)
+	}
+	if g := handoff(t, k); g.next != ths[0] || g.count != 3 || g.more {
+		t.Fatalf("handoff granted %+v, want the relabeled waiter with count 3", g)
+	}
+	if !Sleep(ths[0], 0) {
+		t.Fatal("a relabeled, released waiter reports no notify")
+	}
+}
+
+// TestHandoffGrantsBeforeRelease: what the grant writes, without
+// synchronization of its own, is visible to the released thread as soon
+// as its Park returns, because the grant runs before its key is
+// cleared. The race detector checks the ordering.
+func TestHandoffGrantsBeforeRelease(t *testing.T) {
+	t.Parallel()
+	th := attachN(t, 1)[0]
+	k := object.NewHeap().New("k")
+	var owner *Thread // written by the grant, read by the released thread
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		Park(th, k, func() bool { return true })
+		if owner != th {
+			t.Error("released thread does not see its grant")
+		}
+	}()
+	for th.ParkNode().key.Load() == nil {
+		time.Sleep(100 * time.Microsecond)
+	}
+	Handoff(k, func(next *Thread, _ uint32, _ bool) { owner = next })
+	released(t, done, "the granted thread")
 }
 
 func TestInterruptDoesNotReleaseLotPark(t *testing.T) {
@@ -161,7 +288,7 @@ func TestInterruptDoesNotReleaseLotPark(t *testing.T) {
 
 // BenchmarkParkUnpark is the lot's unit cost: two threads pass a turn
 // back and forth, each parking on its own key until the other hands it
-// over with UnparkOne. One op is one round trip, two park→unpark
+// over with UnparkAll. One op is one round trip, two park→unpark
 // handoffs.
 func BenchmarkParkUnpark(b *testing.B) {
 	ths := attachN(b, 2)
@@ -175,7 +302,7 @@ func BenchmarkParkUnpark(b *testing.B) {
 				Park(th, keys[me], func() bool { return turn.Load()&1 != me })
 			}
 			turn.Add(1)
-			UnparkOne(keys[1-me])
+			UnparkAll(keys[1-me])
 		}
 	}
 	b.ReportAllocs()

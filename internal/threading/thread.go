@@ -10,10 +10,10 @@
 // recycles the 15-bit indices.
 //
 // Every blocked thread parks the same way (park.go): each Thread embeds
-// one ParkNode, which a monitor's entry queue and wait set link
-// intrusively and which the process-wide parking lot files under the
-// object it waits on, and it sleeps on its own one-permit Parker. So
-// blocking allocates nothing.
+// one ParkNode, which the process-wide parking lot files under the
+// address of what the thread waits on (an object, or a fat monitor),
+// and it sleeps on its own one-permit Parker. So blocking allocates
+// nothing.
 package threading
 
 import (
@@ -59,7 +59,7 @@ type Thread struct {
 	interrupted atomic.Bool
 
 	// parker is the thread's one-permit semaphore, made by Attach; node
-	// is its place in whatever queue it blocks in (park.go).
+	// is its place on the parking lot (park.go).
 	parker Parker
 	node   ParkNode
 
@@ -113,7 +113,8 @@ func (t *Thread) String() string {
 // Parker returns the thread's parking semaphore.
 func (t *Thread) Parker() *Parker { return &t.parker }
 
-// ParkNode returns the thread's park node, for the queue it blocks in.
+// ParkNode returns the thread's park node. Its Count carries the lock
+// count a blocked thread restores once it owns the lock again.
 func (t *Thread) ParkNode() *ParkNode { return &t.node }
 
 // Spin returns the thread's spin budget, for a lock's bounded spin

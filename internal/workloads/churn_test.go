@@ -45,8 +45,8 @@ func TestChurnBoundsMonitorTable(t *testing.T) {
 	if s.FatLocks != 0 || s.Inflations() != 0 || s.TableSpan != 0 {
 		t.Fatalf("compact churn allocated monitors: %+v", s)
 	}
-	if n := threading.Parked(nil); n != 0 {
-		t.Fatalf("%d nodes still filed on the parking lot after the run", n)
+	if entry, waiting := threading.Parked[object.Object](nil); entry+waiting != 0 {
+		t.Fatalf("%d nodes still filed on the parking lot after the run", entry+waiting)
 	}
 }
 
