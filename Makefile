@@ -22,8 +22,9 @@ vet:
 # `go build -gcflags=-m` of ./internal/core and ./internal/biased), so
 # an uncontended lock or unlock cannot grow a Go call unnoticed. On
 # amd64, under the Go release the table names, it then disassembles the
-# fast-path functions and fails unless their locked instructions and
-# calls, by kind, match the committed table scripts/fastpath_amd64.txt.
+# fast-path functions and the object allocator (object.(*Heap).New) and
+# fails unless their locked instructions and calls, by kind, match the
+# committed table scripts/fastpath_amd64.txt.
 fastpath:
 	GO="$(GO)" scripts/fastpath_check.sh
 
@@ -60,12 +61,14 @@ race:
 # times over with it, since their monitors block on the same lot.
 # So does internal/vm: concurrent Runs on one VM hand its frame stack
 # between them through one atomic pointer, and a Run that finds it
-# taken builds its own. Core's compact-monitor tests run ten times over
+# taken builds its own. So does internal/object: its process-wide class
+# table is published by atomic pointer while names are interned, and
+# its class cache is read without a lock while misses overwrite it. Core's compact-monitor tests run ten times over
 # as well (the parking lot's own tests ride in internal/threading): a
 # waiter filed before its release, a notify's relabel and the final
 # unlock's flc handshake are all store/load ordering.
 race-locks:
-	$(GO) test -race -count=10 ./internal/biased/... ./internal/threading/... ./internal/lockevent/... ./internal/monitor/... ./internal/monitorcache/... ./internal/hotlocks/... ./internal/vm/...
+	$(GO) test -race -count=10 ./internal/biased/... ./internal/threading/... ./internal/lockevent/... ./internal/monitor/... ./internal/monitorcache/... ./internal/hotlocks/... ./internal/vm/... ./internal/object/...
 	$(GO) test -race -count=10 -run 'Compact|Deflation' ./internal/core/...
 	$(GO) test -race -count=1 ./internal/core/... ./internal/lockscope/...
 

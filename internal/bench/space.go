@@ -29,6 +29,11 @@ import (
 // slot, and the baselines' standalone monitors are the same structure.
 const MonitorBytes = int(unsafe.Sizeof(monitor.Monitor{}))
 
+// ObjectBytes is the size of one object, header words included. Thin
+// locks live in its header word, so it is the space every lock
+// implementation starts from; the table prints it beside MonitorBytes.
+const ObjectBytes = int(unsafe.Sizeof(object.Object{}))
+
 // CacheEntryBytes models one monitor-cache binding (hash-table entry:
 // key, pointer, chain).
 const CacheEntryBytes = 24
@@ -125,8 +130,8 @@ func runWorkload(rec *lockstat.Recorder, w workloads.Workload, size int) (int, e
 // structure counts depend on scheduling and can differ between runs.
 func FormatSpace(results map[string][]SpaceRow, order []string) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Lock storage footprint (monitor=%dB measured, cache entry=%dB modeled)\n",
-		MonitorBytes, CacheEntryBytes)
+	fmt.Fprintf(&b, "Lock storage footprint (object=%dB and monitor=%dB measured, cache entry=%dB modeled)\n",
+		ObjectBytes, MonitorBytes, CacheEntryBytes)
 	fmt.Fprintf(&b, "%-12s %-10s %12s %12s %12s\n",
 		"program", "impl", "sync.obj", "structures", "bytes")
 	marked := false

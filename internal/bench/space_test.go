@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -58,7 +59,8 @@ func TestFormatSpace(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := FormatSpace(map[string][]SpaceRow{"jnet": rows}, []string{"jnet"})
-	for _, want := range []string{"jnet", "ThinLock", "JDK111", "IBM112", "bytes"} {
+	sizes := fmt.Sprintf("object=%dB and monitor=%dB measured", ObjectBytes, MonitorBytes)
+	for _, want := range []string{sizes, "jnet", "ThinLock", "JDK111", "IBM112", "bytes"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}

@@ -9,6 +9,7 @@ package lockdep_test
 // edge allocates its record.
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"time"
@@ -96,9 +97,9 @@ func TestEnabledSteadyStateDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// medianCycle times reps uncontended lock/unlock cycles and returns the
-// median of samples runs, robust against scheduler noise.
-func medianCycle(f *lockFixture, samples, reps int) time.Duration {
+// cycleSamples times reps uncontended lock/unlock cycles samples times
+// and returns the times in the order they were taken.
+func cycleSamples(f *lockFixture, samples, reps int) []time.Duration {
 	ds := make([]time.Duration, 0, samples)
 	for s := 0; s < samples; s++ {
 		start := time.Now()
@@ -108,8 +109,15 @@ func medianCycle(f *lockFixture, samples, reps int) time.Duration {
 		}
 		ds = append(ds, time.Since(start))
 	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	return ds[len(ds)/2]
+	return ds
+}
+
+// median returns the median of ds, robust against scheduler noise,
+// without reordering ds.
+func median(ds []time.Duration) time.Duration {
+	s := append([]time.Duration(nil), ds...)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	return s[len(s)/2]
 }
 
 // TestDisabledLockdepOverheadIsBounded: with lockdep compiled in but
@@ -131,20 +139,24 @@ func TestDisabledLockdepOverheadIsBounded(t *testing.T) {
 	lockdep.Disable()
 	lockprof.Disable()
 	telemetry.Disable()
-	medianCycle(f, 3, reps) // warm up
-	base := medianCycle(f, samples, reps)
+	cycleSamples(f, 3, reps) // warm up
+	offs := cycleSamples(f, samples, reps)
 	lockdep.Enable(lockdep.New())
-	medianCycle(f, 3, reps) // intern the site before timing
-	on := medianCycle(f, samples, reps)
+	cycleSamples(f, 3, reps) // intern the site before timing
+	ons := cycleSamples(f, samples, reps)
 	lockdep.Disable()
-	after := medianCycle(f, samples, reps)
+	afters := cycleSamples(f, samples, reps)
+	base, on, after := median(offs), median(ons), median(afters)
+	// Every sample, in the order taken, so a failure shows whether one
+	// stall or a steady slowdown moved the median.
+	samplesMsg := fmt.Sprintf("\n  off:   %v\n  on:    %v\n  after: %v", offs, ons, afters)
 	if base > 0 && float64(after) > 2*float64(base) {
-		t.Errorf("disabled lockdep cycle regressed after an enable/disable round: %.2fx (before=%v after=%v)",
-			float64(after)/float64(base), base, after)
+		t.Errorf("disabled lockdep cycle regressed after an enable/disable round: %.2fx (before=%v after=%v)%s",
+			float64(after)/float64(base), base, after, samplesMsg)
 	}
 	if base > 0 && float64(on) > 200*float64(base) {
-		t.Errorf("enabled lockdep slowed uncontended cycle %.0fx (off=%v on=%v); is detection running on the hot path?",
-			float64(on)/float64(base), base, on)
+		t.Errorf("enabled lockdep slowed uncontended cycle %.0fx (off=%v on=%v); is detection running on the hot path?%s",
+			float64(on)/float64(base), base, on, samplesMsg)
 	}
 }
 

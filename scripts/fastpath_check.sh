@@ -11,7 +11,8 @@
 # and the slot read under it) into (*Locker).lockBody and unlockBody, so
 # the owner's direct slot index cannot quietly become a call.
 #
-# Second, on amd64, it disassembles the fast-path functions and fails
+# Second, on amd64, it disassembles the fast-path functions, and the
+# object allocator every workload's fresh objects come from, and fails
 # unless their locked instructions (LOCK-prefixed or XCHG) and their
 # calls of this module's functions, counted by kind, match the committed
 # table scripts/fastpath_amd64.txt. A change that adds a locked
@@ -115,6 +116,7 @@ funcs=(
 	'core.(*ThinLocks).unlockSlow'
 	'monitor.(*Monitor).Enter'
 	'monitor.(*Monitor).Exit'
+	'object.(*Heap).New'
 )
 syms=$(printf '%s\n' "${funcs[@]}" | sed 's/[().*]/\\&/g; s|^|^thinlock/internal/|; s/$/$/' | paste -sd'|')
 tmp=$(mktemp -d)
