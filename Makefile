@@ -22,9 +22,10 @@ vet:
 # `go build -gcflags=-m` of ./internal/core and ./internal/biased), so
 # an uncontended lock or unlock cannot grow a Go call unnoticed. On
 # amd64, under the Go release the table names, it then disassembles the
-# fast-path functions and the object allocator (object.(*Heap).New) and
-# fails unless their locked instructions and calls, by kind, match the
-# committed table scripts/fastpath_amd64.txt.
+# fast-path functions, the object allocator (object.(*Heap).New) and the
+# back-off's busy pause (arch.procYield), and fails unless their locked
+# instructions and calls, by kind, match the committed table
+# scripts/fastpath_amd64.txt.
 fastpath:
 	GO="$(GO)" scripts/fastpath_check.sh
 
@@ -55,8 +56,10 @@ race:
 # racing with emits is its one concurrent structure. internal/monitor
 # runs ten times over too: its entry spin, which polls the monitor's
 # state word between back-off pauses before it parks, races exits and
-# handoffs, and race builds check the state word against the monitor's
-# entry parkers on the parking lot with the lot's bucket locked. The
+# handoffs, an owner's nested atomic adds to that word race parkers'
+# CAS of its queued bit, and race builds check the state word against
+# the monitor's entry parkers on the parking lot with the lot's bucket
+# locked. The
 # two baselines (internal/monitorcache, internal/hotlocks) run ten
 # times over with it, since their monitors block on the same lot.
 # So does internal/vm: concurrent Runs on one VM hand its frame stack

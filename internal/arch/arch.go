@@ -94,22 +94,24 @@ func kernelCAS(addr *uint32, old, new uint32) bool {
 	return ok
 }
 
-// fenceWord is a dummy location used to issue full memory barriers.
-var fenceWord uint32
-
 // ISync models the PowerPC isync instruction issued after acquiring a
 // lock on a multiprocessor: an acquire barrier. Go's memory model gives
 // us the ordering for free from the CAS, so the barrier exists purely to
 // charge the instruction's cost, which we approximate with a locked
-// no-op read-modify-write.
+// no-op read-modify-write (LOCK XADDL on amd64, a full barrier there).
+// Its word is on the caller's stack, so no other thread writes its
+// cache line, as no other thread's barrier touches the real
+// instruction's.
 func ISync() {
-	atomic.AddUint32(&fenceWord, 0)
+	var fence uint32
+	atomic.AddUint32(&fence, 0)
 }
 
 // Sync models the PowerPC sync instruction issued before releasing a
-// lock on a multiprocessor: a full barrier.
+// lock on a multiprocessor: a full barrier, charged as ISync is.
 func Sync() {
-	atomic.AddUint32(&fenceWord, 0)
+	var fence uint32
+	atomic.AddUint32(&fence, 0)
 }
 
 // BusyRounds is how many busy-wait rounds Backoff performs before
@@ -189,17 +191,21 @@ func (s *SpinBudget) Ended(acquired bool) { s.short = !acquired }
 // Reset restarts the back-off schedule.
 func (b *Backoff) Reset() { b.round = 0 }
 
-// spinSink defeats dead-code elimination of the busy-wait loop.
-var spinSink uint32
-
-// procYield burns a few cycles without touching shared memory, standing
-// in for a PAUSE-style instruction in the spin loop.
+// procYield burns a few cycles without touching shared memory,
+// standing in for a PAUSE-style instruction in the spin loop: the loop's
+// sum is its result, which keeps the loop alive, and Pause drops it.
+// Each of n's units is yieldSpins iterations.
 //
 //go:noinline
-func procYield(n uint) {
+func procYield(n uint) uint32 {
 	var x uint32
-	for i := uint(0); i < n; i++ {
+	for i := uint(0); i < n*yieldSpins; i++ {
 		x += uint32(i)
 	}
-	atomic.StoreUint32(&spinSink, x)
+	return x
 }
+
+// yieldSpins scales procYield's loop, so that the BusyRounds busy
+// pauses last about as long as they did when each ended in a store to
+// one process-wide word (EXPERIMENTS.md, "Fat monitors in one word").
+const yieldSpins = 2

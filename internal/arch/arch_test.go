@@ -167,3 +167,27 @@ func BenchmarkPlainStore(b *testing.B) {
 		atomic.StoreUint32(&w, uint32(i))
 	}
 }
+
+// BenchmarkBusyPauses times a fresh Backoff's BusyRounds busy pauses,
+// what a spinner spends before it first yields its processor.
+func BenchmarkBusyPauses(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		var bo Backoff
+		for r := 0; r < BusyRounds; r++ {
+			bo.Pause()
+		}
+	}
+}
+
+// BenchmarkBusyPausesParallel is BenchmarkBusyPauses on every
+// processor at once, as spinners on different processors pause.
+func BenchmarkBusyPausesParallel(b *testing.B) {
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			var bo Backoff
+			for r := 0; r < BusyRounds; r++ {
+				bo.Pause()
+			}
+		}
+	})
+}

@@ -23,8 +23,9 @@ import (
 // for every (cached) synchronized object.
 
 // MonitorBytes is the size of one heavy-weight monitor structure, the
-// "multi-word structure" of §2.1, less its queues: an owner word and a
-// lock count, since blocked threads wait on the parking lot. The
+// "multi-word structure" of §2.1, less its queues: one word holding the
+// owner, a queued bit and the lock count, since blocked threads wait on
+// the parking lot. The
 // monitor table holds monitors by value, so a monitor costs no table
 // slot, and the baselines' standalone monitors are the same structure.
 const MonitorBytes = int(unsafe.Sizeof(monitor.Monitor{}))

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -68,8 +67,9 @@ import (
 // erases the notifier's flc, its wake comes later still and finds the
 // relabeled node; otherwise flc survives for the notifier's own unlock.
 //
-// Nesting past the thin count field goes to a side count (sideCounts)
-// that only the owner touches, so a thin word never overflows.
+// Nesting past the thin count field goes to a side count
+// (monitor.SideCounts, which fat monitors use past their own count
+// field) that only the owner touches, so a thin word never overflows.
 
 // FlagFLC is the flat-lock-contention bit in the object's flags word.
 const FlagFLC uint32 = 1 << 0
@@ -94,7 +94,7 @@ func (l *ThinLocks) lockCompact(t *threading.Thread, o *object.Object, cpu arch.
 		case x&TIDMask == 0:
 			// Owned by this thread with the count field saturated: the
 			// deeper levels go to the side count.
-			l.deep.deeper(o)
+			l.deep.Deeper(o)
 			return
 
 		case w&TIDMask == 0:
@@ -148,7 +148,7 @@ func (l *ThinLocks) waitCompact(t *threading.Thread, o *object.Object, d time.Du
 	lockevent.Emit(lockevent.MonitorWait, t, nil)
 	depth := ThinCount(w) + 1
 	if depth > l.maxCount {
-		depth += l.deep.take(o)
+		depth += l.deep.Take(o)
 	}
 	threading.File(t, o, depth)
 	atomic.StoreUint32(hp, w&MiscMask)
@@ -166,7 +166,7 @@ func (l *ThinLocks) waitCompact(t *threading.Thread, o *object.Object, d time.Du
 	if extra := t.ParkNode().Count - 1; extra > 0 {
 		thin := min(extra, l.maxCount)
 		atomic.StoreUint32(hp, atomic.LoadUint32(hp)+thin*CountUnit)
-		l.deep.set(o, extra-thin)
+		l.deep.Set(o, extra-thin)
 	}
 	return notified, err
 }
@@ -239,62 +239,4 @@ func (l *ThinLocks) wakeAfterUnlock(o *object.Object) {
 	if o.Flags()&FlagFLC != 0 && !l.mut.DropQueuedWake {
 		l.wakeQueued(o)
 	}
-}
-
-// sideCounts holds, per object, the nesting levels past the thin count
-// field's maximum. Only an object's owner reads or writes its entry; the
-// mutex guards the map itself. The map is made on first use, so an
-// instance that never nests that deep holds none.
-type sideCounts struct {
-	mu sync.Mutex
-	m  map[*object.Object]uint32
-}
-
-// deeper adds one level to o's side count.
-func (s *sideCounts) deeper(o *object.Object) {
-	s.mu.Lock()
-	if s.m == nil {
-		s.m = make(map[*object.Object]uint32)
-	}
-	s.m[o]++
-	s.mu.Unlock()
-}
-
-// shallower removes one level from o's side count, reporting whether
-// there was one.
-func (s *sideCounts) shallower(o *object.Object) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := s.m[o]
-	switch n {
-	case 0:
-		return false
-	case 1:
-		delete(s.m, o)
-	default:
-		s.m[o] = n - 1
-	}
-	return true
-}
-
-// take removes o's side count and returns it.
-func (s *sideCounts) take(o *object.Object) uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := s.m[o]
-	delete(s.m, o)
-	return n
-}
-
-// set sets o's side count to n.
-func (s *sideCounts) set(o *object.Object, n uint32) {
-	if n == 0 {
-		return
-	}
-	s.mu.Lock()
-	if s.m == nil {
-		s.m = make(map[*object.Object]uint32)
-	}
-	s.m[o] = n
-	s.mu.Unlock()
 }

@@ -251,8 +251,8 @@ func TestChurnBoundMillions(t *testing.T) {
 	if s := f.l.Stats(); s.Inflations() != 0 || s.FatLocks != 0 || s.TableSpan != 0 {
 		t.Fatalf("churn allocated monitors: %+v", s)
 	}
-	if len(f.l.deep.m) != 0 {
-		t.Fatalf("%d side counts left after churn", len(f.l.deep.m))
+	if f.l.deep.Len() != 0 {
+		t.Fatalf("%d side counts left after churn", f.l.deep.Len())
 	}
 }
 
@@ -278,7 +278,7 @@ func TestCompactWaitRestoresDepth300(t *testing.T) {
 	if err := f.l.Unlock(th, o); err != ErrIllegalMonitorState {
 		t.Fatalf("unlock %d = %v, want ErrIllegalMonitorState", depth+1, err)
 	}
-	if f.l.Stats().FatLocks != 0 || len(f.l.deep.m) != 0 {
+	if f.l.Stats().FatLocks != 0 || f.l.deep.Len() != 0 {
 		t.Fatal("deep wait left a monitor or a side count")
 	}
 }

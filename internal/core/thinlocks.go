@@ -166,7 +166,7 @@ type ThinLocks struct {
 	flcWakeups     atomic.Uint64
 
 	// deep holds compact monitors' side counts (compact.go).
-	deep sideCounts
+	deep monitor.SideCounts[*object.Object]
 }
 
 // New returns a ThinLocks instance with the given options.
@@ -527,7 +527,7 @@ func (l *ThinLocks) unlockSlow(t *threading.Thread, o *object.Object, fence, use
 	lockevent.Emit(lockevent.SlowUnlock, t, o)
 	if x>>IndexShift == 0 {
 		// Thin, owned by this thread, nested.
-		if l.compact && ThinCount(w) == l.maxCount && l.deep.shallower(o) {
+		if l.compact && ThinCount(w) == l.maxCount && l.deep.Shallower(o) {
 			return nil // released a level of the side count
 		}
 		nw := w - CountUnit

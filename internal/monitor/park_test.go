@@ -10,20 +10,20 @@ import (
 	"thinlock/internal/threading"
 )
 
-// TestMonitorIs8Bytes pins the layout: state and count, 8 bytes. A
+// TestMonitorIs4Bytes pins the layout: one state word, 4 bytes. A
 // Table holds its monitors by value, so no allocator size class absorbs
 // a field added here: every monitor in the table pays for it, and an
 // inflate-forever implementation keeps each one for life.
-func TestMonitorIs8Bytes(t *testing.T) {
+func TestMonitorIs4Bytes(t *testing.T) {
 	t.Parallel()
-	if n := unsafe.Sizeof(Monitor{}); n != 8 {
-		t.Fatalf("sizeof(Monitor) = %d, want 8", n)
+	if n := unsafe.Sizeof(Monitor{}); n != 4 {
+		t.Fatalf("sizeof(Monitor) = %d, want 4", n)
 	}
 }
 
 // TestMonitorHoldsNoPointer walks Monitor's fields: none may hold a
 // pointer, so a table chunk is noscan, needs no type header and fills
-// its 512-byte size class exactly, and the collector never scans the
+// its 256-byte size class exactly, and the collector never scans the
 // monitor table.
 func TestMonitorHoldsNoPointer(t *testing.T) {
 	t.Parallel()

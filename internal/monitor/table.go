@@ -12,9 +12,10 @@ const IndexBits = 23
 // MaxMonitors is the size of the monitor index space.
 const MaxMonitors = 1 << IndexBits
 
-// chunkBits sizes the table's fixed chunks: 64 monitors, 512 bytes. A
+// chunkBits sizes the table's fixed chunks: 64 monitors, 256 bytes. A
 // Monitor holds no pointer, so a chunk needs no type header and fills
-// the allocator's 512-byte size class exactly: 8 bytes per monitor.
+// the allocator's 256-byte size class exactly: 4 bytes per monitor, and
+// a full 23-bit table holds 32 MiB of them.
 const chunkBits = 6
 
 const chunkSize = 1 << chunkBits
@@ -28,7 +29,7 @@ const maxChunks = MaxMonitors / chunkSize
 
 // Table maps monitor indices to monitors, mirroring "the table which maps
 // inflated monitor indices to fat locks" (§2.3). It holds the monitors
-// themselves, in fixed chunks: a monitor costs its 8 bytes and no table
+// themselves, in fixed chunks: a monitor costs its 4 bytes and no table
 // slot. Get is wait-free (three atomic loads plus two indexing
 // operations — the paper's "shifting the monitor index to the right and
 // indexing into the vector"), because it sits on the locking fast path

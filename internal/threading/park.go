@@ -19,11 +19,11 @@
 // and Handoff the longest-parked one, after a grant that hands it the
 // lock. So ThinLock-compact keeps a contended or waited-on object's
 // whole queueing state here and never inflates it, and a fat monitor
-// keeps only its owner word and count.
+// keeps only its one word of owner and count.
 //
 // The lot is one process-wide table rather than one per lock
 // implementation: blocked threads are few at any moment, a fixed table
-// sized for them is a few KiB of static data, and a per-Locker table
+// sized for them is a few KiB, allocated once, and a per-Locker table
 // would add that much to every Locker a program builds.
 
 package threading
@@ -177,14 +177,25 @@ func (q *queue) unlink(prev, n *ParkNode) {
 const lotBits = 6
 
 // bucket is one lot slot: the nodes filed on the keys that hash to it,
-// in arrival order.
+// in arrival order. It fills one cache line, so no two buckets' locks
+// or queues share one.
 type bucket struct {
 	mu sync.Mutex
 	q  queue
 	_  [48]byte
 }
 
-var lot [1 << lotBits]bucket
+// lot holds the buckets, each an allocation of its own. A bucket is an
+// object in the allocator's 64-byte size class, whose objects start on
+// cache lines; an array of buckets would start wherever the linker or
+// the allocator put it (a global is aligned to 32 bytes at most, and a
+// large pointer-holding allocation starts 8 bytes into its block).
+var lot = func() (l [1 << lotBits]*bucket) {
+	for i := range l {
+		l[i] = new(bucket)
+	}
+	return l
+}()
 
 // addr is key's address, which the lot files key's nodes under.
 func addr[K any](key *K) *byte { return (*byte)(unsafe.Pointer(key)) }
@@ -193,7 +204,7 @@ func addr[K any](key *K) *byte { return (*byte)(unsafe.Pointer(key)) }
 // top bits, so aligned addresses spread as well as any. Two keys can
 // share a bucket; nodes match by address.
 func bucketFor(k *byte) *bucket {
-	return &lot[uint64(uintptr(unsafe.Pointer(k)))*0x9E3779B97F4A7C15>>(64-lotBits)]
+	return lot[uint64(uintptr(unsafe.Pointer(k)))*0x9E3779B97F4A7C15>>(64-lotBits)]
 }
 
 // Park blocks t on key until UnparkAll or Handoff releases it. validate
@@ -381,8 +392,7 @@ func Parked[K any](key *K) (entry, waiting int) {
 		defer b.mu.Unlock()
 		return b.count(k)
 	}
-	for i := range lot {
-		b := &lot[i]
+	for _, b := range lot {
 		b.mu.Lock()
 		e, w := b.count(nil)
 		b.mu.Unlock()

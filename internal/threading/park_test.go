@@ -23,6 +23,21 @@ func attachN(t testing.TB, n int) []*Thread {
 	return out
 }
 
+// TestLotBucketsOwnTheirCacheLines: a bucket is one 64-byte cache line
+// and each starts one, so no two buckets' locks or queues share a line
+// however the binary is linked.
+func TestLotBucketsOwnTheirCacheLines(t *testing.T) {
+	t.Parallel()
+	if n := unsafe.Sizeof(bucket{}); n != 64 {
+		t.Fatalf("sizeof(bucket) = %d, want 64", n)
+	}
+	for i, b := range lot {
+		if a := uintptr(unsafe.Pointer(b)); a%64 != 0 {
+			t.Errorf("bucket %d at %#x, %d bytes into a line", i, a, a%64)
+		}
+	}
+}
+
 // nodes returns q's nodes, head first.
 func (q *queue) nodes() []*ParkNode {
 	var out []*ParkNode

@@ -11,8 +11,9 @@
 # and the slot read under it) into (*Locker).lockBody and unlockBody, so
 # the owner's direct slot index cannot quietly become a call.
 #
-# Second, on amd64, it disassembles the fast-path functions, and the
-# object allocator every workload's fresh objects come from, and fails
+# Second, on amd64, it disassembles the fast-path functions, the object
+# allocator every workload's fresh objects come from, and the busy
+# pause every spinner makes, and fails
 # unless their locked instructions (LOCK-prefixed or XCHG) and their
 # calls of this module's functions, counted by kind, match the committed
 # table scripts/fastpath_amd64.txt. A change that adds a locked
@@ -85,8 +86,10 @@ done
 # module, or "CALL indirect"; calls into the runtime and the standard
 # library (the stack check, panics, sync's slow paths) are left out. A
 # function with none of these has one row of kind "-". Symbols drop the
-# module's "thinlock/internal/" prefix, and the key leaves out source
-# lines: an inlined atomic is attributed to the standard library's line.
+# module's "thinlock/internal/" prefix wherever it appears (a generic
+# method's shape names its type argument by it), and the key leaves out
+# source lines: an inlined atomic is attributed to the standard
+# library's line.
 # Code generation and inlining change between Go releases, so the table
 # names the release it was made with in its "# toolchain:" line (go.mod's
 # toolchain line selects it), and under another release this half is
@@ -117,6 +120,7 @@ funcs=(
 	'monitor.(*Monitor).Enter'
 	'monitor.(*Monitor).Exit'
 	'object.(*Heap).New'
+	'arch.procYield'
 )
 syms=$(printf '%s\n' "${funcs[@]}" | sed 's/[().*]/\\&/g; s|^|^thinlock/internal/|; s/$/$/' | paste -sd'|')
 tmp=$(mktemp -d)
@@ -142,7 +146,7 @@ trap 'rm -rf "$tmp"' EXIT
 			kind = ins
 			sub(/[ \t]+$/, "", kind)
 			sub(/\(SB\)$/, "", kind)
-			sub(/thinlock\/internal\//, "", kind)
+			gsub(/thinlock\/internal\//, "", kind)
 		} else if (ins ~ /^CALL [^a-z]/) {
 			kind = "CALL indirect"
 		}
